@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-incremental smoke-daemon chaos-smoke bench-compare docs docs-check clean
+.PHONY: all tier1 build test vet lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-incremental bench-e2e smoke-daemon chaos-smoke bench-compare docs docs-check clean
 
 all: tier1
 
@@ -9,16 +9,16 @@ all: tier1
 # must stay race-clean).  This is a superset of the ROADMAP.md verify
 # command (go build ./... && go test ./...); the race run includes
 # cmd/docgen's staleness test, so a stale ALGORITHM.md fails tier-1.
-# The differential run and the benchmark smoke keep the Phase I engines
-# honest: every engine configuration must agree bit for bit, and the
+# The differential run and the benchmark smoke keep the engines honest:
+# each must agree bit for bit with its test-only reference, and the
 # benchmarks must at least compile and complete one iteration.
 tier1: vet lint-logs docs-check race diff bench-smoke smoke-daemon chaos-smoke
 
-# Engine differentials: Phase I legacy vs CSR vs striped CSR, Phase II
-# whole-graph vs region-localized, and the incremental replay engine vs
-# rebuild-and-full-match, on fixed and random circuits, twice (scratch-pool
-# reuse across runs is part of the contract), under the race detector with
-# the striping grain forced down.
+# Engine differentials: Phase I CSR vs the pointer-walking reference in
+# phase1ref_test.go, Phase II region-localized vs whole-graph, and the
+# incremental replay engine vs Find on a fresh matcher, on fixed and random
+# circuits, twice (scratch-pool reuse across runs is part of the contract),
+# under the race detector.
 diff: diff-incremental
 	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestPhase2Differential|TestScratchPoolReuse' ./internal/core/
 
@@ -44,8 +44,8 @@ bench-smoke:
 bench-sweep:
 	$(GO) run ./cmd/benchtab -table sweep -json BENCH_sweep.json
 
-# Phase II engine table only: whole-graph legacy vs region-localized Phase II
-# timings across workloads, archived as BENCH_phase2_region.json.
+# Phase II table only: region-localized Phase II timings and ball sizes
+# across workloads, archived as BENCH_phase2_region.json.
 bench-phase2:
 	$(GO) run ./cmd/benchtab -table phase2 -json BENCH_phase2_region.json
 
@@ -54,6 +54,12 @@ bench-phase2:
 # recomputing from scratch, archived as BENCH_incremental.json.
 bench-incremental:
 	$(GO) run ./cmd/benchtab -table incremental -json BENCH_incremental.json
+
+# End-to-end daemon benchmark (BENCHMARK.json's command): boots the real
+# subgeminid and drives the four closed-loop workloads, one row each.  See
+# benchmark/README.md for flags (--workload, --seed, --seconds, --trace).
+bench-e2e:
+	bash benchmark/run.sh
 
 # Process-level daemon smoke: boot subgeminid with a temporary data
 # directory, upload two circuits and a pattern library, run a sync match,

@@ -247,23 +247,14 @@ func phase1(quick bool) ([]bench.Phase1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== Phase I engines: legacy vs CSR, workers sweep ==")
+	fmt.Println("== Phase I across circuit sizes ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tpattern\tengine\tworkers\tpasses\tpruned\t|CV|\tfound\tphase1 (min)")
-	last := ""
+	fmt.Fprintln(w, "circuit\tdevices\tpattern\tpasses\tpruned\t|CV|\tfound\tphase1 (min)")
 	for _, r := range rows {
-		if r.Circuit != last {
-			if last != "" {
-				fmt.Fprintln(w, "\t\t\t\t\t\t\t\t\t")
-			}
-			last = r.Circuit
-		}
-		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			r.Circuit, r.Devices, r.Pattern, r.Engine, r.Workers,
-			r.Passes, r.Pruned, r.CVSize, r.Found, round(r.P1))
+		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%v\n",
+			r.Circuit, r.Devices, r.Pattern, r.Passes, r.Pruned, r.CVSize, r.Found, round(r.P1))
 	}
 	w.Flush()
-	fmt.Println("(all configurations must agree on every column but the time; worker rows need real cores to win)")
 	fmt.Println()
 	return rows, nil
 }
@@ -273,33 +264,14 @@ func phase2(quick bool) ([]bench.Phase2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== Phase II engines: whole-graph legacy vs region-localized ==")
+	fmt.Println("== Phase II: region-localized candidate verification ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tpattern\tengine\tcandidates\tfound\tradius\tavg ball\tmax ball\tphase2 (min)")
-	last := ""
+	fmt.Fprintln(w, "circuit\tdevices\tpattern\tcandidates\tfound\tradius\tavg ball\tmax ball\tphase2 (min)")
 	for _, r := range rows {
-		if r.Circuit != last {
-			if last != "" {
-				fmt.Fprintln(w, "\t\t\t\t\t\t\t\t\t")
-			}
-			last = r.Circuit
-		}
-		ball := "-"
-		radius := "-"
-		if r.Engine == "region" {
-			ball = fmt.Sprintf("%.0f", r.AvgBall)
-			radius = fmt.Sprintf("%d", r.Radius)
-		}
-		max := "-"
-		if r.MaxBall > 0 {
-			max = fmt.Sprintf("%d", r.MaxBall)
-		}
-		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%d\t%d\t%s\t%s\t%s\t%v\n",
-			r.Circuit, r.Devices, r.Pattern, r.Engine,
-			r.Candidates, r.Found, radius, ball, max, round(r.P2))
+		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%.0f\t%d\t%v\n",
+			r.Circuit, r.Devices, r.Pattern, r.Candidates, r.Found, r.Radius, r.AvgBall, r.MaxBall, round(r.P2))
 	}
 	w.Flush()
-	fmt.Println("(both engines must agree on candidates and found; the region win grows with circuit size / ball size)")
 	fmt.Println()
 	return rows, nil
 }

@@ -28,13 +28,6 @@
 //	-max N             stop after N instances
 //	-workers N         verify Phase II candidates over N workers
 //	                   (-1 = all CPUs; incompatible with -nonoverlap/-max)
-//	-phase1workers N   stripe Phase I relabeling of the main circuit over
-//	                   N goroutines (results are bit-identical; defaults
-//	                   to -workers when that is set, else sequential)
-//	-phase1legacy      use the pointer-walking reference Phase I engine
-//	                   instead of the data-oriented CSR engine
-//	-phase2legacy      use the whole-graph reference Phase II engine
-//	                   instead of the region-localized engine
 //	-v                 trace the phases to stderr
 //	-tracetable        print Table-1-style per-pass label tables
 //	-trace FILE        write a subgemini-trace/v1 JSONL event stream
@@ -80,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		nonOverlap  = flag.Bool("nonoverlap", false, "report only disjoint instances")
 		maxInst     = flag.Int("max", 0, "stop after this many instances (0 = no limit)")
 		workers     = flag.Int("workers", 0, "verify Phase II candidates over N workers, 0 = sequential (-1 = all CPUs; incompatible with -nonoverlap and -max)")
-		p1Workers   = flag.Int("phase1workers", 0, "stripe Phase I relabeling over N goroutines (0 = follow -workers)")
-		p1Legacy    = flag.Bool("phase1legacy", false, "use the pointer-walking reference Phase I engine")
-		p2Legacy    = flag.Bool("phase2legacy", false, "use the whole-graph reference Phase II engine")
 		verbose     = flag.Bool("v", false, "trace matching to stderr")
 		traceTable  = flag.Bool("tracetable", false, "print a Table-1-style per-pass label table for every Phase II candidate")
 		tracePath   = flag.String("trace", "", `write a subgemini-trace/v1 JSONL event stream to this file ("-" = stdout; render with tracefmt)`)
@@ -114,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			globalsCSV: *globalsCSV,
 			maxInst:    *maxInst,
 			workers:    *workers,
-			p1Workers:  *p1Workers,
 			quiet:      *quiet,
 			asJSON:     *asJSON,
 		}, stdout)
@@ -132,17 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := subgemini.Options{
-		MaxInstances: *maxInst,
-		Workers:      *p1Workers,
-		LegacyPhase1: *p1Legacy,
-		LegacyPhase2: *p2Legacy,
-	}
-	if opts.Workers == 0 && *workers > 0 {
-		// A Phase II fan-out is a statement that cores are available; let
-		// Phase I use them too unless told otherwise.
-		opts.Workers = *workers
-	}
+	opts := subgemini.Options{MaxInstances: *maxInst}
 	if *globalsCSV != "" {
 		opts.Globals = strings.Split(*globalsCSV, ",")
 	}
@@ -233,7 +212,6 @@ type sweepFlags struct {
 	globalsCSV string
 	maxInst    int
 	workers    int
-	p1Workers  int
 	quiet      bool
 	asJSON     bool
 }
@@ -289,10 +267,7 @@ func loadLibrary(patternPath, csv string) ([]subgemini.SweepPattern, error) {
 // runSweep executes the -library mode: one amortized run over the whole
 // set, reported as a per-pattern count table.
 func runSweep(circuit *subgemini.Circuit, lib []subgemini.SweepPattern, fl sweepFlags, stdout io.Writer) error {
-	opts := subgemini.SweepOptions{
-		MaxInstances:  fl.maxInst,
-		Phase1Workers: fl.p1Workers,
-	}
+	opts := subgemini.SweepOptions{MaxInstances: fl.maxInst}
 	if fl.globalsCSV != "" {
 		opts.Globals = strings.Split(fl.globalsCSV, ",")
 	}

@@ -56,8 +56,6 @@
 //	-max-timeout 5m      upper bound on client-requested deadlines
 //	-max-concurrent N    match slots (admission control; 0 = GOMAXPROCS)
 //	-max-workers N       cap on per-request "workers" fan-out
-//	-phase1-workers N    default Phase I relabeling fan-out for requests
-//	                     that do not set "workers" (0 = sequential)
 //	-max-body N          request body limit in bytes
 //	-shed-inflight N     shed batch/sweep/job submissions (429+Retry-After)
 //	                     while N matches are in flight; single matches
@@ -135,7 +133,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxTimeout  = flags.Duration("max-timeout", 5*time.Minute, "upper bound on client-requested deadlines")
 		maxConc     = flags.Int("max-concurrent", 0, "concurrent match slots (0 = GOMAXPROCS)")
 		maxWorkers  = flags.Int("max-workers", 0, "cap on per-request workers fan-out (0 = GOMAXPROCS)")
-		p1Workers   = flags.Int("phase1-workers", 0, "default Phase I relabeling fan-out when a request sets no workers (0 = sequential)")
 		maxBody     = flags.Int64("max-body", 16<<20, "request body limit in bytes")
 		noPreload   = flags.Bool("no-preload", false, "skip compiling the built-in cell library at startup")
 		noInc       = flags.Bool("noincremental", false, "disable incremental matching and the versioned result cache (differential/debug switch; results are identical)")
@@ -185,7 +182,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ShedMemoryBytes:    *shedMem,
 		RetryAfter:         *retryAfter,
 		MaxWorkers:         *maxWorkers,
-		Phase1Workers:      *p1Workers,
 		MaxBodyBytes:       *maxBody,
 		PreloadBuiltins:    !*noPreload,
 		DisableIncremental: *noInc,

@@ -479,16 +479,13 @@ func Ablation() ([]AblationRow, error) {
 	return rows, nil
 }
 
-// Phase1Row is one line of the Phase I engine table: one engine
-// configuration run over one workload, keeping the fastest Phase I time of
-// several iterations (candidate generation is deterministic, so min is the
-// noise-robust statistic).
+// Phase1Row is one line of the Phase I table: one workload, keeping the
+// fastest Phase I time of several iterations (candidate generation is
+// deterministic, so min is the noise-robust statistic).
 type Phase1Row struct {
 	Circuit string
 	Devices int
 	Pattern string
-	Engine  string // "legacy" or "csr"
-	Workers int
 	Passes  int
 	Pruned  int
 	CVSize  int
@@ -496,12 +493,8 @@ type Phase1Row struct {
 	P1      time.Duration
 }
 
-// Phase1Scaling measures the Phase I engines against each other: the
-// pointer-walking legacy engine, the data-oriented CSR engine, and the CSR
-// engine striped over growing worker counts, across circuit sizes.  All
-// configurations must agree on passes, prunes, |CV|, and instances — the
-// table doubles as a coarse differential check.  quick truncates to the
-// smallest circuit and a single iteration.
+// Phase1Scaling measures Phase I across random-logic circuit sizes.  quick
+// truncates to the smallest circuit and a single iteration.
 func Phase1Scaling(quick bool) ([]Phase1Row, error) {
 	sizes := []int{250, 1000, 4000}
 	iters := 5
@@ -509,61 +502,34 @@ func Phase1Scaling(quick bool) ([]Phase1Row, error) {
 		sizes = sizes[:1]
 		iters = 1
 	}
-	configs := []struct {
-		engine  string
-		workers int
-		opts    core.Options
-	}{
-		{"legacy", 1, core.Options{LegacyPhase1: true}},
-		{"csr", 1, core.Options{}},
-		{"csr", 2, core.Options{Workers: 2}},
-		{"csr", 4, core.Options{Workers: 4}},
-	}
 	var rows []Phase1Row
 	for _, n := range sizes {
 		d := gen.RandomLogic(n, 32, 11)
-		var ref *Phase1Row
-		for _, cfg := range configs {
-			opts := cfg.opts
-			opts.Globals = Rails
-			m, err := core.NewMatcher(d.C, opts)
+		m, err := core.NewMatcher(d.C, core.Options{Globals: Rails})
+		if err != nil {
+			return rows, err
+		}
+		row := Phase1Row{
+			Circuit: fmt.Sprintf("rand%d", n),
+			Devices: d.C.NumDevices(),
+			Pattern: stdcell.NAND2.Name,
+		}
+		for it := 0; it < iters; it++ {
+			res, err := m.Find(stdcell.NAND2.Pattern())
 			if err != nil {
 				return rows, err
 			}
-			row := Phase1Row{
-				Circuit: fmt.Sprintf("rand%d", n),
-				Devices: d.C.NumDevices(),
-				Pattern: stdcell.NAND2.Name,
-				Engine:  cfg.engine,
-				Workers: cfg.workers,
+			if it == 0 {
+				row.Passes = res.Report.Phase1Passes
+				row.Pruned = res.Report.Phase1Pruned
+				row.CVSize = res.Report.CVSize
+				row.Found = len(res.Instances)
+				row.P1 = res.Report.Phase1Duration
+			} else if res.Report.Phase1Duration < row.P1 {
+				row.P1 = res.Report.Phase1Duration
 			}
-			for it := 0; it < iters; it++ {
-				res, err := m.Find(stdcell.NAND2.Pattern())
-				if err != nil {
-					return rows, err
-				}
-				if it == 0 {
-					row.Passes = res.Report.Phase1Passes
-					row.Pruned = res.Report.Phase1Pruned
-					row.CVSize = res.Report.CVSize
-					row.Found = len(res.Instances)
-					row.P1 = res.Report.Phase1Duration
-				} else if res.Report.Phase1Duration < row.P1 {
-					row.P1 = res.Report.Phase1Duration
-				}
-			}
-			if ref == nil {
-				r := row
-				ref = &r
-			} else if row.Passes != ref.Passes || row.Pruned != ref.Pruned ||
-				row.CVSize != ref.CVSize || row.Found != ref.Found {
-				return rows, fmt.Errorf("bench: rand%d: %s/w%d disagrees with %s/w%d (passes %d/%d pruned %d/%d |CV| %d/%d found %d/%d)",
-					n, row.Engine, row.Workers, ref.Engine, ref.Workers,
-					row.Passes, ref.Passes, row.Pruned, ref.Pruned,
-					row.CVSize, ref.CVSize, row.Found, ref.Found)
-			}
-			rows = append(rows, row)
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

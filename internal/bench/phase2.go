@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"subgemini/internal/core"
@@ -9,32 +8,27 @@ import (
 	"subgemini/internal/stdcell"
 )
 
-// Phase2Row is one line of the Phase II engine table: one engine run over
-// one workload, keeping the fastest Phase II time of several iterations
-// (candidate verification is deterministic, so min is the noise-robust
-// statistic).
+// Phase2Row is one line of the Phase II table: one workload, keeping the
+// fastest Phase II time of several iterations (candidate verification is
+// deterministic, so min is the noise-robust statistic).
 type Phase2Row struct {
 	Circuit    string
 	Devices    int
 	Pattern    string
-	Engine     string // "legacy" or "region"
 	Candidates int
 	Found      int
-	Radius     int     // region engine: pattern eccentricity from the key vertex
-	AvgBall    float64 // region engine: mean extracted-region size, vertices
-	MaxBall    int     // region engine: largest extracted region, vertices
+	Radius     int     // pattern eccentricity from the key vertex
+	AvgBall    float64 // mean extracted-region size, vertices
+	MaxBall    int     // largest extracted region, vertices
 	P2         time.Duration
 }
 
-// Phase2Regions measures the Phase II engines against each other: the
-// whole-graph legacy engine versus the region-localized engine that
+// Phase2Regions measures the region-localized Phase II engine, which
 // extracts a radius-bounded ball around each candidate and solves inside
-// it.  Both engines must agree on candidates and instances — the table
-// doubles as a coarse differential check (the bit-exact one is
-// TestPhase2Differential).  The per-candidate win grows with the ratio of
-// circuit size to region size, so the rand4000 row is where the paper-style
-// locality argument shows up.  quick truncates to the smallest workload and
-// a single iteration.
+// it, on tiled and random-logic workloads.  The per-candidate cost tracks
+// the ball size rather than the circuit size, so the rand4000 row is where
+// the paper-style locality argument shows up.  quick truncates to the
+// smallest workload and a single iteration.
 func Phase2Regions(quick bool) ([]Phase2Row, error) {
 	type workload struct {
 		name    string
@@ -52,56 +46,35 @@ func Phase2Regions(quick bool) ([]Phase2Row, error) {
 		workloads = workloads[:1]
 		iters = 1
 	}
-	engines := []struct {
-		name string
-		opts core.Options
-	}{
-		{"legacy", core.Options{LegacyPhase2: true}},
-		{"region", core.Options{}},
-	}
 	var rows []Phase2Row
 	for _, w := range workloads {
 		d := w.build()
-		var ref *Phase2Row
-		for _, eng := range engines {
-			opts := eng.opts
-			opts.Globals = Rails
-			m, err := core.NewMatcher(d.C, opts)
+		m, err := core.NewMatcher(d.C, core.Options{Globals: Rails})
+		if err != nil {
+			return rows, err
+		}
+		row := Phase2Row{
+			Circuit: w.name,
+			Devices: d.C.NumDevices(),
+			Pattern: w.pattern.Name,
+		}
+		for it := 0; it < iters; it++ {
+			res, err := m.Find(w.pattern.Pattern())
 			if err != nil {
 				return rows, err
 			}
-			row := Phase2Row{
-				Circuit: w.name,
-				Devices: d.C.NumDevices(),
-				Pattern: w.pattern.Name,
-				Engine:  eng.name,
+			if it == 0 {
+				row.Candidates = res.Report.Candidates
+				row.Found = len(res.Instances)
+				row.Radius = res.Report.RegionRadius
+				row.AvgBall = res.Report.RegionAvgSize()
+				row.MaxBall = res.Report.RegionMaxSize
+				row.P2 = res.Report.Phase2Duration
+			} else if res.Report.Phase2Duration < row.P2 {
+				row.P2 = res.Report.Phase2Duration
 			}
-			for it := 0; it < iters; it++ {
-				res, err := m.Find(w.pattern.Pattern())
-				if err != nil {
-					return rows, err
-				}
-				if it == 0 {
-					row.Candidates = res.Report.Candidates
-					row.Found = len(res.Instances)
-					row.Radius = res.Report.RegionRadius
-					row.AvgBall = res.Report.RegionAvgSize()
-					row.MaxBall = res.Report.RegionMaxSize
-					row.P2 = res.Report.Phase2Duration
-				} else if res.Report.Phase2Duration < row.P2 {
-					row.P2 = res.Report.Phase2Duration
-				}
-			}
-			if ref == nil {
-				r := row
-				ref = &r
-			} else if row.Candidates != ref.Candidates || row.Found != ref.Found {
-				return rows, fmt.Errorf("bench: %s: %s disagrees with %s (candidates %d/%d found %d/%d)",
-					w.name, row.Engine, ref.Engine,
-					row.Candidates, ref.Candidates, row.Found, ref.Found)
-			}
-			rows = append(rows, row)
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

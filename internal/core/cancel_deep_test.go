@@ -85,7 +85,14 @@ func TestCancelPathologicalDeadline(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			defer cancel()
 			start := time.Now()
-			res, err := core.Find(g, s, core.Options{Cancel: ctx.Err, LegacyPhase2: tc.legacy})
+			m, err := core.NewMatcher(g, core.Options{Cancel: ctx.Err})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.legacy {
+				core.UseWholeGraphPhase2ForTest(m)
+			}
+			res, err := m.Find(s)
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("Find returned %v, want context.DeadlineExceeded", err)
@@ -163,36 +170,6 @@ func TestCancelInsidePhase1Pass(t *testing.T) {
 	}
 	if res == nil || res.Report.CancelledAt != "phase1" {
 		t.Fatalf("cancelled Find returned res=%v, want CancelledAt=\"phase1\" (in-pass polling)", res)
-	}
-}
-
-// TestCancelInsidePhase1Striped: the same in-pass cut with the main-graph
-// side striped across workers; the user hook is polled by the coordinator
-// only and workers stop via the shared flag, so this stays race-clean
-// under -race.
-func TestCancelInsidePhase1Striped(t *testing.T) {
-	restoreGrain := core.SetP1Grain(32)
-	defer restoreGrain()
-	restoreBlock := core.SetP1CancelBlock(16)
-	defer restoreBlock()
-	errStop := errors.New("stop")
-	g, s := ring("g", 1000), ring("s", 64)
-	polls := 0
-	res, err := core.Find(g, s, core.Options{
-		Workers: 4,
-		Cancel: func() error {
-			polls++
-			if polls >= 8 {
-				return errStop
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, errStop) {
-		t.Fatalf("Find returned %v, want %v", err, errStop)
-	}
-	if res == nil || res.Report.CancelledAt != "phase1" {
-		t.Fatalf("cancelled Find returned res=%v, want CancelledAt=\"phase1\"", res)
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 
 	"subgemini/internal/csr"
 	"subgemini/internal/graph"
-	"subgemini/internal/obs"
 	"subgemini/internal/label"
+	"subgemini/internal/obs"
 	"subgemini/internal/stats"
 	"subgemini/internal/trace"
 )
@@ -81,40 +81,6 @@ type Options struct {
 	// bit-for-bit reproducible.
 	Seed uint64
 
-	// Workers stripes the main-graph side of each Phase I relabeling and
-	// consistency pass across this many goroutines (0 or 1 = sequential).
-	// Results are bit-identical for every worker count: the relabeling sum
-	// commutes and striped chunks merge in deterministic order (see
-	// phase1csr.go).  FindParallel defaults this to its own worker count
-	// when unset.  Ignored by the legacy engine.
-	Workers int
-
-	// LegacyPhase1 selects the pointer-walking reference implementation of
-	// Phase I instead of the data-oriented CSR engine.  Both produce
-	// identical results; the reference engine exists for differential
-	// testing and as executable documentation of the paper's formulation.
-	LegacyPhase1 bool
-
-	// LegacyPhase2 selects the whole-graph Phase II engine, which relabels
-	// and partitions over every main-graph vertex, instead of the
-	// region-localized engine that restricts each candidate's verification
-	// to the ball of vertices within the pattern's key-vertex eccentricity
-	// (see phase2region.go).  Both find identical instances in identical
-	// order; the whole-graph engine exists for differential testing
-	// (TestPhase2Differential) and as executable documentation of the
-	// paper's formulation.  Runs with Options.TraceTable use the
-	// whole-graph engine regardless, since the step-by-step table renders
-	// whole-graph labeling state.
-	LegacyPhase2 bool
-
-	// LegacyIncremental makes FindIncremental ignore any previous state and
-	// dirty set and run the full matcher instead, without capturing a new
-	// state.  It is the incremental engine's differential oracle: results
-	// must be bit-identical to the incremental path for every edit script
-	// (TestIncrementalDifferential), mirroring how LegacyPhase1/LegacyPhase2
-	// keep the reference engines selectable.
-	LegacyIncremental bool
-
 	// CSR, when non-nil, supplies a prebuilt flat view of the main circuit
 	// (see NewCSR), letting long-lived callers like subgeminid build it
 	// once per resident circuit and share it across matchers; the view is
@@ -153,7 +119,7 @@ type Options struct {
 	//	opts.Cancel = ctx.Err
 	//
 	// The hook must be safe for concurrent use (ctx.Err is): FindParallel
-	// workers and striped Phase I passes poll it from several goroutines.
+	// and sweep workers poll it from several goroutines.
 	Cancel func() error
 
 	// Observe, when non-nil, receives span timelines for the run: one
@@ -357,6 +323,10 @@ type Matcher struct {
 	// data-oriented Phase I engine.  Unlike gInitLab it survives global
 	// re-marking: the view captures structure only.
 	gCSR *csr.Graph
+
+	// wholeGraphP2 forces the whole-graph Phase II engine, the reference the
+	// region engine is tested against; only tests set it.
+	wholeGraphP2 bool
 }
 
 // CSR is a flat compressed-sparse-row view of a circuit, the representation
@@ -671,13 +641,13 @@ type phase2Engine interface {
 }
 
 // newPhase2Engine picks the Phase II engine for this run: the
-// region-localized engine unless the caller asked for the whole-graph one
-// (Options.LegacyPhase2) or wants the step-by-step table (Options.TraceTable
-// renders whole-graph labeling state and is wired into the whole-graph
-// engine only).  key is the Phase I key vertex; the region engine derives
-// its ball radius from the pattern's eccentricity at key.
+// region-localized engine, unless the caller wants the step-by-step table
+// (Options.TraceTable renders whole-graph labeling state and is wired into
+// the whole-graph engine only) or a test forced the whole-graph reference.
+// key is the Phase I key vertex; the region engine derives its ball radius
+// from the pattern's eccentricity at key.
 func (m *Matcher) newPhase2Engine(pat *pattern, key label.VID, rep *stats.Report) (phase2Engine, error) {
-	if m.opts.LegacyPhase2 || m.opts.TraceTable != nil {
+	if m.wholeGraphP2 || m.opts.TraceTable != nil {
 		p2, err := newPhase2(m, pat, rep)
 		if err != nil {
 			return nil, err

@@ -10,14 +10,6 @@ import (
 // in core_test so they can use internal/gen, which depends on this
 // package).
 
-// SetP1Grain overrides the striping grain and returns a restore func, so
-// differential tests can force the parallel code paths on small circuits.
-func SetP1Grain(n int) (restore func()) {
-	old := p1Grain
-	p1Grain = n
-	return func() { p1Grain = old }
-}
-
 // SetP1CancelBlock overrides the in-pass cancellation block size and
 // returns a restore func, so cancellation tests can force mid-pass polling
 // on small circuits.
@@ -46,22 +38,43 @@ func SetIncReplayCap(f float64) (restore func()) {
 	return func() { incReplayCap = old }
 }
 
+// UseWholeGraphPhase2ForTest makes m verify candidates with the whole-graph
+// Phase II engine (phase2.go), the reference the region engine must match
+// instance for instance and in order.
+func UseWholeGraphPhase2ForTest(m *Matcher) { m.wholeGraphP2 = true }
+
 // RunPhase1ForTest runs candidate generation alone, mirroring Find's
 // global cross-marking, and returns the key vertex, candidate vector, and
 // the report counters Phase I filled in.
 func RunPhase1ForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, stats.Report, error) {
+	pat, err := testPattern(m, s)
+	if err != nil {
+		return 0, nil, stats.Report{}, err
+	}
+	var rep stats.Report
+	key, cv, err := newPhase1(m, pat, &rep).run()
+	return key, cv, rep, err
+}
+
+// RunPhase1RefForTest is RunPhase1ForTest over the reference Phase I
+// (phase1ref_test.go).  The reference never polls Options.Cancel.
+func RunPhase1RefForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, stats.Report, error) {
+	pat, err := testPattern(m, s)
+	if err != nil {
+		return 0, nil, stats.Report{}, err
+	}
+	var rep stats.Report
+	key, cv := runPhase1Ref(m, pat, &rep)
+	return key, cv, rep, nil
+}
+
+// testPattern applies Find's global cross-marking and builds the pattern.
+func testPattern(m *Matcher, s *graph.Circuit) (*pattern, error) {
 	for _, n := range s.Globals() {
 		m.markGlobal(n.Name)
 	}
 	for _, n := range m.g.Globals() {
 		s.MarkGlobal(n.Name)
 	}
-	pat, err := newPattern(s, &m.opts)
-	if err != nil {
-		return 0, nil, stats.Report{}, err
-	}
-	var rep stats.Report
-	p1 := newPhase1(m, pat, &rep)
-	key, cv, err := p1.run()
-	return key, cv, rep, err
+	return newPattern(s, &m.opts)
 }

@@ -19,7 +19,7 @@ import (
 // every other candidate's outcome (including its unique-label draw count)
 // from the capture.  Results are bit-identical to rebuilding and running the
 // full matcher — TestIncrementalDifferential asserts instance-and-order
-// equality against the Options.LegacyIncremental oracle.
+// equality against Find on a fresh matcher.
 //
 // Why a bounded Phase I region suffices.  One relabeling pass propagates
 // label information exactly one hop (a vertex's new label reads only its
@@ -119,18 +119,18 @@ var incReplayCap = 0.5
 // previous capture prev and the dirty set ds when both are usable.  It
 // returns the result plus a fresh capture for the next edit; the capture is
 // nil when the run was cancelled or when options incompatible with capture
-// were set (tracing, NonOverlapping, legacy engines, LegacyIncremental).
+// were set (tracing, NonOverlapping) or a test forced the whole-graph
+// Phase II engine.
 // prev/ds may be nil (first run against a circuit version): the run is then
 // a full match that additionally captures.
 func (m *Matcher) FindIncremental(s *graph.Circuit, prev *IncrementalState, ds *DirtySet) (*Result, *IncrementalState, error) {
 	o := &m.opts
-	if o.LegacyIncremental || o.LegacyPhase1 || o.LegacyPhase2 ||
-		o.Policy == NonOverlapping || o.Tracer != nil || o.TraceTable != nil || o.Trace != nil {
-		// Capture-incompatible options: NonOverlapping carries consumed
-		// state across runs, the legacy engines bypass the region Phase II
+	if m.wholeGraphP2 || o.Policy == NonOverlapping ||
+		o.Tracer != nil || o.TraceTable != nil || o.Trace != nil {
+		// Capture-incompatible runs: NonOverlapping carries consumed state
+		// across runs, the whole-graph engine bypasses the region Phase II
 		// whose draw accounting the capture needs, and tracing sinks expect
-		// the plain event stream.  LegacyIncremental is the differential
-		// oracle by definition.
+		// the plain event stream.
 		res, err := m.Find(s)
 		if res != nil {
 			res.Report.IncrementalMode = "legacy"
@@ -474,7 +474,6 @@ func (m *Matcher) findReplay(pat *pattern, prev *IncrementalState, ds *DirtySet)
 // compatible runs exclude them).  Main-graph work runs over whatever
 // worklists the caller installed.
 func (p *phase1) runRegion() error {
-	p.rep.Phase1Workers = p.workers
 	if err := p.m.opts.cancelled(); err != nil {
 		return err
 	}
@@ -602,7 +601,7 @@ func (m *Matcher) finishIncremental(pat *pattern, p1 *phase1, key label.VID, cv 
 		return res, state, nil
 	}
 	defer p2.close()
-	reg := p2.(*p2region) // legacy options were excluded up front
+	reg := p2.(*p2region) // the whole-graph engine was excluded up front
 
 	// The Phase II dirty ball: candidates within the pattern radius of a
 	// dirty vertex must be re-verified, everything else replays.

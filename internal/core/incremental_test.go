@@ -17,10 +17,9 @@ import (
 // the full matcher: after every randomized edit script, "edit then
 // FindIncremental with the carried-forward capture" must produce the
 // bit-identical instance list — same instances, same order — as "edit then
-// run the LegacyIncremental oracle from scratch".  The contract holds for
-// every worker count, for the region-replay path and the degradation path
-// (forced via SetIncReplayCap), and across chained captures (the state a
-// replay run produces feeds the next round).
+// Find on a fresh matcher".  The contract holds for the region-replay path
+// and the degradation path (forced via SetIncReplayCap), and across chained
+// captures (the state a replay run produces feeds the next round).
 
 // editCounter hands out process-unique suffixes for generated names.
 type editCounter struct{ n int }
@@ -116,10 +115,9 @@ func sameInstances(a, b []string) bool {
 // and returns how many candidates were replayed from captures in total.
 func runIncDiff(t *testing.T, maxCount int) (replayedTotal int) {
 	t.Helper()
-	defer core.SetP1Grain(1)()
 
 	cells := []*stdcell.CellDef{stdcell.INV, stdcell.NAND2, stdcell.FA}
-	prop := func(seed int64, pick, wRaw uint8) bool {
+	prop := func(seed int64, pick uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var d *gen.Design
 		switch rng.Intn(3) {
@@ -132,25 +130,12 @@ func runIncDiff(t *testing.T, maxCount int) (replayedTotal int) {
 		}
 		c := d.C
 		cell := cells[int(pick)%len(cells)]
-		workers := []int{1, 4}[int(wRaw)%2]
-		opts := core.Options{Globals: rails, Workers: workers, Seed: uint64(seed)}
-		oracleOpts := opts
-		oracleOpts.LegacyIncremental = true
+		opts := core.Options{Globals: rails, Seed: uint64(seed)}
 
 		oracle := func() []string {
-			om, err := core.NewMatcher(c, oracleOpts)
+			res, err := core.Find(c, cell.Pattern(), opts)
 			if err != nil {
-				t.Fatalf("oracle NewMatcher: %v", err)
-			}
-			res, st, err := om.FindIncremental(cell.Pattern(), nil, nil)
-			if err != nil {
-				t.Fatalf("oracle FindIncremental: %v", err)
-			}
-			if st != nil {
-				t.Fatalf("oracle returned a capture")
-			}
-			if res.Report.IncrementalMode != "legacy" {
-				t.Fatalf("oracle mode = %q", res.Report.IncrementalMode)
+				t.Fatalf("oracle Find: %v", err)
 			}
 			return instStrings(res)
 		}
@@ -169,7 +154,7 @@ func runIncDiff(t *testing.T, maxCount int) (replayedTotal int) {
 			return false
 		}
 		if !sameInstances(instStrings(res), oracle()) {
-			t.Logf("seed=%d cell=%s w=%d: initial run diverged", seed, cell.Name, workers)
+			t.Logf("seed=%d cell=%s: initial run diverged", seed, cell.Name)
 			return false
 		}
 
@@ -217,8 +202,8 @@ func runIncDiff(t *testing.T, maxCount int) (replayedTotal int) {
 			}
 			replayedTotal += ires.Report.Replayed
 			if !sameInstances(instStrings(ires), oracle()) {
-				t.Logf("seed=%d cell=%s w=%d round=%d mode=%s: %v vs oracle %v",
-					seed, cell.Name, workers, round,
+				t.Logf("seed=%d cell=%s round=%d mode=%s: %v vs oracle %v",
+					seed, cell.Name, round,
 					ires.Report.IncrementalMode, instStrings(ires), oracle())
 				return false
 			}
@@ -237,7 +222,7 @@ func runIncDiff(t *testing.T, maxCount int) (replayedTotal int) {
 
 // TestIncrementalDifferential asserts "edit then incremental re-match" is
 // bit-identical (instances and order) to "edit then full re-match" across
-// randomized edit scripts, worker counts, and both incremental paths.
+// randomized edit scripts and both incremental paths.
 func TestIncrementalDifferential(t *testing.T) {
 	t.Run("region", func(t *testing.T) {
 		// Cap 1.0: the region replay path runs whenever compatible.

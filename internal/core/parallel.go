@@ -10,7 +10,6 @@ import (
 	"subgemini/internal/graph"
 	"subgemini/internal/obs"
 	"subgemini/internal/stats"
-	"subgemini/internal/trace"
 )
 
 // FindParallel is Find with Phase II candidates verified concurrently.
@@ -38,8 +37,7 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	if workers == 1 || m.opts.Trace != nil || m.opts.Tracer != nil {
 		// Tracing interleaves arbitrarily across workers; a traced run
 		// falls back to the sequential matcher, which produces the same
-		// instances with a deterministic, ordered trace (Phase I still
-		// honors Options.Workers inside Find).
+		// instances with a deterministic, ordered trace.
 		return m.Find(s)
 	}
 	if s == nil {
@@ -56,25 +54,13 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	tr := m.opts.Tracer
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindRunStart, Circuit: m.g.Name, Pattern: pat.s.Name,
-			Devices: m.g.NumDevices(), Nets: m.g.NumNets()})
-	}
 
 	t0 := time.Now()
 	p1Ref := obs.NoSpan
 	if o := m.opts.Observe; o != nil {
 		p1Ref = o.Begin(obs.KindPhase1, pat.s.Name)
 	}
-	p1 := newPhase1(m, pat, &res.Report)
-	if m.opts.Workers == 0 && !m.opts.LegacyPhase1 {
-		// Unless the caller pinned a Phase I worker count, reuse the
-		// Phase II fan-out: Phase I striping is deterministic for any
-		// count, so this only affects speed.
-		p1.workers = workers
-	}
-	key, cv, err := p1.run()
+	key, cv, err := newPhase1(m, pat, &res.Report).run()
 	res.Report.Phase1Duration = time.Since(t0)
 	if o := m.opts.Observe; o != nil {
 		o.AttrInt(p1Ref, "passes", int64(res.Report.Phase1Passes))
@@ -86,18 +72,7 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 		return res, err
 	}
 	res.Report.CVSize = len(cv)
-	if tr != nil {
-		e := trace.Event{Kind: trace.KindCandidateVector, CVSize: len(cv)}
-		if len(cv) > 0 {
-			e.KeyVertex = pat.space.Name(key)
-			e.KeyIsDevice = pat.space.IsDevice(key)
-		}
-		tr.Event(e)
-	}
 	if len(cv) == 0 {
-		if tr != nil {
-			tr.Event(trace.Event{Kind: trace.KindRunEnd})
-		}
 		return res, nil
 	}
 	res.Report.KeyVertex = pat.space.Name(key)
@@ -186,7 +161,6 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	// the same thing, and the result is simply "no instances".
 	for w := range shards {
 		if shards[w].err != nil {
-			m.opts.tracef("phase2: %v", shards[w].err)
 			return res, nil
 		}
 	}
@@ -233,10 +207,6 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	if o := m.opts.Observe; o != nil {
 		o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
 		o.AttrInt(p2Ref, "instances", int64(res.Report.Instances))
-	}
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindRunEnd,
-			Instances: len(res.Instances), Candidates: res.Report.Candidates})
 	}
 	return res, nil
 }

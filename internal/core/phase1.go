@@ -33,14 +33,10 @@ const (
 	g1Global                // special signal
 )
 
-// phase1 carries the state of the candidate-vector generation phase.  Two
-// interchangeable engines drive the relabeling passes: the default
-// data-oriented engine walks a flat CSR view with compact active-vertex
-// worklists (and can stripe the main-graph side across goroutines), while
-// the legacy engine walks Device/Net pointers and re-scans every vertex
-// each pass.  Both produce bit-identical labels, prune decisions, and
-// candidate vectors; Options.LegacyPhase1 keeps the reference engine
-// selectable for differential testing.
+// phase1 carries the state of the candidate-vector generation phase.  The
+// relabeling passes walk a flat CSR view with compact active-vertex
+// worklists (phase1csr.go); a pointer-walking reference formulation of the
+// same passes lives with the tests and must agree bit for bit.
 type phase1 struct {
 	m   *Matcher
 	pat *pattern
@@ -48,43 +44,29 @@ type phase1 struct {
 
 	sSpace, gSpace *label.Space
 	sLab, gLab     []label.Value
-	sNew, gNew     []label.Value // legacy double-buffers; nil in the CSR engine
 	sState         []p1State
 	gState         []g1State
 
-	// legacy selects the pointer-walking reference engine.
-	legacy bool
-	// workers is the goroutine count for main-graph passes (>= 1).
-	workers int
-
-	// CSR engine state: flat views of both graphs plus the active-vertex
-	// worklists.  The lists hold exactly the valid (pattern) or active
-	// (main) non-global vertices of each kind, in ascending VID order, and
-	// are compacted as vertices corrupt or prune, so a pruned vertex costs
-	// nothing after the pass that pruned it.
+	// Flat views of both graphs plus the active-vertex worklists.  The
+	// lists hold exactly the valid (pattern) or active (main) non-global
+	// vertices of each kind, in ascending VID order, and are compacted as
+	// vertices corrupt or prune, so a pruned vertex costs nothing after the
+	// pass that pruned it.
 	sCSR, gCSR       *csr.Graph
 	sActDev, sActNet []int32
 	gActDev, gActNet []int32
 
-	// Reusable consistency-count maps of the legacy engine, cleared rather
-	// than reallocated between passes.
-	sCount, gCount map[label.Value]int
-
-	// Consistency scratch of the CSR engine: the valid pattern labels of a
-	// pass, sorted and run-length compressed into distinct keys with
-	// pattern counts (sCnt) and main-graph counts (gCnt).  Flat arrays
-	// instead of maps: the per-vertex prune test becomes a binary search.
+	// Consistency scratch: the valid pattern labels of a pass, sorted and
+	// run-length compressed into distinct keys with pattern counts (sCnt)
+	// and main-graph counts (gCnt).  Flat arrays instead of maps: the
+	// per-vertex prune test becomes a binary search.
 	sKeys []label.Value
 	sCnt  []int32
 	gCnt  []int32
 
-	// par holds the per-goroutine scratch for striped main-graph passes;
-	// allocated lazily on the first striped consistency check.
-	par *p1Par
-
 	// cancelErr latches the first non-nil Options.Cancel result observed
-	// inside a relabeling pass (the strided CSR path polls every
-	// p1CancelBlock worklist vertices); run checks it after each pass.
+	// inside a relabeling pass (polled every p1CancelBlock worklist
+	// vertices); run checks it after each pass.
 	cancelErr error
 
 	// relabelEvents counts relabeling passes executed (net and device passes
@@ -113,20 +95,11 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 		m: m, pat: pat, rep: rep,
 		sSpace: pat.space,
 		gSpace: m.gSpace,
-		legacy: m.opts.LegacyPhase1,
-	}
-	p.workers = m.opts.Workers
-	if p.workers < 1 || p.legacy {
-		p.workers = 1
 	}
 	p.sLab = make([]label.Value, p.sSpace.Size())
 	p.sState = make([]p1State, p.sSpace.Size())
 	p.gLab = make([]label.Value, p.gSpace.Size())
 	p.gState = make([]g1State, p.gSpace.Size())
-	if p.legacy {
-		p.sNew = make([]label.Value, p.sSpace.Size())
-		p.gNew = make([]label.Value, p.gSpace.Size())
-	}
 
 	for _, d := range pat.s.Devices {
 		v := p.sSpace.DevVID(d)
@@ -194,12 +167,7 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 			p.gState[v] = g1Global
 		}
 	}
-	if p.legacy {
-		p.sCount = make(map[label.Value]int)
-		p.gCount = make(map[label.Value]int)
-	} else {
-		p.initCSR()
-	}
+	p.initCSR()
 	return p
 }
 
@@ -220,12 +188,10 @@ func initialDeviceLabel(m *Matcher, d *graph.Device) label.Value {
 // run executes the optimized Phase I algorithm (paper §III) and returns the
 // key vertex and candidate vector.  An empty candidate vector means Phase I
 // proved no instance exists.  The error is non-nil only when Options.Cancel
-// fired: cancellation is polled before every relabeling pass, and the CSR
-// engine additionally polls inside each main-graph pass (every
-// p1CancelBlock worklist vertices, with striped workers watching a shared
-// stop flag), so a deadline holds even while one pass walks a huge circuit.
+// fired: cancellation is polled before every relabeling pass and inside
+// each main-graph pass (every p1CancelBlock worklist vertices), so a
+// deadline holds even while one pass walks a huge circuit.
 func (p *phase1) run() (key label.VID, cv []label.VID, err error) {
-	p.rep.Phase1Workers = p.workers
 	if p.m.opts.TraceTable != nil {
 		p.tracer = newPhase1Tracer(p)
 	}
@@ -352,20 +318,10 @@ func (p *phase1) emitPass(etr trace.Tracer, pass int, side trace.Side) {
 	etr.Event(e)
 }
 
-// countDistinct sorts labs in place (allocation-free shell sort; the slice
-// is pattern-sized) and counts distinct values.
+// countDistinct sorts labs in place (allocation-free; the slice is
+// pattern-sized) and counts distinct values.
 func countDistinct(labs []label.Value) int {
-	for gap := len(labs) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(labs); i++ {
-			v := labs[i]
-			j := i
-			for j >= gap && v < labs[j-gap] {
-				labs[j] = labs[j-gap]
-				j -= gap
-			}
-			labs[j] = v
-		}
-	}
+	sortLabels(labs)
 	n := 0
 	for i, v := range labs {
 		if i == 0 || v != labs[i-1] {
@@ -379,231 +335,31 @@ func countDistinct(labs []label.Value) int {
 // net and every active main-graph net simultaneously.
 func (p *phase1) relabelNets() {
 	p.relabelEvents++
-	if p.legacy {
-		p.relabelNetsLegacy()
-		return
-	}
 	p.relabelCSR(p.sActNet, p.gActNet)
 }
 
 // relabelDevices is the device-side counterpart of relabelNets.
 func (p *phase1) relabelDevices() {
 	p.relabelEvents++
-	if p.legacy {
-		p.relabelDevicesLegacy()
-		return
-	}
 	p.relabelCSR(p.sActDev, p.gActDev)
-}
-
-func (p *phase1) relabelNetsLegacy() {
-	for _, n := range p.pat.s.Nets {
-		v := p.sSpace.NetVID(n)
-		if p.sState[v] != p1Valid {
-			continue
-		}
-		p.sNew[v] = p.relabelNetFrom(n, p.sSpace, p.sLab)
-	}
-	for _, n := range p.m.g.Nets {
-		v := p.gSpace.NetVID(n)
-		if p.gState[v] != g1Active {
-			continue
-		}
-		p.gNew[v] = p.relabelNetFrom(n, p.gSpace, p.gLab)
-	}
-	p.commitNets()
-}
-
-func (p *phase1) relabelNetFrom(n *graph.Net, sp *label.Space, lab []label.Value) label.Value {
-	acc := lab[sp.NetVID(n)]
-	for _, conn := range n.Conns {
-		class := conn.Dev.Pins[conn.Pin].Class
-		acc = label.Combine(acc, class, lab[sp.DevVID(conn.Dev)])
-	}
-	return acc
-}
-
-func (p *phase1) relabelDevicesLegacy() {
-	for _, d := range p.pat.s.Devices {
-		v := p.sSpace.DevVID(d)
-		if p.sState[v] != p1Valid {
-			continue
-		}
-		p.sNew[v] = p.relabelDevFrom(d, p.sSpace, p.sLab)
-	}
-	for _, d := range p.m.g.Devices {
-		v := p.gSpace.DevVID(d)
-		if p.gState[v] != g1Active {
-			continue
-		}
-		p.gNew[v] = p.relabelDevFrom(d, p.gSpace, p.gLab)
-	}
-	p.commitDevices()
-}
-
-func (p *phase1) relabelDevFrom(d *graph.Device, sp *label.Space, lab []label.Value) label.Value {
-	acc := lab[sp.DevVID(d)]
-	for _, pin := range d.Pins {
-		acc = label.Combine(acc, pin.Class, lab[sp.NetVID(pin.Net)])
-	}
-	return acc
-}
-
-func (p *phase1) commitNets() {
-	for _, n := range p.pat.s.Nets {
-		v := p.sSpace.NetVID(n)
-		if p.sState[v] == p1Valid {
-			p.sLab[v] = p.sNew[v]
-		}
-	}
-	for _, n := range p.m.g.Nets {
-		v := p.gSpace.NetVID(n)
-		if p.gState[v] == g1Active {
-			p.gLab[v] = p.gNew[v]
-		}
-	}
-}
-
-func (p *phase1) commitDevices() {
-	for _, d := range p.pat.s.Devices {
-		v := p.sSpace.DevVID(d)
-		if p.sState[v] == p1Valid {
-			p.sLab[v] = p.sNew[v]
-		}
-	}
-	for _, d := range p.m.g.Devices {
-		v := p.gSpace.DevVID(d)
-		if p.gState[v] == g1Active {
-			p.gLab[v] = p.gNew[v]
-		}
-	}
 }
 
 // corruptNets marks valid pattern nets corrupt when any neighboring device
 // is corrupt; its label may then differ from its image's label.
-func (p *phase1) corruptNets() {
-	if !p.legacy {
-		p.sActNet = p.corruptCSR(p.sActNet)
-		return
-	}
-	for _, n := range p.pat.s.Nets {
-		v := p.sSpace.NetVID(n)
-		if p.sState[v] != p1Valid {
-			continue
-		}
-		for _, conn := range n.Conns {
-			if p.sState[p.sSpace.DevVID(conn.Dev)] == p1Corrupt {
-				p.sState[v] = p1Corrupt
-				break
-			}
-		}
-	}
-}
+func (p *phase1) corruptNets() { p.sActNet = p.corruptCSR(p.sActNet) }
 
 // corruptDevices marks valid pattern devices corrupt when any neighboring
 // net is corrupt.  Global nets never corrupt their neighbors.
-func (p *phase1) corruptDevices() {
-	if !p.legacy {
-		p.sActDev = p.corruptCSR(p.sActDev)
-		return
-	}
-	for _, d := range p.pat.s.Devices {
-		v := p.sSpace.DevVID(d)
-		if p.sState[v] != p1Valid {
-			continue
-		}
-		for _, pin := range d.Pins {
-			if p.sState[p.sSpace.NetVID(pin.Net)] == p1Corrupt {
-				p.sState[v] = p1Corrupt
-				break
-			}
-		}
-	}
-}
+func (p *phase1) corruptDevices() { p.sActDev = p.corruptCSR(p.sActDev) }
 
 // allCorrupt reports whether every pattern vertex of the given kind (devices
-// if devs, otherwise non-global nets) has been invalidated.
+// if devs, otherwise non-global nets) has been invalidated.  The worklists
+// hold exactly the valid vertices of each kind.
 func (p *phase1) allCorrupt(devs bool) bool {
-	if !p.legacy {
-		// The worklists hold exactly the valid vertices of each kind.
-		if devs {
-			return len(p.sActDev) == 0
-		}
-		return len(p.sActNet) == 0
-	}
 	if devs {
-		for _, d := range p.pat.s.Devices {
-			if p.sState[p.sSpace.DevVID(d)] == p1Valid {
-				return false
-			}
-		}
-		return true
+		return len(p.sActDev) == 0
 	}
-	for _, n := range p.pat.s.Nets {
-		if p.sState[p.sSpace.NetVID(n)] == p1Valid {
-			return false
-		}
-	}
-	return true
-}
-
-// consistency compares valid pattern partitions of one vertex kind against
-// the active main-graph partitions with the same labels (paper §III).  It
-// prunes main-graph vertices whose labels match no valid pattern partition
-// and returns false when some main-graph partition is smaller than the
-// same-label pattern partition, which proves that no instance exists.
-func (p *phase1) consistency(devs bool) bool {
-	if !p.legacy {
-		return p.consistencyCSR(devs)
-	}
-	clear(p.sCount)
-	if devs {
-		for _, d := range p.pat.s.Devices {
-			v := p.sSpace.DevVID(d)
-			if p.sState[v] == p1Valid {
-				p.sCount[p.sLab[v]]++
-			}
-		}
-	} else {
-		for _, n := range p.pat.s.Nets {
-			v := p.sSpace.NetVID(n)
-			if p.sState[v] == p1Valid {
-				p.sCount[p.sLab[v]]++
-			}
-		}
-	}
-	if len(p.sCount) == 0 {
-		// Nothing valid on this side: no constraints to apply, and the
-		// main-graph side must be left untouched for contribution labels.
-		return true
-	}
-	clear(p.gCount)
-	prune := func(v label.VID) {
-		if p.gState[v] != g1Active {
-			return
-		}
-		if _, ok := p.sCount[p.gLab[v]]; !ok {
-			p.gState[v] = g1Pruned
-			p.rep.Phase1Pruned++
-		} else {
-			p.gCount[p.gLab[v]]++
-		}
-	}
-	if devs {
-		for _, d := range p.m.g.Devices {
-			prune(p.gSpace.DevVID(d))
-		}
-	} else {
-		for _, n := range p.m.g.Nets {
-			prune(p.gSpace.NetVID(n))
-		}
-	}
-	for lab, cs := range p.sCount {
-		if p.gCount[lab] < cs {
-			return false
-		}
-	}
-	return true
+	return len(p.sActNet) == 0
 }
 
 // partitionSignature canonically encodes the valid partition structure of
@@ -650,23 +406,15 @@ func (p *phase1) chooseCandidates() (label.VID, []label.VID) {
 		}
 		pp.sCount++
 	}
-	// The CSR worklists hold exactly the valid (resp. active) vertices in
-	// ascending VID order, devices before nets — the same order as the
-	// legacy full scan, so the sFirst tiebreak and the per-label candidate
-	// order are identical between engines.
-	if p.legacy {
-		for v := 0; v < p.sSpace.Size(); v++ {
-			if p.sState[v] == p1Valid {
-				addS(label.VID(v))
-			}
-		}
-	} else {
-		for _, v := range p.sActDev {
-			addS(label.VID(v))
-		}
-		for _, v := range p.sActNet {
-			addS(label.VID(v))
-		}
+	// The worklists hold exactly the valid (resp. active) vertices in
+	// ascending VID order, devices before nets — the same order as a full
+	// scan, so the sFirst tiebreak and the per-label candidate order match
+	// the reference formulation.
+	for _, v := range p.sActDev {
+		addS(label.VID(v))
+	}
+	for _, v := range p.sActNet {
+		addS(label.VID(v))
 	}
 	if len(order) == 0 {
 		return p.fallbackCandidates()
@@ -685,19 +433,11 @@ func (p *phase1) chooseCandidates() (label.VID, []label.VID) {
 			gNet[p.gLab[v]] = append(gNet[p.gLab[v]], v)
 		}
 	}
-	if p.legacy {
-		for v := 0; v < p.gSpace.Size(); v++ {
-			if p.gState[v] == g1Active {
-				addG(label.VID(v))
-			}
-		}
-	} else {
-		for _, v := range p.gActDev {
-			addG(label.VID(v))
-		}
-		for _, v := range p.gActNet {
-			addG(label.VID(v))
-		}
+	for _, v := range p.gActDev {
+		addG(label.VID(v))
+	}
+	for _, v := range p.gActNet {
+		addG(label.VID(v))
 	}
 	var best *part
 	var bestCV []label.VID

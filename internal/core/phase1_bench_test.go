@@ -9,38 +9,33 @@ import (
 )
 
 // BenchmarkPhase1 times candidate generation alone on the E4 suite's
-// largest circuit (rand1000: ~6.8k devices of random logic) for each
-// engine configuration.  The legacy/csr pair quantifies the CSR+worklist
-// win; the worker variants quantify striping (which needs real cores to
-// show wall-clock gains — see EXPERIMENTS.md).
+// largest circuit (rand1000: ~6.8k devices of random logic), for the
+// production CSR engine and the pointer-walking reference
+// (phase1ref_test.go).  The pair quantifies the CSR+worklist win.
 func BenchmarkPhase1(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
-		opts core.Options
+		run  phase1Runner
 	}{
-		{"rand1000/legacy", core.Options{LegacyPhase1: true}},
-		{"rand1000/csr", core.Options{}},
-		{"rand1000/csr-w2", core.Options{Workers: 2}},
-		{"rand1000/csr-w4", core.Options{Workers: 4}},
+		{"rand1000/reference", core.RunPhase1RefForTest},
+		{"rand1000/csr", core.RunPhase1ForTest},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			opts := cfg.opts
-			opts.Globals = rails
 			d := gen.RandomLogic(1000, 32, 11)
-			m, err := core.NewMatcher(d.C, opts)
+			m, err := core.NewMatcher(d.C, core.Options{Globals: rails})
 			if err != nil {
 				b.Fatal(err)
 			}
 			s := stdcell.NAND2.Pattern()
 			// Warm the matcher's per-circuit caches (initial labels, CSR
 			// view) so iterations measure steady-state Phase I cost.
-			if _, cv, _, err := core.RunPhase1ForTest(m, s); err != nil || len(cv) == 0 {
+			if _, cv, _, err := cfg.run(m, s); err != nil || len(cv) == 0 {
 				b.Fatalf("warmup: |cv|=%d err=%v", len(cv), err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, cv, _, err := core.RunPhase1ForTest(m, s); err != nil || len(cv) == 0 {
+				if _, cv, _, err := cfg.run(m, s); err != nil || len(cv) == 0 {
 					b.Fatalf("|cv|=%d err=%v", len(cv), err)
 				}
 			}

@@ -1,42 +1,28 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"subgemini/internal/csr"
 	"subgemini/internal/label"
 )
 
-// This file implements the data-oriented Phase I engine: relabeling and
-// consistency passes over flat CSR views driven by compact active-vertex
-// worklists, with the main-graph side optionally striped across
-// Options.Workers goroutines.
+// This file implements the Phase I engine: relabeling and consistency passes
+// over flat CSR views driven by compact active-vertex worklists.
 //
 // Determinism argument.  The relabeling function is a sum of per-edge
 // products over wrapping uint64 arithmetic, so it commutes: the result does
-// not depend on edge order, and equals the pointer walk's fold through
+// not depend on edge order, and equals a pointer walk's fold through
 // label.Combine bit for bit.  The graph is bipartite (devices connect only
 // to nets and vice versa), so a net pass reads only device labels plus the
 // net's own old label — writing the new label in place cannot be observed
-// by any other vertex of the pass, which removes the legacy engine's
-// double-buffer commit and makes concurrent writers race-free: each striped
-// goroutine writes only its own chunk's vertices and reads only labels no
-// goroutine writes this pass.  Consistency pruning is per-vertex (a pure
-// function of the vertex label and the shared pattern counts); striped
-// chunks are contiguous slices of the worklist merged back in chunk order,
-// so the surviving list, the partition counts, and the prune decisions are
-// identical to the sequential engine's for every worker count.
+// by any other vertex of the pass, which removes the double-buffer commit
+// the paper's simultaneous-relabeling formulation suggests.  Consistency
+// pruning is per-vertex (a pure function of the vertex label and the
+// pattern counts), and compaction keeps worklists in ascending VID order,
+// so candidate choice sees vertices in the same order a full scan would.
 
-// p1Grain is the minimum worklist slice handed to one goroutine; shorter
-// lists run sequentially because the barrier would cost more than the work.
-// It is a variable so the differential test can force striping on small
-// circuits.
-var p1Grain = 2048
-
-// p1CancelBlock is how many worklist vertices one goroutine relabels
-// between cancellation checks when Options.Cancel is set.  It is a
-// variable so tests can force in-pass polling on small circuits.
+// p1CancelBlock is how many worklist vertices a pass relabels between
+// cancellation checks when Options.Cancel is set.  It is a variable so
+// tests can force in-pass polling on small circuits.
 var p1CancelBlock = 4096
 
 // initCSR builds the flat views and the initial worklists.  The main-graph
@@ -75,18 +61,6 @@ func (p *phase1) initCSR() {
 	}
 }
 
-// chunkCount returns how many goroutines a worklist of length n is worth.
-func (p *phase1) chunkCount(n int) int {
-	w := p.workers
-	if maxW := (n + p1Grain - 1) / p1Grain; w > maxW {
-		w = maxW
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // relabelBatch relabels every worklist vertex in place over the flat
 // arrays.  Hoisting the CSR fields into locals keeps the inner loop free
 // of pointer loads; this is the hottest loop of Phase I.
@@ -101,29 +75,7 @@ func relabelBatch(g *csr.Graph, act []int32, lab []label.Value) {
 	}
 }
 
-// relabelBatchBlocks relabels act in p1CancelBlock-sized blocks, calling
-// stop between blocks and abandoning the rest of the slice when it returns
-// true.  An abandoned pass leaves labels half-updated, which is fine: the
-// only caller of a stopped pass is a cancelled run, whose labels are never
-// read again.
-func relabelBatchBlocks(g *csr.Graph, act []int32, lab []label.Value, stop func() bool) {
-	for len(act) > 0 {
-		n := len(act)
-		if n > p1CancelBlock {
-			n = p1CancelBlock
-		}
-		relabelBatch(g, act[:n], lab)
-		act = act[n:]
-		if len(act) > 0 && stop() {
-			return
-		}
-	}
-}
-
 // pollCancel polls Options.Cancel, latching the first error in p.cancelErr.
-// Only one goroutine per pass calls it (the coordinator); striped workers
-// watch the shared stop flag instead, so a user hook written for the
-// sequential engine is never invoked concurrently by Phase I itself.
 func (p *phase1) pollCancel() bool {
 	if p.cancelErr != nil {
 		return true
@@ -135,55 +87,26 @@ func (p *phase1) pollCancel() bool {
 	return false
 }
 
-// relabelCSR runs one relabeling pass: the pattern worklist sequentially
-// (pattern graphs are tiny), the main-graph worklist striped when large
-// enough.  Labels are written in place; see the determinism argument above.
-// With Options.Cancel set, the pass polls between p1CancelBlock-sized
-// blocks so a deadline holds mid-pass on huge worklists; cancellation never
-// changes the labels a completed pass produces, so determinism is intact.
+// relabelCSR runs one relabeling pass over both worklists, writing labels
+// in place (see the determinism argument above).  With Options.Cancel set,
+// the main-graph pass polls between p1CancelBlock-sized blocks so a
+// deadline holds mid-pass on huge worklists.  An abandoned pass leaves
+// labels half-updated, which is fine: a cancelled run's labels are never
+// read again.
 func (p *phase1) relabelCSR(sAct, gAct []int32) {
 	relabelBatch(p.sCSR, sAct, p.sLab)
-	n := len(gAct)
-	chunks := p.chunkCount(n)
-	if chunks == 1 {
-		if p.m.opts.Cancel == nil {
-			relabelBatch(p.gCSR, gAct, p.gLab)
-		} else {
-			relabelBatchBlocks(p.gCSR, gAct, p.gLab, p.pollCancel)
-		}
+	if p.m.opts.Cancel == nil {
+		relabelBatch(p.gCSR, gAct, p.gLab)
 		return
 	}
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for k := 1; k < chunks; k++ {
-		lo, hi := k*n/chunks, (k+1)*n/chunks
-		wg.Add(1)
-		go func(part []int32) {
-			defer wg.Done()
-			if p.m.opts.Cancel == nil {
-				relabelBatch(p.gCSR, part, p.gLab)
-			} else {
-				relabelBatchBlocks(p.gCSR, part, p.gLab, stop.Load)
-			}
-		}(gAct[lo:hi])
-	}
-	if p.m.opts.Cancel == nil {
-		relabelBatch(p.gCSR, gAct[:n/chunks], p.gLab)
-	} else {
-		// Chunk 0 runs on the calling goroutine and is the only poller of
-		// the user hook; a latched error raises the workers' stop flag.
-		relabelBatchBlocks(p.gCSR, gAct[:n/chunks], p.gLab, func() bool {
-			if p.pollCancel() {
-				stop.Store(true)
-				return true
-			}
-			return false
-		})
-		if p.cancelErr != nil {
-			stop.Store(true)
+	for len(gAct) > 0 {
+		n := min(len(gAct), p1CancelBlock)
+		relabelBatch(p.gCSR, gAct[:n], p.gLab)
+		gAct = gAct[n:]
+		if len(gAct) > 0 && p.pollCancel() {
+			return
 		}
 	}
-	wg.Wait()
 }
 
 // corruptCSR marks the worklist's pattern vertices corrupt when any
@@ -242,14 +165,16 @@ func lookupLabel(keys []label.Value, x label.Value) int {
 	return -1
 }
 
-// consistencyCSR is the worklist form of the legacy consistency check:
-// count valid pattern labels, prune main-graph vertices whose label matches
-// no pattern partition (compacting the worklist so they never cost again),
-// and fail when a main-graph partition is smaller than its pattern twin.
-// The pattern partitions live in sorted key/count arrays (sKeys/sCnt)
-// instead of maps, so the per-vertex hot path does no hashing and the
-// steady state allocates nothing.
-func (p *phase1) consistencyCSR(devs bool) bool {
+// consistency compares valid pattern partitions of one vertex kind against
+// the active main-graph partitions with the same labels (paper §III): count
+// valid pattern labels, prune main-graph vertices whose label matches no
+// pattern partition (compacting the worklist so they never cost again), and
+// return false when some main-graph partition is smaller than the
+// same-label pattern partition, which proves that no instance exists.  The
+// pattern partitions live in sorted key/count arrays (sKeys/sCnt) instead
+// of maps, so the per-vertex hot path does no hashing and the steady state
+// allocates nothing.
+func (p *phase1) consistency(devs bool) bool {
 	sAct, gAct := p.sActNet, p.gActNet
 	if devs {
 		sAct, gAct = p.sActDev, p.gActDev
@@ -294,89 +219,22 @@ func (p *phase1) consistencyCSR(devs bool) bool {
 	return true
 }
 
-// p1Par is the per-goroutine scratch of striped consistency checks: each
-// chunk accumulates survivors, partition counts, and a prune tally locally,
-// merged in chunk order after the barrier.
-type p1Par struct {
-	keep   [][]int32
-	cnt    [][]int32
-	pruned []int
-}
-
-func (pp *p1Par) grow(chunks int) {
-	for len(pp.cnt) < chunks {
-		pp.keep = append(pp.keep, nil)
-		pp.cnt = append(pp.cnt, nil)
-		pp.pruned = append(pp.pruned, 0)
-	}
-}
-
 // pruneActive partitions the worklist into survivors (returned, counted
 // into p.gCnt per pattern partition) and pruned vertices (marked, tallied
 // in Phase1Pruned).
 func (p *phase1) pruneActive(act []int32) []int32 {
-	n := len(act)
-	chunks := p.chunkCount(n)
 	keys, gLab, gState := p.sKeys, p.gLab, p.gState
-	if chunks == 1 {
-		kept := act[:0]
-		pruned := 0
-		for _, v := range act {
-			if i := lookupLabel(keys, gLab[v]); i >= 0 {
-				p.gCnt[i]++
-				kept = append(kept, v)
-			} else {
-				gState[v] = g1Pruned
-				pruned++
-			}
-		}
-		p.rep.Phase1Pruned += pruned
-		return kept
-	}
-	if p.par == nil {
-		p.par = &p1Par{}
-	}
-	p.par.grow(chunks)
-	scan := func(c int, part []int32) {
-		keep := p.par.keep[c][:0]
-		cnt := p.par.cnt[c][:0]
-		for range keys {
-			cnt = append(cnt, 0)
-		}
-		pruned := 0
-		for _, v := range part {
-			if i := lookupLabel(keys, gLab[v]); i >= 0 {
-				cnt[i]++
-				keep = append(keep, v)
-			} else {
-				gState[v] = g1Pruned
-				pruned++
-			}
-		}
-		p.par.keep[c] = keep
-		p.par.cnt[c] = cnt
-		p.par.pruned[c] = pruned
-	}
-	var wg sync.WaitGroup
-	for c := 1; c < chunks; c++ {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			scan(c, act[lo:hi])
-		}(c, lo, hi)
-	}
-	scan(0, act[:n/chunks])
-	wg.Wait()
-	// Chunks are contiguous and merged in order, so the surviving list is
-	// exactly what the sequential loop would have produced.
 	kept := act[:0]
-	for c := 0; c < chunks; c++ {
-		kept = append(kept, p.par.keep[c]...)
-		p.rep.Phase1Pruned += p.par.pruned[c]
-		for i, cn := range p.par.cnt[c] {
-			p.gCnt[i] += cn
+	pruned := 0
+	for _, v := range act {
+		if i := lookupLabel(keys, gLab[v]); i >= 0 {
+			p.gCnt[i]++
+			kept = append(kept, v)
+		} else {
+			gState[v] = g1Pruned
+			pruned++
 		}
 	}
+	p.rep.Phase1Pruned += pruned
 	return kept
 }

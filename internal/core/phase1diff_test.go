@@ -6,17 +6,17 @@ import (
 
 	"subgemini/internal/core"
 	"subgemini/internal/gen"
+	"subgemini/internal/graph"
 	"subgemini/internal/label"
+	"subgemini/internal/stats"
 	"subgemini/internal/stdcell"
 )
 
-// This file holds the differential test between the three Phase I engine
-// configurations: the legacy pointer-walking engine, the data-oriented CSR
-// engine run sequentially, and the CSR engine with striped main-graph
-// passes.  All three must produce the identical key vertex, candidate
-// vector, Report partition counters, and instance set on arbitrary random
-// circuits — the bit-identical contract Options.LegacyPhase1 exists to
-// check.
+// This file holds the differential test between the production Phase I
+// engine (CSR worklists) and the pointer-walking reference formulation in
+// phase1ref_test.go.  Both must produce the identical key vertex, candidate
+// vector, pass and prune counts, and early-abort verdict on arbitrary
+// random circuits.
 
 type p1DiffResult struct {
 	key    label.VID
@@ -24,38 +24,28 @@ type p1DiffResult struct {
 	passes int
 	pruned int
 	abort  bool
-	insts  map[string]bool
 }
 
-// runEngine generates the deterministic random design for seed, runs
-// Phase I alone (for the key/CV/counters), then a full Find (for the
-// instance set), under one engine configuration.
-func runEngine(t *testing.T, seed int64, gates int, cell *stdcell.CellDef, opts core.Options) p1DiffResult {
+type phase1Runner func(*core.Matcher, *graph.Circuit) (label.VID, []label.VID, stats.Report, error)
+
+// runPhase1 runs one Phase I implementation on a fresh matcher over g.
+func runPhase1(t *testing.T, run phase1Runner, g, s *graph.Circuit, opts core.Options) p1DiffResult {
 	t.Helper()
-	d := gen.RandomLogic(gates, 6, seed)
-	m, err := core.NewMatcher(d.C, opts)
+	m, err := core.NewMatcher(g, opts)
 	if err != nil {
 		t.Fatalf("NewMatcher: %v", err)
 	}
-	key, cv, rep, err := core.RunPhase1ForTest(m, cell.Pattern())
+	key, cv, rep, err := run(m, s)
 	if err != nil {
 		t.Fatalf("phase1: %v", err)
 	}
-	res, err := m.Find(cell.Pattern())
-	if err != nil {
-		t.Fatalf("Find: %v", err)
-	}
-	insts := make(map[string]bool, len(res.Instances))
-	for _, in := range res.Instances {
-		insts[in.String()] = true
-	}
 	return p1DiffResult{key: key, cv: cv, passes: rep.Phase1Passes,
-		pruned: rep.Phase1Pruned, abort: rep.EarlyAbort, insts: insts}
+		pruned: rep.Phase1Pruned, abort: rep.EarlyAbort}
 }
 
 func diffEqual(a, b p1DiffResult) bool {
 	if a.key != b.key || a.passes != b.passes || a.pruned != b.pruned ||
-		a.abort != b.abort || len(a.cv) != len(b.cv) || len(a.insts) != len(b.insts) {
+		a.abort != b.abort || len(a.cv) != len(b.cv) {
 		return false
 	}
 	for i := range a.cv {
@@ -63,39 +53,25 @@ func diffEqual(a, b p1DiffResult) bool {
 			return false
 		}
 	}
-	for sig := range a.insts {
-		if !b.insts[sig] {
-			return false
-		}
-	}
 	return true
 }
 
-// TestPhase1Differential asserts the three engine configurations agree on
-// random circuits.  The striping grain is forced to 1 so the parallel code
-// paths run even on test-sized worklists.
+// TestPhase1Differential asserts the engine and the reference agree on
+// random circuits.
 func TestPhase1Differential(t *testing.T) {
-	defer core.SetP1Grain(1)()
-
 	cells := []*stdcell.CellDef{stdcell.INV, stdcell.NAND2, stdcell.FA, stdcell.DFF}
 	prop := func(seed int64, gRaw, pick uint8) bool {
 		gates := 10 + int(gRaw%40)
 		cell := cells[int(pick)%len(cells)]
-
-		want := runEngine(t, seed, gates, cell, core.Options{Globals: rails, LegacyPhase1: true})
-		for name, opts := range map[string]core.Options{
-			"csr-seq":  {Globals: rails},
-			"csr-par4": {Globals: rails, Workers: 4},
-			"csr-par7": {Globals: rails, Workers: 7},
-		} {
-			got := runEngine(t, seed, gates, cell, opts)
-			if !diffEqual(want, got) {
-				t.Logf("seed=%d gates=%d cell=%s: legacy(key=%d |cv|=%d passes=%d pruned=%d abort=%v insts=%d) vs %s(key=%d |cv|=%d passes=%d pruned=%d abort=%v insts=%d)",
-					seed, gates, cell.Name,
-					want.key, len(want.cv), want.passes, want.pruned, want.abort, len(want.insts),
-					name, got.key, len(got.cv), got.passes, got.pruned, got.abort, len(got.insts))
-				return false
-			}
+		opts := core.Options{Globals: rails}
+		want := runPhase1(t, core.RunPhase1RefForTest, gen.RandomLogic(gates, 6, seed).C, cell.Pattern(), opts)
+		got := runPhase1(t, core.RunPhase1ForTest, gen.RandomLogic(gates, 6, seed).C, cell.Pattern(), opts)
+		if !diffEqual(want, got) {
+			t.Logf("seed=%d gates=%d cell=%s: reference(key=%d |cv|=%d passes=%d pruned=%d abort=%v) vs csr(key=%d |cv|=%d passes=%d pruned=%d abort=%v)",
+				seed, gates, cell.Name,
+				want.key, len(want.cv), want.passes, want.pruned, want.abort,
+				got.key, len(got.cv), got.passes, got.pruned, got.abort)
+			return false
 		}
 		return true
 	}
@@ -108,30 +84,16 @@ func TestPhase1Differential(t *testing.T) {
 // bound port) where main-graph vertices start out fixed and must stay off
 // the worklists.
 func TestPhase1DifferentialBind(t *testing.T) {
-	defer core.SetP1Grain(1)()
-
 	target := gen.RandomLogic(30, 5, 7).C.Nets[10].Name
-	mk := func(opts core.Options) *core.Result {
-		opts.Globals = rails
-		opts.Bind = map[string]string{"A": target}
-		res, err := core.Find(gen.RandomLogic(30, 5, 7).C, stdcell.INV.Pattern(), opts)
-		if err != nil {
-			t.Fatalf("Find: %v", err)
-		}
-		return res
+	opts := core.Options{Globals: rails, Bind: map[string]string{"A": target}}
+	want := runPhase1(t, core.RunPhase1RefForTest, gen.RandomLogic(30, 5, 7).C, stdcell.INV.Pattern(), opts)
+	got := runPhase1(t, core.RunPhase1ForTest, gen.RandomLogic(30, 5, 7).C, stdcell.INV.Pattern(), opts)
+	if !diffEqual(want, got) {
+		t.Errorf("csr(key=%d |cv|=%d passes=%d pruned=%d) vs reference(key=%d |cv|=%d passes=%d pruned=%d)",
+			got.key, len(got.cv), got.passes, got.pruned,
+			want.key, len(want.cv), want.passes, want.pruned)
 	}
-	want := mk(core.Options{LegacyPhase1: true})
-	for name, opts := range map[string]core.Options{
-		"csr-seq":  {},
-		"csr-par3": {Workers: 3},
-	} {
-		got := mk(opts)
-		if got.Report.Phase1Passes != want.Report.Phase1Passes ||
-			got.Report.Phase1Pruned != want.Report.Phase1Pruned ||
-			got.Report.CVSize != want.Report.CVSize ||
-			got.Report.KeyVertex != want.Report.KeyVertex ||
-			len(got.Instances) != len(want.Instances) {
-			t.Errorf("%s: %s vs legacy %s", name, got.Report.String(), want.Report.String())
-		}
+	if len(want.cv) == 0 {
+		t.Error("bound INV produced an empty candidate vector; the case no longer exercises the bind path")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // This file holds the differential test between the two Phase II engines:
-// the whole-graph reference engine (Options.LegacyPhase2) and the
+// the whole-graph reference engine (core.UseWholeGraphPhase2ForTest) and the
 // region-localized engine that restricts each candidate's verification to
 // the ball of vertices within the pattern's key-vertex eccentricity.  The
 // two must produce identical instances in identical order — the region
@@ -26,11 +26,22 @@ func findOrdered(t *testing.T, g, s *graph.Circuit, opts core.Options) []string 
 	if err != nil {
 		t.Fatalf("Find: %v", err)
 	}
-	out := make([]string, len(res.Instances))
-	for i, in := range res.Instances {
-		out[i] = in.String()
+	return instStrings(res)
+}
+
+// findWholeGraph is findOrdered on the whole-graph Phase II engine.
+func findWholeGraph(t *testing.T, g, s *graph.Circuit, opts core.Options) []string {
+	t.Helper()
+	m, err := core.NewMatcher(g, opts)
+	if err != nil {
+		t.Fatalf("NewMatcher: %v", err)
 	}
-	return out
+	core.UseWholeGraphPhase2ForTest(m)
+	res, err := m.Find(s)
+	if err != nil {
+		t.Fatalf("Find: %v", err)
+	}
+	return instStrings(res)
 }
 
 func sameOrdered(a, b []string) bool {
@@ -80,9 +91,7 @@ func TestPhase2Differential(t *testing.T) {
 	for _, w := range cases {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
-			legacy := w.opts
-			legacy.LegacyPhase2 = true
-			want := findOrdered(t, w.g, w.s, legacy)
+			want := findWholeGraph(t, w.g, w.s, w.opts)
 			got := findOrdered(t, w.g, w.s, w.opts)
 			if !sameOrdered(want, got) {
 				t.Errorf("legacy found %d instances, region %d (or order differs)\nlegacy: %v\nregion: %v",
@@ -97,7 +106,7 @@ func TestPhase2Differential(t *testing.T) {
 			gates := 10 + int(gRaw%40)
 			cell := cells[int(pick)%len(cells)]
 			g := gen.RandomLogic(gates, 6, seed).C
-			want := findOrdered(t, g, cell.Pattern(), core.Options{Globals: rails, LegacyPhase2: true})
+			want := findWholeGraph(t, g, cell.Pattern(), core.Options{Globals: rails})
 			got := findOrdered(t, g, cell.Pattern(), core.Options{Globals: rails})
 			if !sameOrdered(want, got) {
 				t.Logf("seed=%d gates=%d cell=%s: legacy %d instances, region %d",
@@ -121,19 +130,18 @@ func TestPhase2DifferentialParallel(t *testing.T) {
 	runPar := func(s *graph.Circuit, workers int, legacy bool) []string {
 		t.Helper()
 		var pool core.ScratchPool
-		m, err := core.NewMatcher(g, core.Options{Globals: rails, LegacyPhase2: legacy, Scratch: &pool})
+		m, err := core.NewMatcher(g, core.Options{Globals: rails, Scratch: &pool})
 		if err != nil {
 			t.Fatalf("NewMatcher: %v", err)
+		}
+		if legacy {
+			core.UseWholeGraphPhase2ForTest(m)
 		}
 		res, err := m.FindParallel(s, workers)
 		if err != nil {
 			t.Fatalf("FindParallel: %v", err)
 		}
-		out := make([]string, len(res.Instances))
-		for i, in := range res.Instances {
-			out[i] = in.String()
-		}
-		return out
+		return instStrings(res)
 	}
 	for _, cell := range []*stdcell.CellDef{stdcell.NAND2, stdcell.FA} {
 		want := runPar(cell.Pattern(), 1, true)
@@ -163,9 +171,7 @@ func TestPhase2DifferentialBind(t *testing.T) {
 		t.Fatal("no bindable net in the generated circuit")
 	}
 	opts := core.Options{Globals: rails, Bind: map[string]string{"A": target}}
-	legacy := opts
-	legacy.LegacyPhase2 = true
-	want := findOrdered(t, g, stdcell.INV.Pattern(), legacy)
+	want := findWholeGraph(t, g, stdcell.INV.Pattern(), opts)
 	got := findOrdered(t, g, stdcell.INV.Pattern(), opts)
 	if !sameOrdered(want, got) {
 		t.Errorf("bind: legacy %v, region %v", want, got)

@@ -29,8 +29,8 @@ import (
 // partition scans, guess snapshots, and resets all cost O(|ball|), the CSR
 // edge walk replaces per-edge class hashing with a precomputed multiplier,
 // and a candidate whose ball cannot hold the pattern is rejected before any
-// relabeling.  The whole-graph engine stays selectable via
-// Options.LegacyPhase2 as the differential oracle (TestPhase2Differential).
+// relabeling.  The whole-graph engine (phase2.go) stays as the differential
+// oracle (TestPhase2Differential).
 type p2region struct {
 	m   *Matcher
 	pat *pattern
@@ -102,10 +102,10 @@ type p2region struct {
 	matched int
 
 	// Scratch for simultaneous relabeling and partitioning.
-	sPendV []label.VID
-	sPendL []label.Value
-	lPendV []int32
-	lPendL []label.Value
+	sPendV  []label.VID
+	sPendL  []label.Value
+	lPendV  []int32
+	lPendL  []label.Value
 	sPairs  []labVID
 	gPairs  []labLocal
 	sLabSet []label.Value

@@ -40,10 +40,11 @@ func TestRegionGuessAllocsFlat(t *testing.T) {
 		}
 	})
 
-	ml, err := core.NewMatcher(g, core.Options{LegacyPhase2: true, Scratch: &pool})
+	ml, err := core.NewMatcher(g, core.Options{Scratch: &pool})
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.UseWholeGraphPhase2ForTest(ml)
 	if _, err := ml.Find(s); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,12 @@ func TestRegionReportMetrics(t *testing.T) {
 		t.Errorf("RegionAvgSize() = %v, want in (0, %d]", avg, rep.RegionMaxSize)
 	}
 
-	legacy, err := core.Find(g, stdcell.FA.Pattern(), core.Options{Globals: rails, LegacyPhase2: true})
+	ml, err := core.NewMatcher(g, core.Options{Globals: rails})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.UseWholeGraphPhase2ForTest(ml)
+	legacy, err := ml.Find(stdcell.FA.Pattern())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,32 +15,54 @@ import (
 
 // TestQuickCoreEqualsBaseline is the central correctness property: on
 // arbitrary random circuits, SubGemini and the exhaustive DFS matcher find
-// exactly the same instance sets, for every prime pattern.
+// exactly the same instance sets, for every prime pattern.  The baseline
+// shares no labeling code with the engines, so each configuration — the
+// sequential matcher, FindParallel, and the whole-graph Phase II reference —
+// is checked against it independently rather than only against each other.
 func TestQuickCoreEqualsBaseline(t *testing.T) {
 	patterns := []*stdcell.CellDef{stdcell.INV, stdcell.NAND2, stdcell.NOR2, stdcell.XOR2, stdcell.AOI21, stdcell.MUX2}
+	engines := []struct {
+		name string
+		find func(m *core.Matcher, s *graph.Circuit) (*core.Result, error)
+	}{
+		{"find", (*core.Matcher).Find},
+		{"parallel2", func(m *core.Matcher, s *graph.Circuit) (*core.Result, error) { return m.FindParallel(s, 2) }},
+		{"whole-graph", func(m *core.Matcher, s *graph.Circuit) (*core.Result, error) {
+			core.UseWholeGraphPhase2ForTest(m)
+			return m.Find(s)
+		}},
+	}
 	prop := func(seed int64, nGates uint8) bool {
 		d := gen.RandomLogic(10+int(nGates%30), 5, seed)
 		for _, pat := range patterns {
-			c, err := core.Find(d.C.Clone(), pat.Pattern(), core.Options{Globals: rails})
-			if err != nil {
-				t.Logf("seed %d: core error: %v", seed, err)
-				return false
-			}
 			b, err := baseline.Find(d.C.Clone(), pat.Pattern(), baseline.Options{Globals: rails})
 			if err != nil {
 				t.Logf("seed %d: baseline error: %v", seed, err)
 				return false
 			}
-			cs, bs := instanceSets(c.Instances), instanceSets(b.Instances)
-			if len(cs) != len(bs) {
-				t.Logf("seed %d gates %d pattern %s: core %d vs baseline %d",
-					seed, 10+int(nGates%30), pat.Name, len(cs), len(bs))
-				return false
-			}
-			for sig := range bs {
-				if !cs[sig] {
-					t.Logf("seed %d pattern %s: missing instance", seed, pat.Name)
+			bs := instanceSets(b.Instances)
+			for _, eng := range engines {
+				m, err := core.NewMatcher(d.C.Clone(), core.Options{Globals: rails})
+				if err != nil {
+					t.Logf("seed %d: NewMatcher: %v", seed, err)
 					return false
+				}
+				c, err := eng.find(m, pat.Pattern())
+				if err != nil {
+					t.Logf("seed %d: %s error: %v", seed, eng.name, err)
+					return false
+				}
+				cs := instanceSets(c.Instances)
+				if len(cs) != len(bs) {
+					t.Logf("seed %d gates %d pattern %s: %s %d vs baseline %d",
+						seed, 10+int(nGates%30), pat.Name, eng.name, len(cs), len(bs))
+					return false
+				}
+				for sig := range bs {
+					if !cs[sig] {
+						t.Logf("seed %d pattern %s: %s misses a baseline instance", seed, pat.Name, eng.name)
+						return false
+					}
 				}
 			}
 		}

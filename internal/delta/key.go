@@ -18,10 +18,9 @@ import (
 //
 // Net and device names are deliberately excluded except where matching
 // itself is name-based: global nets (matched by name) and bind-target
-// ports (resolved by name).  Workers and MaxInstances are excluded —
-// worker count never changes results, and a cached state from a truncated
-// run replays correctly under any limit because outcomes are per-candidate
-// truths independent of where the instance cap cut the scan.
+// ports (resolved by name).  MaxInstances is excluded: a cached state from
+// a truncated run replays correctly under any limit because outcomes are
+// per-candidate truths independent of where the instance cap cut the scan.
 func PatternKey(pat *graph.Circuit, opts core.Options) string {
 	var b strings.Builder
 	for _, d := range pat.Devices {

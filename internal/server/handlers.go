@@ -455,16 +455,6 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 	if workers > s.cfg.MaxWorkers {
 		workers = s.cfg.MaxWorkers
 	}
-	// Phase I relabeling fan-out: the request's workers if set, else the
-	// daemon default, both capped like the candidate fan-out.
-	p1w := req.Workers
-	if p1w <= 0 {
-		p1w = s.cfg.Phase1Workers
-	}
-	if p1w > s.cfg.MaxWorkers {
-		p1w = s.cfg.MaxWorkers
-	}
-	opts.Workers = p1w
 
 	h.RLockWithGlobals(names)
 	m, err := core.NewMatcher(h.Circuit(), opts)

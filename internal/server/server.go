@@ -156,11 +156,6 @@ type Config struct {
 	// GOMAXPROCS.
 	MaxWorkers int
 
-	// Phase1Workers is the default Phase I relabeling fan-out for requests
-	// that do not set "workers" themselves (capped by MaxWorkers either
-	// way).  0 leaves Phase I sequential by default.
-	Phase1Workers int
-
 	// ShedInflight, when > 0, turns on priority load shedding: while at
 	// least this many synchronous match runs are in flight, the bulk
 	// endpoints (POST /v1/match/batch, POST /v1/sweep, POST /v1/jobs) are

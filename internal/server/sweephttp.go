@@ -312,20 +312,15 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 	if workers > s.cfg.MaxWorkers {
 		workers = s.cfg.MaxWorkers
 	}
-	p1w := s.cfg.Phase1Workers
-	if p1w > s.cfg.MaxWorkers {
-		p1w = s.cfg.MaxWorkers
-	}
 
 	sopts := sweep.Options{
-		Globals:       names,
-		Workers:       workers,
-		Phase1Workers: p1w,
-		MaxInstances:  req.Max,
-		Cancel:        s.cancelHook(ctx),
-		CSR:           h.CSR(),
-		Scratch:       h.Scratch(),
-		Observe:       obs.ScopeFromContext(ctx),
+		Globals:      names,
+		Workers:      workers,
+		MaxInstances: req.Max,
+		Cancel:       s.cancelHook(ctx),
+		CSR:          h.CSR(),
+		Scratch:      h.Scratch(),
+		Observe:      obs.ScopeFromContext(ctx),
 	}
 	if incremental {
 		sopts.Incremental = &sweepIncHook{s: s, h: h, minBase: req.SinceVersion}

@@ -10,7 +10,7 @@ import (
 // and the benchmark harness uses it to total a table.
 //
 // Counters and durations are summed; the per-run identification fields
-// (KeyVertex, KeyIsDevice, Phase1Workers) do not aggregate and stay zero,
+// (KeyVertex, KeyIsDevice) do not aggregate and stay zero,
 // and EarlyAbort becomes a count in Snapshot.EarlyAborts.
 //
 // Reports added with AddPattern additionally keep per-pattern totals, so

@@ -21,7 +21,6 @@ type Report struct {
 	// Phase I.
 	Phase1Passes   int           // full net+device relabeling rounds
 	Phase1Pruned   int           // main-graph vertices pruned by consistency checks
-	Phase1Workers  int           // goroutines used for main-graph relabeling passes
 	Phase1Duration time.Duration // wall-clock spent in Phase I
 	CVSize         int           // size of the candidate vector
 	KeyVertex      string        // name of the chosen key vertex
@@ -48,8 +47,8 @@ type Report struct {
 	// Incremental matching (zero/empty for plain Find runs).
 	// IncrementalMode records which path FindIncremental took: "replay"
 	// (region-scoped Phase I + cached Phase II outcomes), "full" (a capture
-	// run over the whole graph), or "legacy" (Options.LegacyIncremental
-	// forced the oracle).  Replayed counts candidates whose outcome was
+	// run over the whole graph), or "legacy" (capture-incompatible options
+	// sent the run through plain Find).  Replayed counts candidates whose outcome was
 	// replayed from the previous state; Recomputed counts candidates
 	// verified afresh; DirtyVertices is the size of the dirty set the run
 	// started from.

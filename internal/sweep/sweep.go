@@ -20,7 +20,7 @@
 // holding the same cell under three names pays for one match.
 //
 // Results are deterministic: each per-pattern run is bit-for-bit
-// reproducible (fixed Seed, striped Phase I), runs are independent, and
+// reproducible (fixed Seed), runs are independent, and
 // the report lists patterns in input order — worker count and scheduling
 // never change the output.
 //
@@ -72,10 +72,6 @@ type Options struct {
 	// value.
 	Workers int
 
-	// Phase1Workers stripes each pattern's Phase I passes over the main
-	// graph (see core.Options.Workers); 0 or 1 = sequential.
-	Phase1Workers int
-
 	// MaxInstances stops each pattern's search after this many instances
 	// (0 = no limit).
 	MaxInstances int
@@ -96,11 +92,6 @@ type Options struct {
 	// matchers and across sweeps (see core.ScratchPool); nil means Run
 	// uses a pool private to the sweep.
 	Scratch *core.ScratchPool
-
-	// LegacyPhase2 runs every per-pattern match on the whole-graph Phase II
-	// engine instead of the region-localized one (see
-	// core.Options.LegacyPhase2); results are identical either way.
-	LegacyPhase2 bool
 
 	// Incremental, when non-nil, lets per-pattern runs reuse match state
 	// captured against an earlier version of the main circuit (see
@@ -335,12 +326,10 @@ func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, in
 		Policy:       core.MatchAll,
 		MaxInstances: opts.MaxInstances,
 		Seed:         opts.Seed,
-		Workers:      opts.Phase1Workers,
 		Cancel:       opts.Cancel,
 		CSR:          view,
 		Scratch:      scratch,
 		InitLabels:   init,
-		LegacyPhase2: opts.LegacyPhase2,
 		Observe:      opts.Observe,
 	}
 	m, err := core.NewMatcher(g, copts)

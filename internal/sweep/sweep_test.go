@@ -72,9 +72,9 @@ func sequentialFind(t testing.TB, g *graph.Circuit, lib []sweep.Pattern, seed ui
 }
 
 // TestSweepDifferential: sweep.Run returns bit-identical instances to the
-// sequential per-pattern Find loop, for several sweep worker counts and
-// with Phase I striping on.  Run under -race this also proves the shared
-// CSR/init-label/scratch state is read safely across the pool.
+// sequential per-pattern Find loop, for several sweep worker counts.  Run
+// under -race this also proves the shared CSR/init-label/scratch state is
+// read safely across the pool.
 func TestSweepDifferential(t *testing.T) {
 	g := gen.ArrayMultiplier(4).C
 	lib := testLibrary()
@@ -82,36 +82,34 @@ func TestSweepDifferential(t *testing.T) {
 	want := sequentialFind(t, g, lib, seed)
 
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, p1w := range []int{0, 2} {
-			t.Run(fmt.Sprintf("workers=%d/p1w=%d", workers, p1w), func(t *testing.T) {
-				rep, err := sweep.Run(g, lib, sweep.Options{
-					Globals: rails, Workers: workers, Phase1Workers: p1w, Seed: seed,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rep.Results) != len(lib) {
-					t.Fatalf("got %d results, want %d", len(rep.Results), len(lib))
-				}
-				total := 0
-				for i, pr := range rep.Results {
-					if pr.Name != lib[i].Name {
-						t.Fatalf("result %d is %q, want %q (order must be input order)", i, pr.Name, lib[i].Name)
-					}
-					got, ref := render(pr.Instances), render(want[i].Instances)
-					if got != ref {
-						t.Errorf("%s: sweep instances differ from sequential Find\nsweep:\n%s\nsequential:\n%s", pr.Name, got, ref)
-					}
-					total += len(pr.Instances)
-				}
-				if total == 0 {
-					t.Fatal("sweep found nothing; workload is broken")
-				}
-				if rep.Runs+rep.Deduped != len(lib) {
-					t.Errorf("Runs=%d + Deduped=%d != %d patterns", rep.Runs, rep.Deduped, len(lib))
-				}
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rep, err := sweep.Run(g, lib, sweep.Options{
+				Globals: rails, Workers: workers, Seed: seed,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Results) != len(lib) {
+				t.Fatalf("got %d results, want %d", len(rep.Results), len(lib))
+			}
+			total := 0
+			for i, pr := range rep.Results {
+				if pr.Name != lib[i].Name {
+					t.Fatalf("result %d is %q, want %q (order must be input order)", i, pr.Name, lib[i].Name)
+				}
+				got, ref := render(pr.Instances), render(want[i].Instances)
+				if got != ref {
+					t.Errorf("%s: sweep instances differ from sequential Find\nsweep:\n%s\nsequential:\n%s", pr.Name, got, ref)
+				}
+				total += len(pr.Instances)
+			}
+			if total == 0 {
+				t.Fatal("sweep found nothing; workload is broken")
+			}
+			if rep.Runs+rep.Deduped != len(lib) {
+				t.Errorf("Runs=%d + Deduped=%d != %d patterns", rep.Runs, rep.Deduped, len(lib))
+			}
+		})
 	}
 }
 
