@@ -34,10 +34,15 @@ diff-phase2:
 	$(GO) test -race -count=2 -run 'TestPhase2Differential' ./internal/core/
 
 # One-iteration benchmark pass: catches bit-rot in the benchmark harness
-# without paying for a real measurement.
+# without paying for a real measurement.  The write-path benchmarks (Clone,
+# parse plus flatten, store Put and ApplyEdits on rand4000) report
+# allocations, the figure their block allocation is about.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x ./internal/sweep/
+	$(GO) test -run '^$$' -bench 'BenchmarkClone' -benchmem -benchtime 1x ./internal/graph/
+	$(GO) test -run '^$$' -bench 'BenchmarkParseFlatten' -benchmem -benchtime 1x ./internal/netlist/
+	$(GO) test -run '^$$' -bench 'BenchmarkStorePut|BenchmarkApplyEdits' -benchmem -benchtime 1x ./internal/store/
 
 # Library-sweep table only: sweep vs sequential-loop timings across circuit
 # sizes and worker counts, archived as BENCH_sweep.json.

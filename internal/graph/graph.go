@@ -10,6 +10,20 @@
 // terminal has its own.  Representing nets as explicit vertices keeps the
 // edge count linear in the number of terminals and exposes circuit structure
 // to the partitioning algorithm.
+//
+// Connection order: every mutator and Clone keep the relative order of the
+// connections in each Net.Conns that they do not add or remove (additions
+// append).  The incremental CSR patcher (internal/csr.Patch) splices the
+// rows of unedited nets verbatim on the strength of this guarantee, so its
+// output stays bit-identical to a fresh build of the edited circuit.
+//
+// Allocation: a circuit takes its Device, Net and Pin values from blocks
+// it allocates in proportion to its size, not one allocation each, and
+// Clone copies a circuit into one exact-size slab per kind (devices, pins,
+// nets, connections).  Cloning therefore costs O(1) allocations besides
+// the name maps' tables, and building or parsing a circuit allocates only
+// as its nets' connection lists grow.  Vertex pointers stay stable for the
+// circuit's lifetime.
 package graph
 
 import (
@@ -93,6 +107,53 @@ type Circuit struct {
 
 	netByName map[string]*Net
 	devByName map[string]*Device
+
+	// Unused tails of the current allocation blocks: AddNet and AddDevice
+	// take their values from these and allocate a fresh block only when
+	// one runs dry (see blockLen).
+	netFree []Net
+	devFree []Device
+	pinFree []Pin
+}
+
+// Block sizing: a new block holds as many values as the circuit already
+// has (doubling, like append), at least minBlock so tiny patterns do not
+// allocate per vertex and at most maxBlock so a large circuit wastes at
+// most one block's tail.  Pin blocks assume pinsPerDevice pins a device,
+// the MOS terminal count.
+const (
+	minBlock      = 4
+	maxBlock      = 1024
+	pinsPerDevice = 4
+)
+
+func blockLen(have int) int { return min(max(have, minBlock), maxBlock) }
+
+// newNet takes a zeroed Net from the current block.
+func (c *Circuit) newNet() *Net {
+	if len(c.netFree) == 0 {
+		c.netFree = make([]Net, blockLen(len(c.Nets)))
+	}
+	n := &c.netFree[0]
+	c.netFree = c.netFree[1:]
+	return n
+}
+
+// newDevice takes a zeroed Device from the current block, with k pins
+// from the current pin block.  Pins is capped at k so an append can never
+// spill into a neighbour's pins.
+func (c *Circuit) newDevice(k int) *Device {
+	if len(c.devFree) == 0 {
+		c.devFree = make([]Device, blockLen(len(c.Devices)))
+	}
+	d := &c.devFree[0]
+	c.devFree = c.devFree[1:]
+	if len(c.pinFree) < k {
+		c.pinFree = make([]Pin, max(k, pinsPerDevice*blockLen(len(c.Devices))))
+	}
+	d.Pins = c.pinFree[:k:k]
+	c.pinFree = c.pinFree[k:]
+	return d
 }
 
 // New returns an empty circuit with the given name.
@@ -111,7 +172,8 @@ func (c *Circuit) AddNet(name string) *Net {
 	if n, ok := c.netByName[name]; ok {
 		return n
 	}
-	n := &Net{Index: len(c.Nets), Name: name}
+	n := c.newNet()
+	n.Index, n.Name = len(c.Nets), name
 	c.Nets = append(c.Nets, n)
 	c.netByName[name] = n
 	return n
@@ -136,11 +198,14 @@ func (c *Circuit) AddDevice(name, typ string, classes []TermClass, nets []*Net) 
 	if _, dup := c.devByName[name]; dup {
 		return nil, fmt.Errorf("graph: duplicate device name %q", name)
 	}
-	d := &Device{Index: len(c.Devices), Name: name, Type: typ, Pins: make([]Pin, len(nets))}
 	for i, n := range nets {
 		if n == nil {
 			return nil, fmt.Errorf("graph: device %s: terminal %d has nil net", name, i)
 		}
+	}
+	d := c.newDevice(len(nets))
+	d.Index, d.Name, d.Type = len(c.Devices), name, typ
+	for i, n := range nets {
 		d.Pins[i] = Pin{Class: classes[i], Net: n}
 		n.Conns = append(n.Conns, Conn{Dev: d, Pin: i})
 	}
@@ -293,22 +358,57 @@ func (c *Circuit) Validate() error {
 }
 
 // Clone returns a deep copy of the circuit.  The copy shares no vertices
-// with the original, so callers may mutate either independently.
+// and no backing arrays with the original, so callers may mutate either
+// independently.  Devices, nets, pins and connections are copied into one
+// exact-size slab each, and every Net.Conns keeps its order: a clone of an
+// edited circuit lists its connections exactly as the original does (the
+// guarantee csr.Patch relies on, see the package comment).  Each device's
+// Pins and each net's Conns are capped at their length, so appending to
+// one never writes into a neighbour's.
 func (c *Circuit) Clone() *Circuit {
-	cp := New(c.Name)
+	numConns := 0
 	for _, n := range c.Nets {
-		nn := cp.AddNet(n.Name)
-		nn.Port = n.Port
-		nn.Global = n.Global
+		numConns += len(n.Conns)
 	}
-	for _, d := range c.Devices {
-		classes := make([]TermClass, len(d.Pins))
-		nets := make([]*Net, len(d.Pins))
-		for i, p := range d.Pins {
-			classes[i] = p.Class
-			nets[i] = cp.Nets[p.Net.Index]
+	nets := make([]Net, len(c.Nets))
+	devs := make([]Device, len(c.Devices))
+	pins := make([]Pin, c.NumPins())
+	conns := make([]Conn, numConns)
+	cp := &Circuit{
+		Name:      c.Name,
+		Devices:   make([]*Device, len(c.Devices)),
+		Nets:      make([]*Net, len(c.Nets)),
+		netByName: make(map[string]*Net, len(c.Nets)),
+		devByName: make(map[string]*Device, len(c.Devices)),
+	}
+	for i, n := range c.Nets {
+		nn := &nets[i]
+		nn.Index, nn.Name, nn.Port, nn.Global = i, n.Name, n.Port, n.Global
+		cp.Nets[i] = nn
+		cp.netByName[n.Name] = nn
+	}
+	for i, d := range c.Devices {
+		nd := &devs[i]
+		nd.Index, nd.Name, nd.Type = i, d.Name, d.Type
+		k := len(d.Pins)
+		nd.Pins, pins = pins[:k:k], pins[k:]
+		for pi, p := range d.Pins {
+			nd.Pins[pi] = Pin{Class: p.Class, Net: &nets[p.Net.Index]}
 		}
-		cp.MustAddDevice(d.Name, d.Type, classes, nets)
+		cp.Devices[i] = nd
+		cp.devByName[d.Name] = nd
+	}
+	for i, n := range c.Nets {
+		k := len(n.Conns)
+		if k == 0 {
+			continue
+		}
+		var nc []Conn
+		nc, conns = conns[:k:k], conns[k:]
+		for j, conn := range n.Conns {
+			nc[j] = Conn{Dev: &devs[conn.Dev.Index], Pin: conn.Pin}
+		}
+		nets[i].Conns = nc
 	}
 	return cp
 }

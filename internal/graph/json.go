@@ -43,16 +43,22 @@ type jsonPin struct {
 
 // EncodeJSON writes the circuit in the JSON interchange format.
 func EncodeJSON(w io.Writer, c *Circuit) error {
-	jc := jsonCircuit{Name: c.Name}
-	for _, n := range c.Nets {
-		jc.Nets = append(jc.Nets, jsonNet{Name: n.Name, Port: n.Port, Global: n.Global})
+	jc := jsonCircuit{
+		Name:    c.Name,
+		Nets:    make([]jsonNet, len(c.Nets)),
+		Devices: make([]jsonDevice, len(c.Devices)),
 	}
-	for _, d := range c.Devices {
-		jd := jsonDevice{Name: d.Name, Type: d.Type}
-		for _, p := range d.Pins {
-			jd.Pins = append(jd.Pins, jsonPin{Class: p.Class, Net: p.Net.Name})
+	for i, n := range c.Nets {
+		jc.Nets[i] = jsonNet{Name: n.Name, Port: n.Port, Global: n.Global}
+	}
+	pins := make([]jsonPin, c.NumPins())
+	for i, d := range c.Devices {
+		jd := jsonDevice{Name: d.Name, Type: d.Type, Pins: pins[:len(d.Pins):len(d.Pins)]}
+		pins = pins[len(d.Pins):]
+		for pi, p := range d.Pins {
+			jd.Pins[pi] = jsonPin{Class: p.Class, Net: p.Net.Name}
 		}
-		jc.Devices = append(jc.Devices, jd)
+		jc.Devices[i] = jd
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -77,16 +83,19 @@ func DecodeJSON(r io.Reader) (*Circuit, error) {
 		n.Port = jn.Port
 		n.Global = jn.Global
 	}
+	// AddDevice copies its arguments into the device's pins, so one pair
+	// of buffers serves every device.
+	var classes []TermClass
+	var nets []*Net
 	for _, jd := range jc.Devices {
-		classes := make([]TermClass, len(jd.Pins))
-		nets := make([]*Net, len(jd.Pins))
-		for i, jp := range jd.Pins {
-			classes[i] = jp.Class
+		classes, nets = classes[:0], nets[:0]
+		for _, jp := range jd.Pins {
 			n := c.NetByName(jp.Net)
 			if n == nil {
 				return nil, fmt.Errorf("graph: device %s references undeclared net %q", jd.Name, jp.Net)
 			}
-			nets[i] = n
+			classes = append(classes, jp.Class)
+			nets = append(nets, n)
 		}
 		if _, err := c.AddDevice(jd.Name, jd.Type, classes, nets); err != nil {
 			return nil, err

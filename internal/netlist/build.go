@@ -15,6 +15,36 @@ var (
 	diodeCls    = []graph.TermClass{0, 1}
 )
 
+// elementType returns the device type of a primitive element card.
+func elementType(c Card) string {
+	switch c.Kind {
+	case 'M':
+		return MOSType(c.Ref)
+	case 'R':
+		return "res"
+	case 'C':
+		return "cap"
+	}
+	return "diode"
+}
+
+// cardClasses returns the terminal classes the reader gives an element
+// card of the given kind and net count, or nil when no such card parses.
+// RoundTrips holds stored circuits to the same table.
+func cardClasses(kind byte, nets int) []graph.TermClass {
+	switch {
+	case kind == 'M' && nets == 3:
+		return mos3Classes
+	case kind == 'M' && nets == 4:
+		return mos4Classes
+	case (kind == 'R' || kind == 'C') && nets == 2:
+		return twoSym
+	case kind == 'D' && nets == 2:
+		return diodeCls
+	}
+	return nil
+}
+
 // Pattern builds the named .SUBCKT as a pattern circuit: its ports become
 // external nets and nets listed in .GLOBAL are marked global.  Instance
 // cards inside the subcircuit are flattened recursively.
@@ -80,28 +110,14 @@ func (f *File) expand(ckt *graph.Circuit, sub *Subckt, prefix string, bound map[
 		return ckt.AddNet(prefix + netName)
 	}
 
+	// AddDevice copies its net slice into the device's pins, so one buffer
+	// serves every card at this level.
+	var nets []*graph.Net
 	for _, card := range sub.Cards {
 		switch card.Kind {
-		case 'M':
-			typ := MOSType(card.Ref)
-			nets := resolveAll(resolve, card.Nets)
-			classes := mos3Classes
-			if len(nets) == 4 {
-				classes = mos4Classes
-			}
-			if _, err := ckt.AddDevice(prefix+card.Name, typ, classes, nets); err != nil {
-				return fmt.Errorf("netlist: line %d: %w", card.Line, err)
-			}
-		case 'R', 'C':
-			typ := "res"
-			if card.Kind == 'C' {
-				typ = "cap"
-			}
-			if _, err := ckt.AddDevice(prefix+card.Name, typ, twoSym, resolveAll(resolve, card.Nets)); err != nil {
-				return fmt.Errorf("netlist: line %d: %w", card.Line, err)
-			}
-		case 'D':
-			if _, err := ckt.AddDevice(prefix+card.Name, "diode", diodeCls, resolveAll(resolve, card.Nets)); err != nil {
+		case 'M', 'R', 'C', 'D':
+			nets = resolveAll(nets, resolve, card.Nets)
+			if _, err := ckt.AddDevice(prefix+card.Name, elementType(card), cardClasses(card.Kind, len(nets)), nets); err != nil {
 				return fmt.Errorf("netlist: line %d: %w", card.Line, err)
 			}
 		case 'X':
@@ -127,12 +143,13 @@ func (f *File) expand(ckt *graph.Circuit, sub *Subckt, prefix string, bound map[
 	return nil
 }
 
-func resolveAll(resolve func(string) *graph.Net, names []string) []*graph.Net {
-	nets := make([]*graph.Net, len(names))
-	for i, n := range names {
-		nets[i] = resolve(n)
+// resolveAll resolves names into buf, reusing its storage.
+func resolveAll(buf []*graph.Net, resolve func(string) *graph.Net, names []string) []*graph.Net {
+	buf = buf[:0]
+	for _, n := range names {
+		buf = append(buf, resolve(n))
 	}
-	return nets
+	return buf
 }
 
 func isGlobal(globals []string, name string) bool {

@@ -1,4 +1,7 @@
 package netlist
 
-// ElementNameForTest exposes elementName to the external test package.
-func ElementNameForTest(kind byte, name string) string { return elementName(kind, name) }
+// ElementNameForTest exposes appendElementName to the external test
+// package.
+func ElementNameForTest(kind byte, name string) string {
+	return string(appendElementName(nil, kind, name))
+}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"subgemini/internal/core"
 	"subgemini/internal/csr"
 	"subgemini/internal/delta"
 	"subgemini/internal/faults"
@@ -78,6 +79,7 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 		saved:       old.saved,
 		ckt:         clone,
 		view:        view,
+		scratch:     new(core.ScratchPool),
 		bytes:       estimateBytes(clone),
 		resident:    true,
 		devices:     clone.NumDevices(),
@@ -124,8 +126,8 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	st.mu.Unlock()
 
 	if st.dir != "" && e.file != "" {
-		if e.logCount >= compactEvery {
-			st.compactEntry(e)
+		if e.logCount >= compactEvery && st.compactEntry(e) == nil {
+			return info, nil // compactEntry rewrote the manifest
 		}
 		if err := st.writeManifest(); err != nil {
 			return info, err
@@ -225,9 +227,13 @@ func (st *Store) Flush() error {
 	return firstErr
 }
 
-// compactEntry folds an entry's edit log into a fresh snapshot.  The entry
+// compactEntry folds an entry's edit log into a fresh snapshot and
+// rewrites the manifest.  The manifest names the new snapshot before the
+// log goes, and a snapshot left in the other format (an edit can make a
+// .sp circuit need JSON) goes last, so a crash in between leaves a
+// manifest whose snapshot plus log still reproduce the entry.  The entry
 // stays valid on failure (the log still holds the tail); the error feeds
-// Healthy via the snapshot writer.
+// Healthy via the writers.
 func (st *Store) compactEntry(e *Entry) error {
 	e.markMu.RLock()
 	file, err := st.writeSnapshot(e.name, e.ckt)
@@ -236,16 +242,24 @@ func (st *Store) compactEntry(e *Entry) error {
 		st.log.Warn("circuit compaction failed", "circuit", e.name, "err", err)
 		return err
 	}
-	if err := os.Remove(st.editLogPath(e.name)); err != nil && !os.IsNotExist(err) {
-		st.log.Warn("removing folded edit log failed", "circuit", e.name, "err", err)
-		return err
-	}
 	st.mu.Lock()
+	stale := e.file
 	e.file = file
 	e.snapVersion = e.version
 	e.logCount = 0
 	e.saved = time.Now()
 	st.mu.Unlock()
+	if err := st.writeManifest(); err != nil {
+		st.log.Warn("circuit compaction failed", "circuit", e.name, "err", err)
+		return err
+	}
+	if err := os.Remove(st.editLogPath(e.name)); err != nil && !os.IsNotExist(err) {
+		st.log.Warn("removing folded edit log failed", "circuit", e.name, "err", err)
+		return err
+	}
+	if stale != file {
+		st.removeSnapshot(stale)
+	}
 	st.log.Info("compacted circuit", "circuit", e.name, "version", e.version)
 	return nil
 }

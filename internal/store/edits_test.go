@@ -1,15 +1,19 @@
 package store
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"subgemini/internal/csr"
 	"subgemini/internal/delta"
 	"subgemini/internal/faults"
 	"subgemini/internal/gen"
+	"subgemini/internal/graph"
 )
 
 // editOps is a benign single-op batch: move a device's pin 0 onto the
@@ -369,5 +373,102 @@ func TestConcurrentEditsAndMatches(t *testing.T) {
 	wg.Wait()
 	if info, _ := st.Get("mesh"); info.Version != 26 {
 		t.Errorf("final version = %d, want 26", info.Version)
+	}
+}
+
+// sameView fails t unless got is element-wise identical to want.
+func sameView(t *testing.T, when string, got, want *csr.Graph) {
+	t.Helper()
+	if got.NumDevs != want.NumDevs || got.NumNets != want.NumNets {
+		t.Fatalf("%s: view %d/%d vertices, fresh build %d/%d", when, got.NumDevs, got.NumNets, want.NumDevs, want.NumNets)
+	}
+	if i := firstDiff(got.Start, want.Start); i >= 0 {
+		t.Fatalf("%s: patched view differs from csr.New at Start[%d]", when, i)
+	}
+	if i := firstDiff(got.Adj, want.Adj); i >= 0 {
+		t.Fatalf("%s: patched view differs from csr.New at Adj[%d]", when, i)
+	}
+	if i := firstDiff(got.Mul, want.Mul); i >= 0 {
+		t.Fatalf("%s: patched view differs from csr.New at Mul[%d]", when, i)
+	}
+}
+
+func firstDiff[T comparable](a, b []T) int {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestEditedViewMatchesFreshBuild: after every edit batch the entry's
+// patched CSR view is bit-identical to csr.New of its circuit, the
+// contract csr.Patch documents.  Regression: Clone used to rebuild each
+// Net.Conns in device order, but RewirePin appends, so from the second
+// edit on a rewired net's row spliced from the old view no longer matched
+// the cloned circuit.
+func TestEditedViewMatchesFreshBuild(t *testing.T) {
+	st, err := Open(Config{Globals: rails})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	c := gen.RandomLogic(50, 8, 3).C
+	dev0 := c.Devices[0]
+	var target *graph.Net
+	for _, n := range c.Nets {
+		if n != dev0.Pins[0].Net && !n.Global && n.Conns[0].Dev.Index > 0 {
+			target = n
+			break
+		}
+	}
+	if _, err := st.Put("rand", c); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		h, err := st.Acquire("rand")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		sameView(t, when, h.CSR(), csr.New(h.Circuit()))
+	}
+	if _, err := st.ApplyEdits("rand", editOps(dev0.Name, target.Name)); err != nil {
+		t.Fatal(err)
+	}
+	check("after the rewire")
+	if _, err := st.ApplyEdits("rand", editOps(c.Devices[7].Name, "spare")); err != nil {
+		t.Fatal(err)
+	}
+	check("after a second edit")
+
+	// A longer script mixing every op kind.
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		h, err := st.Acquire("rand")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := h.Circuit()
+		d := cur.Devices[rng.Intn(cur.NumDevices())]
+		n := cur.Nets[rng.Intn(cur.NumNets())]
+		h.Release()
+		var ops []delta.Op
+		switch i % 4 {
+		case 0, 1:
+			ops = editOps(d.Name, n.Name)
+			ops[0].Pin = rng.Intn(len(d.Pins))
+		case 2:
+			ops = []delta.Op{{Op: delta.OpAddDevice, Name: fmt.Sprintf("Madd%d", i), Type: "nmos",
+				Classes: []int{0, 1, 0, 2}, Nets: []string{n.Name, d.Pins[0].Net.Name, fmt.Sprintf("fresh%d", i), "GND"}}}
+		case 3:
+			ops = []delta.Op{{Op: delta.OpRemoveDevice, Name: d.Name}}
+		}
+		if _, err := st.ApplyEdits("rand", ops); err != nil {
+			t.Fatalf("batch %d %+v: %v", i, ops, err)
+		}
+		check(fmt.Sprintf("after scripted batch %d", i))
 	}
 }

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,33 +23,19 @@ func init() {
 	faults.Register("store.reload", "demoted-circuit reload from snapshot during Acquire (delay holds the store lock; error flips /readyz)")
 }
 
-// Data-directory layout.  The manifest is the index; circuit and pattern
-// snapshots are plain netlists when the circuit's device types all map to
-// netlist element cards, so a user can inspect (or seed) the data
-// directory with ordinary tools.  Circuits with non-primitive devices —
-// gate-level results of extraction, whose typed devices an X instance card
-// could not round-trip without its .SUBCKT definition — snapshot in the
-// graph JSON interchange format instead; the file extension selects the
-// parser on reload.
+// Data-directory layout.  The manifest is the index; a circuit snapshot
+// is a plain netlist when netlist.RoundTrips says the netlist reader gives
+// back exactly the stored circuit, so a user can inspect (or seed) the
+// data directory with ordinary tools.  Every other circuit — gate-level
+// results of extraction, flattened hierarchies whose device names lack
+// their element letter, edited circuits with devices the reader would
+// re-class — snapshots in the graph JSON interchange format instead; the
+// file extension selects the parser on reload.
 const (
 	manifestName = "manifest.json"
 	circuitsDir  = "circuits"
 	patternsDir  = "patterns"
 )
-
-// netlistRoundTrips reports whether every device of the circuit has a
-// primitive type the netlist writer can emit as an element card that
-// parses back to the same device.
-func netlistRoundTrips(c *graph.Circuit) bool {
-	for _, d := range c.Devices {
-		switch d.Type {
-		case "nmos", "pmos", "res", "cap", "diode":
-		default:
-			return false
-		}
-	}
-	return true
-}
 
 // manifest is the on-disk index, always written whole via an atomic
 // rename so readers never observe a torn file.
@@ -91,23 +79,27 @@ type libraryRec struct {
 }
 
 // writeAtomic writes data to path via a temp file in the same directory
-// plus rename, so a crash mid-write never leaves a torn file behind.
-func writeAtomic(path string, write func(f *os.File) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+// plus rename, so a crash mid-write never leaves a torn file behind.  The
+// writer is buffered, so callers may write in small pieces; the buffer is
+// flushed before the fsync.
+func writeAtomic(path string, write func(w io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
+	bw := bufio.NewWriterSize(tmp, 64<<10)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
@@ -192,6 +184,7 @@ func (st *Store) loadCircuitRec(rec circuitRec) (*Entry, error) {
 		file:        rec.File,
 		ckt:         ckt,
 		view:        core.NewCSR(ckt),
+		scratch:     new(core.ScratchPool),
 		bytes:       estimateBytes(ckt),
 		resident:    true,
 		devices:     ckt.NumDevices(),
@@ -268,13 +261,13 @@ func (st *Store) loadPatternRec(rec patternRec) (*graph.Circuit, error) {
 }
 
 // writeSnapshot writes one circuit snapshot and returns its filename:
-// a .sp netlist for primitive-device circuits, graph JSON otherwise.
+// a .sp netlist when the netlist round-trips exactly, graph JSON otherwise.
 func (st *Store) writeSnapshot(name string, ckt *graph.Circuit) (string, error) {
 	file := name + ".sp"
-	write := func(f *os.File) error { return netlist.WriteCircuit(f, ckt) }
-	if !netlistRoundTrips(ckt) {
+	write := func(w io.Writer) error { return netlist.WriteCircuit(w, ckt) }
+	if !netlist.RoundTrips(ckt) {
 		file = name + ".json"
-		write = func(f *os.File) error { return graph.EncodeJSON(f, ckt) }
+		write = func(w io.Writer) error { return graph.EncodeJSON(w, ckt) }
 	}
 	path := filepath.Join(st.dir, circuitsDir, file)
 	err := faults.Fire("store.write-snapshot")
@@ -329,8 +322,8 @@ func (st *Store) writeManifest() error {
 	path := filepath.Join(st.dir, manifestName)
 	err := faults.Fire("store.write-manifest")
 	if err == nil {
-		err = writeAtomic(path, func(f *os.File) error {
-			enc := json.NewEncoder(f)
+		err = writeAtomic(path, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(&m)
 		})
@@ -359,7 +352,7 @@ func (st *Store) reloadLocked(e *Entry) error {
 func (st *Store) adoptReloaded(e *Entry, ckt *graph.Circuit) {
 	e.ckt = ckt
 	e.view = core.NewCSR(ckt)
-	e.scratch = core.ScratchPool{}
+	e.scratch = new(core.ScratchPool)
 	e.bytes = estimateBytes(ckt)
 	e.resident = true
 	st.residentBytes += e.bytes
@@ -393,8 +386,8 @@ func (st *Store) SavePattern(name string, template *graph.Circuit) error {
 		return nil
 	}
 	path := filepath.Join(st.dir, patternsDir, patternFile(name))
-	err := writeAtomic(path, func(f *os.File) error {
-		return netlist.WriteSubckt(f, template)
+	err := writeAtomic(path, func(w io.Writer) error {
+		return netlist.WriteSubckt(w, template)
 	})
 	if err != nil {
 		return fmt.Errorf("writing pattern snapshot %s: %w", path, err)

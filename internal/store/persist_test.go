@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"subgemini/internal/delta"
 	"subgemini/internal/gen"
 	"subgemini/internal/graph"
 	"subgemini/internal/netlist"
@@ -221,5 +222,99 @@ func TestUnsupportedManifestVersion(t *testing.T) {
 	}
 	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future manifest version accepted: %v", err)
+	}
+}
+
+const hierSrc = `
+.GLOBAL VDD GND
+.SUBCKT INV A Y
+MP1 Y A VDD pmos
+MN1 Y A GND nmos
+.ENDS
+X1 a b INV
+X2 b c INV
+.END
+`
+
+// TestHierarchicalSnapshotReplaysEdits: a flattened hierarchy names its
+// devices X1/MP1, which the netlist writer would rename MX1/MP1, so the
+// edit log's rewire of X1/MP1 could not replay onto a .sp snapshot and
+// boot failed.  Such a circuit snapshots as JSON and reboots (without
+// Close, so recovery runs snapshot plus log) to the edited state.
+func TestHierarchicalSnapshotReplaysEdits(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Config{Dir: dir, Globals: rails})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put("chip", parseMain(t, hierSrc, "chip")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ApplyEdits("chip", editOps("X1/MP1", "spare")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, circuitsDir, "chip.json")); err != nil {
+		t.Errorf("hierarchical circuit did not snapshot as JSON: %v", err)
+	}
+
+	st2, err := Open(Config{Dir: dir, Globals: rails})
+	if err != nil {
+		t.Fatalf("reopen without Close: %v", err)
+	}
+	defer st2.Close()
+	h, err := st2.Acquire("chip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if h.Version() != 2 {
+		t.Errorf("recovered version %d, want 2", h.Version())
+	}
+	d := h.Circuit().DeviceByName("X1/MP1")
+	if d == nil || d.Pins[0].Net.Name != "spare" {
+		t.Fatalf("recovered X1/MP1 = %+v, want pin 0 on spare", d)
+	}
+}
+
+// TestEditedDeviceSnapshotRoundTrips: an edit can add a device the netlist
+// reader would rebuild differently (here a two-pin nmos, which no MOS card
+// can express), so the Close-time compaction of that circuit must write
+// JSON, drop the stale .sp, and reboot to the same device.
+func TestEditedDeviceSnapshotRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Config{Dir: dir, Globals: rails})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put("chip", parseMain(t, nandSrc, "chip")); err != nil {
+		t.Fatal(err)
+	}
+	add := []delta.Op{{Op: delta.OpAddDevice, Name: "q1", Type: "nmos", Classes: []int{0, 1}, Nets: []string{"y", "z"}}}
+	if _, err := st.ApplyEdits("chip", add); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, circuitsDir, "chip.sp")); !os.IsNotExist(err) {
+		t.Errorf("stale .sp snapshot survived the switch to JSON: %v", err)
+	}
+
+	st2, err := Open(Config{Dir: dir, Globals: rails})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st2.Close()
+	h, err := st2.Acquire("chip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	q := h.Circuit().DeviceByName("q1")
+	if q == nil || q.Type != "nmos" || len(q.Pins) != 2 || q.Pins[1].Class != 1 {
+		t.Fatalf("reloaded q1 = %+v, want a two-pin nmos", q)
+	}
+	if h.Version() != 2 {
+		t.Errorf("reloaded version %d, want 2", h.Version())
 	}
 }

@@ -11,12 +11,18 @@
 // are demoted to non-resident when the budget is exceeded and transparently
 // reloaded on next use.
 //
-// Durability: with a data directory configured, every Put writes the
-// circuit through internal/netlist.WriteCircuit to
-// <dir>/circuits/<name>.sp (temp file + rename, so a crash never leaves a
-// torn snapshot) and then rewrites <dir>/manifest.json the same way.  On
-// boot, Open replays the manifest, reloading every snapshotted circuit and
-// re-marking its globals.  Uploaded pattern templates are persisted
+// Durability: with a data directory configured, every Put writes a
+// snapshot of the circuit (temp file + rename, so a crash never leaves a
+// torn snapshot) and then rewrites <dir>/manifest.json the same way.  The
+// snapshot is a netlist, <dir>/circuits/<name>.sp, when
+// internal/netlist.RoundTrips guarantees the reader rebuilds exactly the
+// stored circuit: primitive devices named with their element letter and
+// carrying the reader's terminal classes, names free of whitespace and
+// ';', no unconnected or port nets.  Every other circuit (extracted gate
+// levels, flattened hierarchies such as X1/MP1, edits that add devices
+// the reader would re-class) snapshots as graph JSON,
+// <dir>/circuits/<name>.json.  On boot, Open replays the manifest,
+// reloading every snapshotted circuit and re-marking its globals.  Uploaded pattern templates are persisted
 // alongside under <dir>/patterns/ so a restarted daemon keeps its compiled
 // pattern library warm.
 //
@@ -133,10 +139,14 @@ type Entry struct {
 
 	// markMu guards the monotonic global-net marks: matches hold RLock for
 	// their whole run, markers take Lock.  See Handle.RLockWithGlobals.
-	markMu   sync.RWMutex
-	ckt      *graph.Circuit
-	view     *core.CSR
-	scratch  core.ScratchPool
+	markMu sync.RWMutex
+	ckt    *graph.Circuit
+	view   *core.CSR
+	// scratch is allocated apart from the entry: the runtime keeps a used
+	// sync.Pool reachable until the second GC after its last use, and an
+	// embedded pool would keep the entry, its circuit and its view alive
+	// with it after a replacement or edit.
+	scratch  *core.ScratchPool
 	bytes    int64
 	resident bool
 
@@ -248,6 +258,7 @@ func (st *Store) Put(name string, ckt *graph.Circuit) (Info, error) {
 		display:     ckt.Name,
 		ckt:         ckt,
 		view:        core.NewCSR(ckt),
+		scratch:     new(core.ScratchPool),
 		bytes:       estimateBytes(ckt),
 		resident:    true,
 		devices:     ckt.NumDevices(),
@@ -440,7 +451,7 @@ func (st *Store) evictLocked() {
 		}
 		e.ckt = nil
 		e.view = nil
-		e.scratch = core.ScratchPool{}
+		e.scratch = nil
 		e.resident = false
 		st.residentBytes -= e.bytes
 		st.evictions++
@@ -475,7 +486,7 @@ func (h *Handle) Circuit() *graph.Circuit { return h.e.ckt }
 func (h *Handle) CSR() *core.CSR { return h.e.view }
 
 // Scratch returns the entry's Phase II scratch pool.
-func (h *Handle) Scratch() *core.ScratchPool { return &h.e.scratch }
+func (h *Handle) Scratch() *core.ScratchPool { return h.e.scratch }
 
 // Globals returns the names marked global on the entry's circuit at Put
 // time (store-level globals plus the netlist's own .GLOBAL nets).

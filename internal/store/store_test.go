@@ -1,8 +1,10 @@
 package store
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"subgemini/internal/core"
 	"subgemini/internal/gen"
@@ -141,6 +143,51 @@ func TestPutReplacementKeepsInFlightHandles(t *testing.T) {
 		t.Error("new handle still sees the replaced circuit")
 	}
 	h2.Release()
+}
+
+// putMatchAndReplace installs a circuit, runs a match through its scratch
+// pool, replaces the entry, and returns a channel closed when the first
+// circuit is garbage collected.  It is a separate function so no stack slot
+// of the caller keeps the circuit alive.
+//
+//go:noinline
+func putMatchAndReplace(t *testing.T, st *Store) <-chan struct{} {
+	collected := make(chan struct{})
+	c := parseMain(t, nandSrc, "v1")
+	runtime.SetFinalizer(c, func(*graph.Circuit) { close(collected) })
+	if _, err := st.Put("c", c); err != nil {
+		t.Fatal(err)
+	}
+	h, err := st.Acquire("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	match(t, h, "NAND2")
+	h.Release()
+	if _, err := st.Put("c", parseMain(t, nandSrc, "v2")); err != nil {
+		t.Fatal(err)
+	}
+	return collected
+}
+
+// TestReplacedEntryIsCollectable: once replaced and released, an entry's
+// circuit is garbage at the next GC.  Regression: the entry embedded its
+// scratch pool, and the runtime keeps every used sync.Pool reachable until
+// the second GC after its last use, so each replaced or edited entry
+// pinned a whole circuit and CSR view for two GC cycles, and the daemon's
+// resident set grew with its upload and PATCH rate.
+func TestReplacedEntryIsCollectable(t *testing.T) {
+	st, err := Open(Config{Globals: rails})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := putMatchAndReplace(t, st)
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("replaced circuit survived a GC")
+	}
 }
 
 func TestInvalidNames(t *testing.T) {
