@@ -15,12 +15,15 @@ all: tier1
 tier1: vet lint-logs docs-check race diff bench-smoke smoke-daemon chaos-smoke
 
 # Engine differentials: Phase I CSR vs the pointer-walking reference in
-# phase1ref_test.go, Phase II region-localized vs whole-graph, and the
-# incremental replay engine vs Find on a fresh matcher, on fixed and random
-# circuits, twice (scratch-pool reuse across runs is part of the contract),
-# under the race detector.
+# phase1ref_test.go, the flat initial labels vs NewInitLabels, Phase II
+# region-localized vs whole-graph, and the incremental replay engine vs Find
+# on a fresh matcher, on fixed and random circuits, twice (scratch-pool
+# reuse across runs is part of the contract), under the race detector.  The
+# server's instance renderer runs against the map-building reference it
+# replaced, byte for byte.
 diff: diff-incremental
-	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestPhase2Differential|TestScratchPoolReuse' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestScratchPoolReuse' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference' ./internal/server/
 
 # Incremental differential only: FindIncremental replay after random edit
 # batches against the full-matcher oracle, bit-identical instances.
@@ -36,9 +39,11 @@ diff-phase2:
 # One-iteration benchmark pass: catches bit-rot in the benchmark harness
 # without paying for a real measurement.  The write-path benchmarks (Clone,
 # parse plus flatten, store Put and ApplyEdits on rand4000) report
-# allocations, the figure their block allocation is about.
+# allocations, the figure their block allocation is about, as do the match
+# request path's (BenchmarkFindScratch/request, BenchmarkRenderMatch).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch' -benchmem -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkRenderMatch' -benchmem -benchtime 1x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x ./internal/sweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkClone' -benchmem -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkParseFlatten' -benchmem -benchtime 1x ./internal/netlist/

@@ -292,36 +292,14 @@ type Matcher struct {
 	// iterated extraction can run several patterns against one circuit.
 	consumed []bool
 
-	// typeLab caches type-name label hashes: circuits have a handful of
-	// distinct device types but the labels are consulted per device in
-	// every hot loop.
+	// typeLab caches the type-name label hashes of pattern devices; the
+	// main graph's are in its CSR view (csr.Graph.DevType).
 	typeLab map[string]label.Value
 
-	// devLab caches the type label of every main-graph device, indexed by
-	// device vid.  The region Phase II engine reads it on every device
-	// relabel, where even the typeLab map lookup (a string hash) is
-	// measurable; built lazily by deviceLabels.
-	devLab []label.Value
-
-	// devTID/devPins/netDeg cache flat structural facts about the main
-	// graph for the region engine's compatibility checks: interned device
-	// type ids and pin counts (indexed by device vid) and net degrees
-	// (indexed by vid - numDevs).  Type ids are dense per-matcher
-	// (typeIDs), so id equality is exactly type-string equality; built
-	// lazily by vertexShape.
-	devTID  []int32
-	devPins []int32
-	netDeg  []int32
-	typeIDs map[string]int32
-
-	// gInitLab caches the Phase I initial labels of the main graph, which
-	// depend only on the circuit and its global marks — both fixed at
-	// NewMatcher time — so repeated Find calls skip recomputing them.
-	gInitLab []label.Value
-
-	// gCSR caches the flat CSR view of the main graph for the
-	// data-oriented Phase I engine.  Unlike gInitLab it survives global
-	// re-marking: the view captures structure only.
+	// gCSR caches the flat CSR view of the main graph, the representation
+	// both phases read: adjacency, terminal-class multipliers, and per-device
+	// type labels.  It captures structure only, so it survives global
+	// re-marking.
 	gCSR *csr.Graph
 
 	// wholeGraphP2 forces the whole-graph Phase II engine, the reference the
@@ -335,8 +313,9 @@ type Matcher struct {
 type CSR = csr.Graph
 
 // NewCSR builds the flat view of a circuit.  The view captures structure
-// only (connectivity and terminal classes), is immutable, and is safe to
-// share between any number of concurrent matchers.
+// only (connectivity, terminal classes and device type labels), is
+// immutable, and is safe to share between any number of concurrent
+// matchers.
 func NewCSR(g *graph.Circuit) *CSR { return csr.New(g) }
 
 // csrView returns the cached CSR view of the main graph, adopting a
@@ -359,52 +338,6 @@ func (m *Matcher) csrView() *csr.Graph {
 		}
 	}
 	return m.gCSR
-}
-
-// deviceLabels returns the per-device type labels of the main graph,
-// indexed by device vid.  Built once per matcher; FindParallel warms it
-// before spawning workers so worker reads never race the lazy build.
-func (m *Matcher) deviceLabels() []label.Value {
-	if m.devLab == nil {
-		labs := make([]label.Value, len(m.g.Devices))
-		for i, d := range m.g.Devices {
-			labs[i] = m.typeLabel(d.Type)
-		}
-		m.devLab = labs
-	}
-	return m.devLab
-}
-
-// vertexShape builds the flat per-vertex structural arrays the region
-// engine's compatibility check reads: device type ids and pin counts, and
-// net degrees.  Built once per matcher; FindParallel warms it before
-// spawning workers.
-func (m *Matcher) vertexShape() (devTID, devPins, netDeg []int32) {
-	if m.devTID == nil {
-		tids := make([]int32, len(m.g.Devices))
-		pins := make([]int32, len(m.g.Devices))
-		for i, d := range m.g.Devices {
-			tids[i] = m.typeID(d.Type)
-			pins[i] = int32(len(d.Pins))
-		}
-		deg := make([]int32, len(m.g.Nets))
-		for i, n := range m.g.Nets {
-			deg[i] = int32(n.Degree())
-		}
-		m.devTID, m.devPins, m.netDeg = tids, pins, deg
-	}
-	return m.devTID, m.devPins, m.netDeg
-}
-
-// typeID interns a device type string as a dense per-matcher id, so two
-// ids compare equal exactly when the type strings do.
-func (m *Matcher) typeID(typ string) int32 {
-	if id, ok := m.typeIDs[typ]; ok {
-		return id
-	}
-	id := int32(len(m.typeIDs))
-	m.typeIDs[typ] = id
-	return id
 }
 
 // typeLabel returns the cached label.TypeLabel of a device type.
@@ -437,16 +370,15 @@ func NewMatcher(g *graph.Circuit, opts Options) (*Matcher, error) {
 		gSpace:   label.NewSpace(g),
 		consumed: make([]bool, g.NumDevices()),
 		typeLab:  make(map[string]label.Value),
-		typeIDs:  make(map[string]int32),
 	}, nil
 }
 
-// markGlobal marks a main-graph net global by name, invalidating the
-// cached Phase I initial labels (they fold in global marks).
+// markGlobal marks a main-graph net global by name.  It writes only a net
+// not yet marked, so matchers sharing a circuit whose globals are already
+// marked (the daemon's, a sweep's) only read it.
 func (m *Matcher) markGlobal(name string) {
 	if n := m.g.NetByName(name); n != nil && !n.Global {
 		n.Global = true
-		m.gInitLab = nil
 	}
 }
 

@@ -68,6 +68,25 @@ func RunPhase1RefForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, 
 	return key, cv, rep, nil
 }
 
+// InitialMainLabelsForTest returns the main-graph labels and global flags
+// a run of m against s starts Phase I from (newPhase1's flat pass over the
+// CSR view), after Find's global cross-marking.
+func InitialMainLabelsForTest(m *Matcher, s *graph.Circuit) ([]label.Value, []bool, error) {
+	pat, err := testPattern(m, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := newPhase1(m, pat, &stats.Report{})
+	global := make([]bool, len(p.gState))
+	for v, st := range p.gState {
+		global[v] = st == g1Global
+	}
+	return p.gLab, global, nil
+}
+
+// LabelsForTest exposes a shared initial labeling's values.
+func (il *InitLabels) LabelsForTest() []label.Value { return il.lab }
+
 // testPattern applies Find's global cross-marking and builds the pattern.
 func testPattern(m *Matcher, s *graph.Circuit) (*pattern, error) {
 	for _, n := range s.Globals() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"subgemini/internal/csr"
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
 )
@@ -25,8 +26,8 @@ type InitLabels struct {
 // NewInitLabels computes the initial labeling of g: devices get their type
 // label folded with the fixed labels of global nets on their terminals,
 // global nets get name-keyed labels, and every other net is labeled by its
-// degree.  This mirrors exactly what a Matcher computes lazily on its
-// first Find, minus the ablation switches (matchers running with
+// degree.  This is exactly what a Matcher computes at the start of each
+// run (initMainLabels), minus the ablation switches (matchers running with
 // AblateGlobalFold ignore shared labelings).
 func NewInitLabels(g *graph.Circuit) *InitLabels {
 	sp := label.NewSpace(g)
@@ -71,6 +72,42 @@ func (il *InitLabels) Fits(g *graph.Circuit) bool {
 		}
 	}
 	return globals == il.globals
+}
+
+// initMainLabels writes the initial Phase I labeling of the main circuit c
+// into lab in one flat pass over its view g, and marks c's global nets
+// g1Global in state.  A net gets DegreeLabel of its row length, or its
+// GlobalLabel when global; a device gets its view type label plus, when
+// fold is set, Σ Mul[e]·label over its global neighbors.  Label sums wrap
+// and commute, so the result is bit-identical to NewInitLabels' pointer
+// walk (TestInitMainLabelsMatchesNewInitLabels).
+func initMainLabels(g *csr.Graph, c *graph.Circuit, lab []label.Value, state []g1State, fold bool) {
+	nd := g.NumDevs
+	globals := false
+	for i, n := range c.Nets {
+		v := nd + i
+		if n.Global {
+			lab[v] = label.GlobalLabel(n.Name)
+			state[v] = g1Global
+			globals = true
+		} else {
+			lab[v] = label.DegreeLabel(int(g.Start[v+1] - g.Start[v]))
+		}
+	}
+	copy(lab[:nd], g.DevType)
+	if !fold || !globals {
+		return
+	}
+	start, adj, mul := g.Start, g.Adj, g.Mul
+	for v := 0; v < nd; v++ {
+		acc := lab[v]
+		for e := start[v]; e < start[v+1]; e++ {
+			if u := adj[e]; state[u] == g1Global {
+				acc += label.Value(mul[e] * uint64(lab[u]))
+			}
+		}
+		lab[v] = acc
+	}
 }
 
 // foldedDeviceLabel is initialDeviceLabel without a Matcher: the device's

@@ -81,15 +81,11 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	if workers > len(cv) {
 		workers = len(cv)
 	}
-	// Pre-warm the shared caches the region engine reads — the type-label
-	// map, the flat per-device label array, the vertex shape arrays, and
-	// the type-id interning map — so workers only read them; none is
-	// otherwise synchronized.
-	m.deviceLabels()
-	m.vertexShape()
+	// Pre-warm the pattern's type labels, the one matcher cache the
+	// Phase II engines write, so workers only read it; the main graph's
+	// labels and shape come from the immutable CSR view.
 	for _, d := range pat.s.Devices {
 		m.typeLabel(d.Type)
-		m.typeID(d.Type)
 	}
 	t1 := time.Now()
 	p2Ref := obs.NoSpan

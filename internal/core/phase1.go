@@ -132,34 +132,21 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 			p.sLab[v] = label.DegreeLabel(n.Degree())
 		}
 	}
-	if m.gInitLab == nil {
-		if il := m.opts.InitLabels; !m.opts.AblateGlobalFold && il.Fits(m.g) {
-			// A precomputed labeling was supplied (library sweep): adopt the
-			// shared slice read-only instead of rebuilding it per matcher.
-			m.gInitLab = il.lab
-		} else {
-			m.gInitLab = make([]label.Value, p.gSpace.Size())
-			for _, d := range m.g.Devices {
-				m.gInitLab[p.gSpace.DevVID(d)] = initialDeviceLabel(m, d)
-			}
-			for _, n := range m.g.Nets {
-				v := p.gSpace.NetVID(n)
-				if n.Global {
-					m.gInitLab[v] = label.GlobalLabel(n.Name)
-				} else {
-					m.gInitLab[v] = label.DegreeLabel(n.Degree())
-				}
+	p.gCSR = m.csrView()
+	if il := m.opts.InitLabels; !m.opts.AblateGlobalFold && il.Fits(m.g) {
+		// A precomputed labeling was supplied (library sweep): copy the
+		// shared slice instead of recomputing it.
+		copy(p.gLab, il.lab)
+		for i, n := range m.g.Nets {
+			if n.Global {
+				p.gState[p.gCSR.NumDevs+i] = g1Global
 			}
 		}
-	}
-	copy(p.gLab, m.gInitLab)
-	for _, n := range m.g.Nets {
-		if n.Global {
-			p.gState[p.gSpace.NetVID(n)] = g1Global
-		}
+	} else {
+		initMainLabels(p.gCSR, m.g, p.gLab, p.gState, !m.opts.AblateGlobalFold)
 	}
 	// Bind targets get the same fixed labels as their pattern ports,
-	// overriding the cached initial label for this run only.
+	// overriding the initial label for this run only.
 	for _, target := range pat.bind {
 		if gn := m.g.NetByName(target); gn != nil {
 			v := p.gSpace.NetVID(gn)

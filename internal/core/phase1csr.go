@@ -25,12 +25,12 @@ import (
 // tests can force in-pass polling on small circuits.
 var p1CancelBlock = 4096
 
-// initCSR builds the flat views and the initial worklists.  The main-graph
-// view is cached on the Matcher (structure never changes); the pattern view
-// is rebuilt per run but is pattern-sized.
+// initCSR builds the pattern's flat view and the initial worklists.  The
+// main-graph view (p.gCSR) is the Matcher's cached one, adopted before the
+// initial labels are computed over it; the pattern view is rebuilt per run
+// but is pattern-sized.
 func (p *phase1) initCSR() {
 	p.sCSR = csr.New(p.pat.s)
-	p.gCSR = p.m.csrView()
 	snd, sn := p.sSpace.NumDevices(), p.sSpace.Size()
 	gnd, gn := p.gSpace.NumDevices(), p.gSpace.Size()
 	// Each worklist pair shares one backing block, split at the device/net

@@ -23,6 +23,7 @@ type phase2 struct {
 
 	sSpace, gSpace *label.Space
 	uniq           *label.UniqueSource
+	devType        []label.Value // main-graph type labels (csr.Graph.DevType)
 
 	// Per-candidate templates: label/safety/match state with only the
 	// pre-matched global nets filled in.
@@ -107,9 +108,10 @@ type labVID struct {
 func newPhase2(m *Matcher, pat *pattern, rep *stats.Report) (*phase2, error) {
 	p := &phase2{
 		m: m, pat: pat, rep: rep,
-		sSpace: pat.space,
-		gSpace: m.gSpace,
-		uniq:   label.NewUniqueSource(m.opts.Seed),
+		sSpace:  pat.space,
+		gSpace:  m.gSpace,
+		uniq:    label.NewUniqueSource(m.opts.Seed),
+		devType: m.csrView().DevType,
 	}
 	sn, gn := p.sSpace.Size(), p.gSpace.Size()
 	p.sInitLab = make([]label.Value, sn)
@@ -496,7 +498,7 @@ func (p *phase2) relabelG(v label.VID) (label.Value, bool) {
 	if p.gSpace.IsDevice(v) {
 		d := p.gSpace.Device(v)
 		if acc == 0 && !p.pat.wildcards {
-			acc = p.m.typeLabel(d.Type)
+			acc = p.devType[v]
 		}
 		for _, pin := range d.Pins {
 			nv := p.gSpace.NetVID(pin.Net)

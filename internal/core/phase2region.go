@@ -41,21 +41,16 @@ type p2region struct {
 	uniq           *label.UniqueSource
 	radius         int
 
-	// devLab is the matcher's flat device-vid -> type-label array
-	// (Matcher.deviceLabels); relabelL reads it instead of the string-keyed
-	// type cache on every device relabel.
-	devLab []label.Value
-
-	// Flat structural arrays for compatible(): the main side comes from
-	// Matcher.vertexShape, the pattern side is built once per engine.
-	// Type ids are per-matcher interned strings, so comparing ids is
-	// exactly the type-string comparison the whole-graph engine performs,
-	// without chasing *Device/*Net pointers per check.
-	devTID, devPins, gNetDeg []int32
-	sTID, sPins, sNetDeg     []int32
-	sWild, sPort             []bool
-	sDevLab                  []label.Value
-	ablateDeg                bool
+	// Flat pattern-side arrays for compatible() and relabelS, built once
+	// per engine.  The main side reads the CSR view: type labels from
+	// g.DevType, pin counts and net degrees as row lengths.  Comparing type
+	// labels stands in for the whole-graph engine's type-string
+	// comparison; a hash collision can only admit a candidate that
+	// verifyMapping, which compares the strings, then refutes.
+	sPins, sNetDeg []int32
+	sWild, sPort   []bool
+	sDevLab        []label.Value
+	ablateDeg      bool
 
 	// Pattern-side state: identical layout to the whole-graph engine, but
 	// match entries hold region-local ids (unmatchedL when unmatched).
@@ -151,7 +146,6 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 		g:      m.csrView(),
 		uniq:   label.NewUniqueSource(m.opts.Seed),
 		radius: pat.eccFrom(key),
-		devLab: m.deviceLabels(),
 	}
 	rep.RegionRadius = p.radius
 	sn := p.sSpace.Size()
@@ -165,9 +159,7 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 	for i := range p.sInitMatch {
 		p.sInitMatch[i] = unmatchedL
 	}
-	p.devTID, p.devPins, p.gNetDeg = m.vertexShape()
 	p.ablateDeg = m.opts.AblateDegreeCheck
-	p.sTID = make([]int32, sn)
 	p.sPins = make([]int32, sn)
 	p.sNetDeg = make([]int32, sn)
 	p.sWild = make([]bool, sn)
@@ -177,7 +169,6 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 		vid := label.VID(v)
 		if p.sSpace.IsDevice(vid) {
 			d := p.sSpace.Device(vid)
-			p.sTID[v] = m.typeID(d.Type)
 			p.sPins[v] = int32(len(d.Pins))
 			p.sWild[v] = d.Type == graph.WildcardType
 			p.sDevLab[v] = m.typeLabel(d.Type)
@@ -634,7 +625,7 @@ func (p *p2region) relabelL(lv int32) (label.Value, bool) {
 	gv := p.ball[lv]
 	g := p.g
 	if int(gv) < g.NumDevs && acc == 0 && !p.pat.wildcards {
-		acc = p.devLab[gv]
+		acc = g.DevType[gv]
 	}
 	triggered := false
 	for e := g.Start[gv]; e < g.Start[gv+1]; e++ {
@@ -792,22 +783,23 @@ func (p *p2region) gRun(lab label.Value) []labLocal {
 }
 
 // compatible mirrors phase2.compatible — structural plausibility of
-// mapping pattern vertex sv to main-graph vertex gv — over the flat shape
-// arrays instead of the vertex objects.
+// mapping pattern vertex sv to main-graph vertex gv — over the flat
+// pattern arrays and the CSR view instead of the vertex objects.
 func (p *p2region) compatible(sv, gv label.VID) bool {
 	if p.sSpace.IsDevice(sv) != p.gSpace.IsDevice(gv) {
 		return false
 	}
+	g := p.g
+	gdeg := g.Start[gv+1] - g.Start[gv] // pin count or net degree
 	if p.sSpace.IsDevice(sv) {
-		if p.sPins[sv] != p.devPins[gv] {
+		if p.sPins[sv] != gdeg {
 			return false
 		}
-		return p.sWild[sv] || p.sTID[sv] == p.devTID[gv]
+		return p.sWild[sv] || p.sDevLab[sv] == g.DevType[gv]
 	}
 	if p.ablateDeg {
 		return true
 	}
-	gdeg := p.gNetDeg[int(gv)-p.g.NumDevs]
 	if p.sPort[sv] {
 		return gdeg >= p.sNetDeg[sv]
 	}

@@ -66,8 +66,13 @@ func TestScratchPoolReuse(t *testing.T) {
 // BenchmarkFindScratch quantifies what Options.Scratch saves: the fresh
 // variant allocates the O(|G|) Phase II arrays on every candidate batch,
 // the pooled variant recycles them.  The delta in allocs/op is the
-// daemon's steady-state win.
+// daemon's steady-state win.  The request variant is what subgeminid does
+// per match request on rand4000: a fresh Matcher over the resident
+// circuit's shared CSR view and scratch pool, a fresh pattern clone, and
+// FindIncremental with nothing to replay, so its B/op is the whole
+// per-request matching footprint.
 func BenchmarkFindScratch(b *testing.B) {
+	b.Run("request", benchmarkMatchRequest)
 	d := gen.RandomLogic(400, 16, 5)
 	pat := stdcell.NAND2.Pattern()
 
@@ -98,5 +103,29 @@ func BenchmarkFindScratch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+func benchmarkMatchRequest(b *testing.B) {
+	g := gen.RandomLogic(4000, 32, 11).C
+	tpl := stdcell.NAND2.Pattern()
+	for _, name := range rails {
+		g.MarkGlobal(name)
+	}
+	opts := core.Options{CSR: core.NewCSR(g), Scratch: new(core.ScratchPool)}
+	run := func() {
+		m, err := core.NewMatcher(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := m.FindIncremental(tpl.Clone(), nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm the scratch pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

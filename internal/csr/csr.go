@@ -7,10 +7,12 @@
 // Vertices use the same dense VID space as label.Space: devices occupy
 // [0, NumDevs) and nets occupy [NumDevs, NumDevs+NumNets), each in circuit
 // index order, so a label slice indexed by VID works unchanged against both
-// representations.  The view is structure-only — it captures connectivity
-// and terminal classes, not labels, global marks, or any other mutable
-// state — and is immutable once built, so one view may be shared by any
-// number of concurrent readers.
+// representations.  The view is structure-only — it captures connectivity,
+// terminal classes and each device's type label, not global marks or any
+// other mutable state — and is immutable once built, so one view may be
+// shared by any number of concurrent readers.  A device's type never
+// changes in place (edits replace devices), so the type labels stay valid
+// for the life of the view, and csr.Patch carries them across edits.
 package csr
 
 import (
@@ -33,6 +35,10 @@ type Graph struct {
 	Adj []int32
 	// Mul[e] is the precomputed label.ClassMul for edge e.
 	Mul []uint64
+	// DevType[v] is label.TypeLabel of device v's type, for v < NumDevs.
+	// Pin counts and net degrees need no array of their own: they are the
+	// row lengths Start[v+1]-Start[v].
+	DevType []label.Value
 }
 
 // New builds the CSR view of c.  Devices and nets must have their Index
@@ -41,9 +47,11 @@ type Graph struct {
 func New(c *graph.Circuit) *Graph {
 	nd, nn := c.NumDevices(), c.NumNets()
 	size := nd + nn
-	g := &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1)}
+	g := &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd)}
+	var types typeMemo
 	for _, d := range c.Devices {
 		g.Start[d.Index+1] = int32(len(d.Pins))
+		g.DevType[d.Index] = types.label(d.Type)
 	}
 	for _, n := range c.Nets {
 		g.Start[nd+n.Index+1] = int32(len(n.Conns))
@@ -81,6 +89,32 @@ func New(c *graph.Circuit) *Graph {
 		}
 	}
 	return g
+}
+
+// typeMemo remembers the type labels of the last two distinct device types
+// seen: circuits list devices in runs of one type, often alternating
+// between two (pmos and nmos), so a build hashes a handful of type names
+// instead of one per device, without a lookup table.
+type typeMemo struct {
+	typ [2]string
+	lab [2]label.Value
+}
+
+func (m *typeMemo) label(typ string) label.Value {
+	if typ != m.typ[0] || m.lab[0] == 0 {
+		m.miss(typ)
+	}
+	return m.lab[0]
+}
+
+// miss makes typ the most recent type, hashing it unless it was the other
+// remembered one.
+func (m *typeMemo) miss(typ string) {
+	if typ != m.typ[1] || m.lab[1] == 0 {
+		m.typ[1], m.lab[1] = typ, label.TypeLabel(typ)
+	}
+	m.typ[0], m.typ[1] = m.typ[1], m.typ[0]
+	m.lab[0], m.lab[1] = m.lab[1], m.lab[0]
 }
 
 // Size returns the total number of vertices.

@@ -100,3 +100,22 @@ func TestEmptyCircuit(t *testing.T) {
 		t.Fatalf("empty circuit: Size=%d NumEdges=%d", g.Size(), g.NumEdges())
 	}
 }
+
+// TestDevTypeLabels checks every device's view type label against
+// label.TypeLabel over type sequences with runs, two-type alternation and
+// three types in rotation, which the build's two-entry memo must all get
+// right.
+func TestDevTypeLabels(t *testing.T) {
+	types := []string{"nmos", "nmos", "pmos", "nmos", "pmos", "res", "nmos", "cap", "res", "res", "pmos", "cap", "nmos"}
+	c := graph.New("types")
+	a, b := c.AddNet("a"), c.AddNet("b")
+	for i, typ := range types {
+		c.MustAddDevice(fmt.Sprintf("d%d", i), typ, []graph.TermClass{graph.ClassDS, graph.ClassDS}, []*graph.Net{a, b})
+	}
+	g := New(c)
+	for _, d := range c.Devices {
+		if got, want := g.DevType[d.Index], label.TypeLabel(d.Type); got != want {
+			t.Errorf("DevType of %s (%s) = %#x, want %#x", d.Name, d.Type, got, want)
+		}
+	}
+}

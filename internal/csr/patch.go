@@ -30,7 +30,8 @@ type Remap struct {
 // The result is bit-identical to New(c): a spliced row holds the same
 // neighbor indices (remapped) and the same multipliers in the same order,
 // because circuit edits preserve the relative order of surviving pins and
-// connections.  rebuilt reports whether the degradation threshold forced a
+// connections, and a clean device keeps its type label, because edits
+// replace devices rather than retype them.  rebuilt reports whether the degradation threshold forced a
 // full New build instead (the caller feeds it into the csr-rebuild metric).
 func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32) (g *Graph, rebuilt bool) {
 	nd, nn := c.NumDevices(), c.NumNets()
@@ -66,7 +67,7 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 	}
 
 	size := nd + nn
-	g = &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1)}
+	g = &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd)}
 	for _, d := range c.Devices {
 		g.Start[d.Index+1] = int32(len(d.Pins))
 	}
@@ -102,9 +103,17 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 		}
 	}
 
+	var types typeMemo
 	for v := 0; v < size; v++ {
-		e := g.Start[v]
-		if ov := oldRow[v]; ov >= 0 {
+		e, ov := g.Start[v], oldRow[v]
+		if v < nd {
+			if ov >= 0 {
+				g.DevType[v] = old.DevType[ov]
+			} else {
+				g.DevType[v] = types.label(c.Devices[v].Type)
+			}
+		}
+		if ov >= 0 {
 			lo, hi := old.Start[ov], old.Start[ov+1]
 			copy(g.Mul[e:], old.Mul[lo:hi])
 			for k := lo; k < hi; k++ {

@@ -82,12 +82,23 @@ func sameGraph(t *testing.T, got, want *Graph, what string) {
 			t.Fatalf("%s: Mul[%d] = %#x, want %#x", what, i, got.Mul[i], want.Mul[i])
 		}
 	}
+	if len(got.DevType) != len(want.DevType) {
+		t.Fatalf("%s: DevType has %d entries, want %d", what, len(got.DevType), len(want.DevType))
+	}
+	for i := range want.DevType {
+		if got.DevType[i] != want.DevType[i] {
+			t.Fatalf("%s: DevType[%d] = %#x, want %#x", what, i, got.DevType[i], want.DevType[i])
+		}
+	}
 }
 
 // TestPatchIdentical applies a fixed edit script covering every op kind and
 // checks the spliced view is bit-identical to a from-scratch build.
 func TestPatchIdentical(t *testing.T) {
 	c := chain(80)
+	// The only device of its type, removed below.
+	c.MustAddDevice("cap0", "cap", []graph.TermClass{graph.ClassDS, graph.ClassDS},
+		[]*graph.Net{c.Nets[3], c.Nets[7]})
 	old := New(c)
 	s := newEditState(c)
 
@@ -100,6 +111,25 @@ func TestPatchIdentical(t *testing.T) {
 	s.dirtyDev[d] = true
 	for _, p := range d.Pins {
 		s.dirtyNet[p.Net] = true
+	}
+
+	// Add a device of a type new to the circuit.
+	rx, err := c.AddDevice("rx0", "res", []graph.TermClass{graph.ClassDS, graph.ClassDS},
+		[]*graph.Net{c.Nets[5], c.Nets[6]})
+	if err != nil {
+		t.Fatalf("AddDevice: %v", err)
+	}
+	s.dirtyDev[rx] = true
+	for _, p := range rx.Pins {
+		s.dirtyNet[p.Net] = true
+	}
+
+	// Remove the last device of a type.
+	for _, p := range c.DeviceByName("cap0").Pins {
+		s.dirtyNet[p.Net] = true
+	}
+	if err := c.RemoveDevice("cap0"); err != nil {
+		t.Fatalf("RemoveDevice: %v", err)
 	}
 
 	// Remove a device; its nets survive with spliced conns.

@@ -80,7 +80,9 @@ type StatsJSON struct {
 	Recomputed      int    `json:"recomputed,omitempty"`
 }
 
-// MatchResponse is the body of a successful POST /v1/match.
+// MatchResponse is the body of a successful POST /v1/match.  Clients
+// decode into it; the server encodes its mirror, matchResult (render.go),
+// which must keep the same fields in the same order.
 type MatchResponse struct {
 	Circuit   string         `json:"circuit"`
 	Pattern   string         `json:"pattern"`
@@ -129,6 +131,7 @@ type BatchItem struct {
 
 // BatchResponse is the body of a batch reply; the top-level status is 200
 // whenever the batch itself was well-formed, with per-item outcomes inside.
+// The server encodes its mirror, batchResult (render.go).
 type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
@@ -216,7 +219,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeMatch(w, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -246,10 +249,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // individually, so a wide batch cannot starve single-match requests) or
 // runs them sequentially (parallel=false, the job path: the job worker is
 // the concurrency unit there).
-func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool) BatchResponse {
-	results := make([]BatchItem, len(req.Requests))
+func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool) batchResult {
+	results := make([]batchItem, len(req.Requests))
 	runOne := func(i int) {
-		item := BatchItem{Index: i, Pattern: req.Requests[i].Pattern}
+		item := batchItem{Index: i, Pattern: req.Requests[i].Pattern}
 		resp, e := s.runMatch(ctx, &req.Requests[i])
 		if e != nil {
 			item.Status, item.Error = e.status, e.msg
@@ -262,7 +265,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool)
 		for i := range req.Requests {
 			runOne(i)
 		}
-		return BatchResponse{Results: results}
+		return batchResult{Results: results}
 	}
 	pool := s.cfg.MaxConcurrent
 	if pool > len(req.Requests) {
@@ -284,7 +287,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool)
 	}
 	close(idx)
 	wg.Wait()
-	return BatchResponse{Results: results}
+	return batchResult{Results: results}
 }
 
 // acquireCircuit resolves a request's circuit selection to a store handle.
@@ -339,7 +342,7 @@ func (s *Server) resolvePattern(req *MatchRequest) (*graph.Circuit, bool, *httpE
 // runMatch executes one synchronous match request end to end: validation,
 // pattern resolution, admission, circuit acquisition, and the matching run
 // under the entry read lock.
-func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (*MatchResponse, *httpError) {
+func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (*matchResult, *httpError) {
 	if e := validateMatch(req); e != nil {
 		return nil, e
 	}
@@ -428,7 +431,7 @@ func (s *Server) matchError(ctx context.Context, err error, timeout time.Duratio
 // global pre-marking under the entry lock, matcher construction sharing
 // the entry's CSR view and scratch pool, and result conversion.  Both the
 // synchronous path and job runners land here.
-func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph.Circuit, h *store.Handle) (*MatchResponse, error) {
+func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph.Circuit, h *store.Handle) (*matchResult, error) {
 	// Request-level globals are marked on the private pattern clone; the
 	// shared circuit gets its marks during lock acquisition below, so the
 	// match itself never writes to shared state.
@@ -498,11 +501,11 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 	}
 	s.met.observe(pat.Name, &res.Report)
 
-	return &MatchResponse{
+	return &matchResult{
 		Circuit:     h.Name(),
 		Pattern:     pat.Name,
 		Count:       len(res.Instances),
-		Instances:   instancesJSON(res.Instances),
+		Instances:   res.Instances,
 		Stats:       statsJSON(&res.Report),
 		Version:     h.Version(),
 		Incremental: inc,

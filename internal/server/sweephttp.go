@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"subgemini/internal/core"
 	"subgemini/internal/netlist"
 	"subgemini/internal/obs"
 	"subgemini/internal/stats"
@@ -63,7 +62,8 @@ type SweepPatternJSON struct {
 	Instances []InstanceJSON `json:"instances,omitempty"`
 }
 
-// SweepResponse is the merged result of one sweep.
+// SweepResponse is the merged result of one sweep.  The server encodes its
+// mirror, sweepResult (render.go).
 type SweepResponse struct {
 	Circuit        string             `json:"circuit"`
 	Library        string             `json:"library,omitempty"`
@@ -240,7 +240,7 @@ func (s *Server) resolveSweepLibrary(req *SweepRequest) ([]sweep.Pattern, *httpE
 // validation, library resolution, deadline, admission (a sweep takes one
 // match slot; its internal parallelism is bounded separately by "workers"),
 // circuit acquisition, and the sweep under the entry read lock.
-func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*SweepResponse, *httpError) {
+func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*sweepResult, *httpError) {
 	if e := validateSweep(req); e != nil {
 		return nil, e
 	}
@@ -297,7 +297,7 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*SweepRespons
 // view and scratch pool.  Both the synchronous path and the job runners
 // land here; incremental selects whether per-pattern runs consult the
 // versioned result cache (results are identical either way).
-func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []sweep.Pattern, h *store.Handle, incremental bool) (*SweepResponse, error) {
+func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []sweep.Pattern, h *store.Handle, incremental bool) (*sweepResult, error) {
 	// Every global the sweep would mark on the shared circuit must be
 	// pre-marked under the entry write lock: request globals plus each
 	// pattern's declared globals (the circuit's own are already marked).
@@ -333,14 +333,14 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 	}
 	s.met.observeSweep(rep)
 
-	resp := &SweepResponse{
+	resp := &sweepResult{
 		Circuit:        h.Name(),
 		Library:        req.Library,
 		Patterns:       len(rep.Results),
 		Runs:           rep.Runs,
 		Deduped:        rep.Deduped,
 		Count:          rep.Instances(),
-		Results:        make([]SweepPatternJSON, 0, len(rep.Results)),
+		Results:        make([]sweepPatternResult, 0, len(rep.Results)),
 		DurationMicros: rep.Duration.Microseconds(),
 		Version:        h.Version(),
 		Replayed:       rep.Replayed,
@@ -348,14 +348,14 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 	}
 	for i := range rep.Results {
 		pr := &rep.Results[i]
-		jp := SweepPatternJSON{
+		jp := sweepPatternResult{
 			Pattern: pr.Name,
 			Alias:   pr.Alias,
 			Count:   len(pr.Instances),
 			Stats:   statsJSON(&pr.Report),
 		}
 		if req.IncludeInstances {
-			jp.Instances = instancesJSON(pr.Instances)
+			jp.Instances = pr.Instances
 		}
 		resp.Results = append(resp.Results, jp)
 	}
@@ -386,30 +386,13 @@ func statsJSON(r *stats.Report) StatsJSON {
 	}
 }
 
-// instancesJSON converts instances to their wire form (pattern names to
-// main-graph names).
-func instancesJSON(insts []*core.Instance) []InstanceJSON {
-	out := make([]InstanceJSON, 0, len(insts))
-	for _, inst := range insts {
-		ji := InstanceJSON{Devices: make(map[string]string), Nets: make(map[string]string)}
-		for sd, gd := range inst.DevMap {
-			ji.Devices[sd.Name] = gd.Name
-		}
-		for sn, gn := range inst.NetMap {
-			ji.Nets[sn.Name] = gn.Name
-		}
-		out = append(out, ji)
-	}
-	return out
-}
-
 // runSweepJob is the asynchronous twin of runSweep: no admission semaphore
 // (the job worker pool is the concurrency bound) and no default deadline;
 // an explicit timeout_ms is honored uncapped.  The library is re-resolved
 // at run time, so a job submitted against a stored library sweeps its
 // definition as of execution.  incremental distinguishes the "sweep" job
 // kind (always full) from "incremental-sweep" (consults the result cache).
-func (s *Server) runSweepJob(ctx context.Context, req *SweepRequest, incremental bool) (*SweepResponse, error) {
+func (s *Server) runSweepJob(ctx context.Context, req *SweepRequest, incremental bool) (*sweepResult, error) {
 	lib, e := s.resolveSweepLibrary(req)
 	if e != nil {
 		return nil, errors.New(e.msg)

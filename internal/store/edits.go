@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -22,11 +21,12 @@ import (
 // matches keep the old entry alive through their handles, so a PATCH never
 // disturbs a running match (snapshot isolation by construction).
 //
-// Durability mirrors a write-ahead log: the batch is appended to
-// <dir>/circuits/<name>.log (fsynced JSONL, one record per version) before
-// the new entry becomes visible, and boot replays every log record past the
-// snapshot's version.  Snapshot compaction folds the log back into the
-// snapshot once it grows past compactEvery records, and Flush compacts
+// Durability mirrors a write-ahead log: the batch is appended to the
+// entry's edit log, <dir>/circuits/<name>.log or a fresh <name>~N.log
+// (fsynced JSONL, one record per version), before the new entry becomes
+// visible, and boot replays every log record past the snapshot's version.
+// Snapshot compaction folds the log into a fresh snapshot and deletes the
+// folded log once it grows past compactEvery records, and Flush compacts
 // every dirty entry at shutdown.  A torn trailing log line (crash
 // mid-append) is tolerated: the write was never acknowledged.
 
@@ -49,8 +49,7 @@ func init() {
 // ApplyEdits applies one batch of edit ops to the named circuit, bumping
 // its version.  A validation error leaves the stored circuit untouched.
 func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
-	st.editMu.Lock()
-	defer st.editMu.Unlock()
+	defer st.lockName(name)()
 
 	h, err := st.Acquire(name)
 	if err != nil {
@@ -76,6 +75,7 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 		name:        old.name,
 		display:     old.display,
 		file:        old.file,
+		log:         old.log,
 		saved:       old.saved,
 		ckt:         clone,
 		view:        view,
@@ -99,21 +99,15 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	// Log before install: the record is the authority boot replays, so an
 	// edit must never be visible without it.
 	if st.dir != "" && e.file != "" {
-		if err := st.appendEditLog(name, version, ops); err != nil {
+		if err := st.appendEditLog(e.log, version, ops); err != nil {
 			return Info{}, err
 		}
 	}
 
+	// The name lock keeps Put and Delete out, so old is still the entry
+	// the name maps to.
 	st.mu.Lock()
-	if cur, ok := st.entries[name]; !ok || cur != old {
-		// Replaced or deleted while we edited the clone; the log record we
-		// appended belongs to a lineage that no longer exists, and Put/
-		// Delete already removed the log file.
-		st.mu.Unlock()
-		return Info{}, fmt.Errorf("circuit %q was replaced during the edit; retry", name)
-	} else {
-		st.dropLocked(cur)
-	}
+	st.dropLocked(old)
 	st.entries[name] = e
 	e.elem = st.lru.PushFront(e)
 	st.residentBytes += e.bytes
@@ -204,22 +198,28 @@ func (st *Store) Flush() error {
 	if st.dir == "" {
 		return nil
 	}
-	st.editMu.Lock()
-	defer st.editMu.Unlock()
 	st.mu.Lock()
-	var dirty []*Entry
-	for _, e := range st.entries {
+	var dirty []string
+	for name, e := range st.entries {
 		if e.file != "" && e.resident && e.version != e.snapVersion {
-			dirty = append(dirty, e)
+			dirty = append(dirty, name)
 		}
 	}
 	st.mu.Unlock()
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].name < dirty[j].name })
+	sort.Strings(dirty)
 	var firstErr error
-	for _, e := range dirty {
-		if err := st.compactEntry(e); err != nil && firstErr == nil {
-			firstErr = err
+	for _, name := range dirty {
+		unlock := st.lockName(name)
+		st.mu.Lock()
+		e := st.entries[name] // the entry may have changed before the lock
+		ok := e != nil && e.file != "" && e.resident && e.version != e.snapVersion
+		st.mu.Unlock()
+		if ok {
+			if err := st.compactEntry(e); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
+		unlock()
 	}
 	if err := st.writeManifest(); err != nil && firstErr == nil {
 		firstErr = err
@@ -227,23 +227,25 @@ func (st *Store) Flush() error {
 	return firstErr
 }
 
-// compactEntry folds an entry's edit log into a fresh snapshot and
-// rewrites the manifest.  The manifest names the new snapshot before the
-// log goes, and a snapshot left in the other format (an edit can make a
-// .sp circuit need JSON) goes last, so a crash in between leaves a
-// manifest whose snapshot plus log still reproduce the entry.  The entry
-// stays valid on failure (the log still holds the tail); the error feeds
-// Healthy via the writers.
+// compactEntry folds an entry's edit log into a snapshot and rewrites the
+// manifest; the caller holds the circuit's name lock.  The snapshot takes a
+// fresh name, and the old one is removed only once the manifest naming the
+// new one is durable.  The log keeps its name and is deleted then too,
+// since every record it holds is folded into the snapshot the manifest
+// names; the next edit recreates it.  A crash at any point thus leaves a
+// manifest whose snapshot plus log reproduce the entry.  On failure the error feeds Healthy via the writers,
+// and the next manifest write (the next edit's) makes the compaction
+// durable.
 func (st *Store) compactEntry(e *Entry) error {
 	e.markMu.RLock()
-	file, err := st.writeSnapshot(e.name, e.ckt)
+	file, err := st.writeSnapshot(e.name, e.ckt, e.file, e.log)
 	e.markMu.RUnlock()
 	if err != nil {
 		st.log.Warn("circuit compaction failed", "circuit", e.name, "err", err)
 		return err
 	}
 	st.mu.Lock()
-	stale := e.file
+	st.superseded = append(st.superseded, e.file)
 	e.file = file
 	e.snapVersion = e.version
 	e.logCount = 0
@@ -253,12 +255,9 @@ func (st *Store) compactEntry(e *Entry) error {
 		st.log.Warn("circuit compaction failed", "circuit", e.name, "err", err)
 		return err
 	}
-	if err := os.Remove(st.editLogPath(e.name)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(st.circuitPath(e.log)); err != nil && !os.IsNotExist(err) {
 		st.log.Warn("removing folded edit log failed", "circuit", e.name, "err", err)
 		return err
-	}
-	if stale != file {
-		st.removeSnapshot(stale)
 	}
 	st.log.Info("compacted circuit", "circuit", e.name, "version", e.version)
 	return nil
@@ -270,12 +269,8 @@ type editLogRec struct {
 	Ops     []delta.Op `json:"ops"`
 }
 
-func (st *Store) editLogPath(name string) string {
-	return filepath.Join(st.dir, circuitsDir, name+".log")
-}
-
-// appendEditLog durably appends one edit record.
-func (st *Store) appendEditLog(name string, version uint64, ops []delta.Op) error {
+// appendEditLog durably appends one edit record to the named log file.
+func (st *Store) appendEditLog(log string, version uint64, ops []delta.Op) error {
 	err := faults.Fire("store.append-log")
 	if err == nil {
 		blob, merr := json.Marshal(editLogRec{Version: version, Ops: ops})
@@ -283,7 +278,7 @@ func (st *Store) appendEditLog(name string, version uint64, ops []delta.Op) erro
 			err = merr
 		} else {
 			var f *os.File
-			f, err = os.OpenFile(st.editLogPath(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			f, err = os.OpenFile(st.circuitPath(log), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err == nil {
 				_, err = f.Write(append(blob, '\n'))
 				if serr := f.Sync(); err == nil {
@@ -297,28 +292,20 @@ func (st *Store) appendEditLog(name string, version uint64, ops []delta.Op) erro
 	}
 	st.noteIO(err)
 	if err != nil {
-		return fmt.Errorf("appending edit log for %q: %w", name, err)
+		return fmt.Errorf("appending edit log %s: %w", log, err)
 	}
 	return nil
 }
 
-// removeEditLog discards a circuit's edit log (replacement and deletion).
-func (st *Store) removeEditLog(name string) {
-	if st.dir == "" {
-		return
-	}
-	os.Remove(st.editLogPath(name))
-}
-
-// replayEditLog applies the named circuit's edit log records past
-// snapVersion to a freshly parsed snapshot, returning the resulting
+// replayEditLog applies the named circuit's edit log (file log) records
+// past snapVersion to a freshly parsed snapshot, returning the resulting
 // version, the replayed steps, and the record count.  A trailing line that
 // fails to decode is tolerated (a crash mid-append tore it; the write was
 // never acknowledged); a version gap or a record that fails to apply is
 // corruption and a boot error.
-func (st *Store) replayEditLog(name string, ckt *graph.Circuit, snapVersion uint64) (version uint64, steps []*delta.Step, logCount int, err error) {
+func (st *Store) replayEditLog(name, log string, ckt *graph.Circuit, snapVersion uint64) (version uint64, steps []*delta.Step, logCount int, err error) {
 	version = snapVersion
-	raw, err := os.ReadFile(st.editLogPath(name))
+	raw, err := os.ReadFile(st.circuitPath(log))
 	if os.IsNotExist(err) {
 		return version, nil, 0, nil
 	}

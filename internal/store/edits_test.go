@@ -391,6 +391,9 @@ func sameView(t *testing.T, when string, got, want *csr.Graph) {
 	if i := firstDiff(got.Mul, want.Mul); i >= 0 {
 		t.Fatalf("%s: patched view differs from csr.New at Mul[%d]", when, i)
 	}
+	if i := firstDiff(got.DevType, want.DevType); i >= 0 {
+		t.Fatalf("%s: patched view differs from csr.New at DevType[%d]", when, i)
+	}
 }
 
 func firstDiff[T comparable](a, b []T) int {
@@ -443,6 +446,19 @@ func TestEditedViewMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a second edit")
+
+	// A device of a type new to the circuit, then the removal of the last
+	// (only) device of that type.
+	addRes := []delta.Op{{Op: delta.OpAddDevice, Name: "Rnew", Type: "res",
+		Classes: []int{0, 0}, Nets: []string{target.Name, "spare"}}}
+	if _, err := st.ApplyEdits("rand", addRes); err != nil {
+		t.Fatal(err)
+	}
+	check("after adding a device of a new type")
+	if _, err := st.ApplyEdits("rand", []delta.Op{{Op: delta.OpRemoveDevice, Name: "Rnew"}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after removing the last device of a type")
 
 	// A longer script mixing every op kind.
 	rng := rand.New(rand.NewSource(11))

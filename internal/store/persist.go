@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -20,6 +21,7 @@ import (
 func init() {
 	faults.Register("store.write-snapshot", "circuit snapshot write during Put (error fails the upload and marks the store unhealthy)")
 	faults.Register("store.write-manifest", "manifest index rewrite after any durable mutation")
+	faults.Register("store.remove-superseded", "removal of the snapshots and edit logs a just-written manifest no longer names (error leaves them for the next rewrite; a crash leaves them for boot)")
 	faults.Register("store.reload", "demoted-circuit reload from snapshot during Acquire (delay holds the store lock; error flips /readyz)")
 }
 
@@ -30,7 +32,9 @@ func init() {
 // results of extraction, flattened hierarchies whose device names lack
 // their element letter, edited circuits with devices the reader would
 // re-class — snapshots in the graph JSON interchange format instead; the
-// file extension selects the parser on reload.
+// file extension selects the parser on reload.  The manifest names each
+// circuit's snapshot and edit log; both are created under fresh names (see
+// freshName), so no write ever lands on a file the manifest names.
 const (
 	manifestName = "manifest.json"
 	circuitsDir  = "circuits"
@@ -50,6 +54,7 @@ type circuitRec struct {
 	Name      string   `json:"name"`
 	Display   string   `json:"display,omitempty"`
 	File      string   `json:"file"`
+	Log       string   `json:"log,omitempty"` // edit log; "" reads as <name>.log
 	Globals   []string `json:"globals,omitempty"`
 	Devices   int      `json:"devices"`
 	Nets      int      `json:"nets"`
@@ -130,7 +135,11 @@ func (st *Store) loadDir() error {
 	if m.Version != 1 {
 		return fmt.Errorf("store manifest %s has unsupported version %d (want 1)", path, m.Version)
 	}
+	named := make(map[string]bool, 2*len(m.Circuits))
 	for _, rec := range m.Circuits {
+		if rec.Log == "" {
+			rec.Log = rec.Name + ".log" // a manifest from before logs were named
+		}
 		e, err := st.loadCircuitRec(rec)
 		if err != nil {
 			return fmt.Errorf("reloading circuit %q from %s: %w", rec.Name, rec.File, err)
@@ -138,7 +147,9 @@ func (st *Store) loadDir() error {
 		st.entries[rec.Name] = e
 		e.elem = st.lru.PushBack(e) // boot order is not usage order; all equally cold
 		st.residentBytes += e.bytes
+		named[rec.File], named[rec.Log] = true, true
 	}
+	st.removeUnnamed(named)
 	for _, rec := range m.Patterns {
 		tpl, err := st.loadPatternRec(rec)
 		if err != nil {
@@ -170,9 +181,9 @@ func (st *Store) loadCircuitRec(rec circuitRec) (*Entry, error) {
 	if snapVersion == 0 {
 		snapVersion = 1 // pre-edit-log manifest
 	}
-	version, steps, logCount, err := st.replayEditLog(rec.Name, ckt, snapVersion)
+	version, steps, logCount, err := st.replayEditLog(rec.Name, rec.Log, ckt, snapVersion)
 	if err != nil {
-		return nil, fmt.Errorf("edit log %s.log: %w", rec.Name, err)
+		return nil, fmt.Errorf("edit log %s: %w", rec.Log, err)
 	}
 	if version > snapVersion {
 		st.log.Info("replayed edit versions", "circuit", rec.Name,
@@ -182,6 +193,7 @@ func (st *Store) loadCircuitRec(rec circuitRec) (*Entry, error) {
 		name:        rec.Name,
 		display:     ckt.Name,
 		file:        rec.File,
+		log:         rec.Log,
 		ckt:         ckt,
 		view:        core.NewCSR(ckt),
 		scratch:     new(core.ScratchPool),
@@ -207,7 +219,7 @@ func (st *Store) loadCircuitRec(rec circuitRec) (*Entry, error) {
 // (covering marks made after the snapshot was written), and the
 // store-level globals.
 func (st *Store) parseSnapshot(file, display string, globals []string) (*graph.Circuit, error) {
-	path := filepath.Join(st.dir, circuitsDir, file)
+	path := st.circuitPath(file)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -260,38 +272,99 @@ func (st *Store) loadPatternRec(rec patternRec) (*graph.Circuit, error) {
 	return nf.Pattern(rec.Name)
 }
 
-// writeSnapshot writes one circuit snapshot and returns its filename:
-// a .sp netlist when the netlist round-trips exactly, graph JSON otherwise.
-func (st *Store) writeSnapshot(name string, ckt *graph.Circuit) (string, error) {
-	file := name + ".sp"
+// writeSnapshot writes one circuit snapshot under a fresh name (see
+// freshName) and returns the filename: a .sp netlist when the netlist
+// round-trips exactly, graph JSON otherwise.
+func (st *Store) writeSnapshot(name string, ckt *graph.Circuit, taken ...string) (string, error) {
+	ext := ".sp"
 	write := func(w io.Writer) error { return netlist.WriteCircuit(w, ckt) }
 	if !netlist.RoundTrips(ckt) {
-		file = name + ".json"
+		ext = ".json"
 		write = func(w io.Writer) error { return graph.EncodeJSON(w, ckt) }
 	}
-	path := filepath.Join(st.dir, circuitsDir, file)
+	var file string
 	err := faults.Fire("store.write-snapshot")
 	if err == nil {
-		err = writeAtomic(path, write)
+		file, err = st.freshName(name, ext, taken...)
+	}
+	if err == nil {
+		err = writeAtomic(st.circuitPath(file), write)
 	}
 	st.noteIO(err)
 	if err != nil {
-		return "", fmt.Errorf("writing circuit snapshot %s: %w", path, err)
+		return "", fmt.Errorf("writing circuit snapshot for %q: %w", name, err)
 	}
 	return file, nil
 }
 
-func (st *Store) removeSnapshot(file string) {
-	if file == "" {
-		return
+// freshName returns the first name among <name><ext>, <name>~1<ext>,
+// <name>~2<ext>, ... that no file has, that the circuit's current entry
+// does not use (taken: its snapshot and edit log, which may not exist
+// yet), and that is not a superseded file awaiting removal, which the
+// durable manifest may still name.  Only operations holding the circuit's
+// name lock create its files, and '~' is not a store-name character, so
+// the name stays free until the caller creates it.
+func (st *Store) freshName(name, ext string, taken ...string) (string, error) {
+	for i := 0; ; i++ {
+		file := name + ext
+		if i > 0 {
+			file = fmt.Sprintf("%s~%d%s", name, i, ext)
+		}
+		st.mu.Lock()
+		busy := slices.Contains(taken, file) || slices.Contains(st.superseded, file)
+		st.mu.Unlock()
+		if busy {
+			continue
+		}
+		_, err := os.Lstat(st.circuitPath(file))
+		if os.IsNotExist(err) {
+			return file, nil
+		}
+		if err != nil {
+			return "", err
+		}
 	}
-	os.Remove(filepath.Join(st.dir, circuitsDir, file))
 }
 
-// writeManifest rewrites the index from the current table.
+func (st *Store) circuitPath(file string) string {
+	return filepath.Join(st.dir, circuitsDir, file)
+}
+
+// supersedeLocked queues an entry's snapshot and edit log for removal once
+// the manifest no longer names them; called with st.mu held when the
+// entry stops being the one its name maps to.
+func (st *Store) supersedeLocked(e *Entry) {
+	if e.file != "" {
+		st.superseded = append(st.superseded, e.file, e.log)
+	}
+}
+
+// removeUnnamed deletes, at boot, the snapshots, edit logs and temp files
+// under circuits/ that the manifest does not name: leftovers of an
+// operation a crash interrupted before or after its manifest write.
+func (st *Store) removeUnnamed(named map[string]bool) {
+	des, err := os.ReadDir(filepath.Join(st.dir, circuitsDir))
+	if err != nil {
+		return
+	}
+	for _, de := range des {
+		n := de.Name()
+		ours := strings.HasPrefix(n, ".tmp-") || strings.HasSuffix(n, ".sp") ||
+			strings.HasSuffix(n, ".json") || strings.HasSuffix(n, ".log")
+		if ours && !named[n] && !de.IsDir() {
+			os.Remove(st.circuitPath(n))
+		}
+	}
+}
+
+// writeManifest rewrites the index from the current table, then removes
+// the superseded files it no longer names.
 func (st *Store) writeManifest() error {
+	st.manifestMu.Lock()
+	defer st.manifestMu.Unlock()
 	st.mu.Lock()
 	m := manifest{Version: 1}
+	superseded := append([]string(nil), st.superseded...)
 	for _, e := range st.entries {
 		if e.file == "" {
 			continue
@@ -300,6 +373,7 @@ func (st *Store) writeManifest() error {
 			Name:        e.name,
 			Display:     e.display,
 			File:        e.file,
+			Log:         e.log,
 			Globals:     append([]string(nil), e.globals...),
 			Devices:     e.devices,
 			Nets:        e.nets,
@@ -329,7 +403,43 @@ func (st *Store) writeManifest() error {
 		})
 	}
 	st.noteIO(err)
+	if err == nil && len(superseded) > 0 {
+		st.removeSuperseded(&m, superseded)
+	}
 	return err
+}
+
+// removeSuperseded deletes the superseded files the durable manifest m does
+// not name and drops them from the queue; a file m still names (a table
+// read before its entry was replaced) waits for a later rewrite.
+func (st *Store) removeSuperseded(m *manifest, files []string) {
+	if err := faults.Fire("store.remove-superseded"); err != nil {
+		st.log.Warn("removing superseded snapshots failed", "err", err)
+		return
+	}
+	named := make(map[string]bool, 2*len(m.Circuits))
+	for _, rec := range m.Circuits {
+		named[rec.File], named[rec.Log] = true, true
+	}
+	done := make(map[string]bool, len(files))
+	for _, f := range files {
+		if !named[f] {
+			if err := os.Remove(st.circuitPath(f)); err != nil && !os.IsNotExist(err) {
+				st.log.Warn("removing superseded file failed", "file", f, "err", err)
+				continue
+			}
+			done[f] = true
+		}
+	}
+	st.mu.Lock()
+	keep := st.superseded[:0]
+	for _, f := range st.superseded {
+		if !done[f] {
+			keep = append(keep, f)
+		}
+	}
+	st.superseded = keep
+	st.mu.Unlock()
 }
 
 // reloadLocked re-parses a demoted entry's snapshot and rebuilds its CSR

@@ -21,10 +21,17 @@
 // ';', no unconnected or port nets.  Every other circuit (extracted gate
 // levels, flattened hierarchies such as X1/MP1, edits that add devices
 // the reader would re-class) snapshots as graph JSON,
-// <dir>/circuits/<name>.json.  On boot, Open replays the manifest,
-// reloading every snapshotted circuit and re-marking its globals.  Uploaded pattern templates are persisted
-// alongside under <dir>/patterns/ so a restarted daemon keeps its compiled
-// pattern library warm.
+// <dir>/circuits/<name>.json.  A snapshot or edit log never overwrites a
+// file the durable manifest names: each write takes a fresh name (the first
+// free of <name>.sp, <name>~1.sp, <name>~2.sp, ..., and likewise for .json
+// and the .log edit log), and the files a replacement, deletion or
+// compaction supersedes are removed only after a manifest that no longer
+// needs them is durable.  A crash at any point therefore boots the state
+// before or after the interrupted operation; boot removes the files the
+// manifest does not name.  On boot, Open replays the manifest, reloading
+// every snapshotted circuit and re-marking its globals.  Uploaded pattern
+// templates are persisted alongside under <dir>/patterns/ so a restarted
+// daemon keeps its compiled pattern library warm.
 //
 // Concurrency: the store has one mutex for the name table, LRU list, and
 // ref counts.  Each entry additionally carries its own RWMutex guarding
@@ -50,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,9 +101,10 @@ type Store struct {
 	globals  []string
 	log      *slog.Logger
 
-	// editMu serializes ApplyEdits and Flush: an edit clones, patches, and
-	// installs against one consistent predecessor entry.
-	editMu sync.Mutex
+	// manifestMu serializes manifest rewrites, so the manifest on disk is
+	// always the last table written, and the removal of superseded files
+	// that follows each one.
+	manifestMu sync.Mutex
 
 	mu            sync.Mutex
 	entries       map[string]*Entry
@@ -107,6 +116,15 @@ type Store struct {
 	reloads       int64
 	edits         int64
 	csrRebuilds   int64 // edits whose CSR patch degraded to a full rebuild
+
+	// nameLocks serialize the operations that replace, delete or edit one
+	// circuit (see lockName).
+	nameLocks map[string]*sync.Mutex
+
+	// superseded lists snapshot and edit-log files no entry names any more;
+	// writeManifest removes them once a manifest that does not name them is
+	// durable.
+	superseded []string
 
 	// unhealthy is set while the last persistence operation failed; it is
 	// an atomic (not st.mu state) so Healthy can be read from the /readyz
@@ -131,6 +149,7 @@ type Entry struct {
 	name    string // store key
 	display string // circuit's own name (may differ from the key)
 	file    string // snapshot filename under dir/circuits, "" = memory-only
+	log     string // edit-log filename under dir/circuits (see edits.go)
 	globals []string
 	saved   time.Time
 
@@ -202,6 +221,7 @@ func Open(cfg Config) (*Store, error) {
 		lru:       list.New(),
 		patterns:  make(map[string]*graph.Circuit),
 		libraries: make(map[string][]string),
+		nameLocks: make(map[string]*sync.Mutex),
 	}
 	if st.log == nil {
 		st.log = obs.Discard()
@@ -270,23 +290,34 @@ func (st *Store) Put(name string, ckt *graph.Circuit) (Info, error) {
 	for _, n := range ckt.Globals() {
 		e.globals = append(e.globals, n.Name)
 	}
+	defer st.lockName(name)()
 	if st.dir != "" {
-		file, err := st.writeSnapshot(name, ckt)
+		var taken []string
+		st.mu.Lock()
+		if old, ok := st.entries[name]; ok {
+			taken = []string{old.file, old.log}
+		}
+		st.mu.Unlock()
+		file, err := st.writeSnapshot(name, ckt, taken...)
 		if err != nil {
 			return Info{}, err
 		}
-		e.file = file
+		// A fresh edit log too: the first edit creates it.
+		log, err := st.freshName(name, ".log", taken...)
+		st.noteIO(err)
+		if err != nil {
+			os.Remove(st.circuitPath(file))
+			return Info{}, fmt.Errorf("naming the edit log for %q: %w", name, err)
+		}
+		e.file, e.log = file, log
 	}
 
 	st.mu.Lock()
-	var staleFile string
 	if old, ok := st.entries[name]; ok {
 		st.dropLocked(old)
-		// A replace can switch snapshot formats (chip.sp → chip.json);
-		// drop the out-of-format file so only the manifest's survives.
-		if old.file != "" && old.file != e.file {
-			staleFile = old.file
-		}
+		// A replace starts a fresh version lineage in fresh files; the old
+		// snapshot and edit log go once the manifest stops naming them.
+		st.supersedeLocked(old)
 	}
 	st.entries[name] = e
 	e.elem = st.lru.PushFront(e)
@@ -296,10 +327,6 @@ func (st *Store) Put(name string, ckt *graph.Circuit) (Info, error) {
 	st.mu.Unlock()
 
 	if st.dir != "" {
-		st.removeSnapshot(staleFile)
-		// A replace starts a fresh version lineage; any edit log of the old
-		// lineage is now meaningless.
-		st.removeEditLog(name)
 		if err := st.writeManifest(); err != nil {
 			return info, err
 		}
@@ -328,22 +355,23 @@ func (st *Store) Acquire(name string) (*Handle, error) {
 	return &Handle{st: st, e: e}, nil
 }
 
-// Delete removes the named entry and its snapshot.  Handles already
-// acquired stay valid; the entry's memory is reclaimed when they release.
+// Delete removes the named entry, and its snapshot and edit log once the
+// manifest without it is durable.  Handles already acquired stay valid;
+// the entry's memory is reclaimed when they release.
 func (st *Store) Delete(name string) error {
+	defer st.lockName(name)()
 	st.mu.Lock()
 	e, ok := st.entries[name]
 	if ok {
 		delete(st.entries, name)
 		st.dropLocked(e)
+		st.supersedeLocked(e)
 	}
 	st.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if st.dir != "" {
-		st.removeSnapshot(e.file)
-		st.removeEditLog(name)
 		return st.writeManifest()
 	}
 	return nil
@@ -457,6 +485,22 @@ func (st *Store) evictLocked() {
 		st.evictions++
 		st.log.Info("evicted circuit under memory budget", "circuit", e.name, "bytes_est", e.bytes, "budget_bytes", st.maxBytes)
 	}
+}
+
+// lockName serializes the operations that replace, delete or edit the
+// named circuit (Put, Delete, ApplyEdits and compaction), so each sees the
+// entry and files the previous one left; different circuits proceed in
+// parallel.  It returns the unlock function.
+func (st *Store) lockName(name string) (unlock func()) {
+	st.mu.Lock()
+	l := st.nameLocks[name]
+	if l == nil {
+		l = new(sync.Mutex)
+		st.nameLocks[name] = l
+	}
+	st.mu.Unlock()
+	l.Lock()
+	return l.Unlock
 }
 
 // release drops one handle reference.

@@ -28,15 +28,19 @@ MN3 z y GND nmos
 
 func parseMain(t *testing.T, src, name string) *graph.Circuit {
 	t.Helper()
-	f, err := netlist.ParseString(src, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt, err := f.MainCircuit(name)
+	ckt, err := parseMainErr(src, name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ckt
+}
+
+func parseMainErr(src, name string) (*graph.Circuit, error) {
+	f, err := netlist.ParseString(src, name)
+	if err != nil {
+		return nil, err
+	}
+	return f.MainCircuit(name)
 }
 
 // match runs one FA (or given cell) match through a handle the way the
