@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-incremental bench-e2e smoke-daemon chaos-smoke bench-compare docs docs-check clean
+.PHONY: all tier1 build test vet lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-incremental bench-e2e smoke-daemon chaos-smoke bench-compare docs docs-check size clean
 
 all: tier1
 
@@ -16,13 +16,14 @@ tier1: vet lint-logs docs-check race diff bench-smoke smoke-daemon chaos-smoke
 
 # Engine differentials: Phase I CSR vs the pointer-walking reference in
 # phase1ref_test.go, the flat initial labels vs NewInitLabels, Phase II
-# region-localized vs whole-graph, and the incremental replay engine vs Find
-# on a fresh matcher, on fixed and random circuits, twice (scratch-pool
-# reuse across runs is part of the contract), under the race detector.  The
-# server's instance renderer runs against the map-building reference it
-# replaced, byte for byte.
+# (instances, their order, and the Table-1 per-pass state) vs the
+# whole-graph reference in phase2ref_test.go, and the incremental replay
+# engine vs Find on a fresh matcher, on fixed and random circuits, twice
+# (scratch-pool reuse across runs is part of the contract), under the race
+# detector.  The server's instance renderer runs against the map-building
+# reference it replaced, byte for byte.
 diff: diff-incremental
-	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestScratchPoolReuse' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestScratchPoolReuse' ./internal/core/
 	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference' ./internal/server/
 
 # Incremental differential only: FindIncremental replay after random edit
@@ -32,9 +33,10 @@ diff-incremental:
 	$(GO) test -race -count=2 ./internal/delta/
 
 # Phase II differential only: the region engine against the whole-graph
-# oracle, bit-identical instances and order across worker counts.
+# reference, bit-identical instances and order across worker counts, and
+# the same Table-1 state per pass.
 diff-phase2:
-	$(GO) test -race -count=2 -run 'TestPhase2Differential' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestPhase2Differential|TestTraceTableMatchesReference' ./internal/core/
 
 # One-iteration benchmark pass: catches bit-rot in the benchmark harness
 # without paying for a real measurement.  The write-path benchmarks (Clone,
@@ -137,6 +139,15 @@ docs:
 
 docs-check:
 	$(GO) run ./cmd/docgen -check ALGORITHM.md OPERATIONS.md
+
+# The progress numbers ROADMAP.md tracks: non-test Go lines (the benchmark
+# module and its build directory excluded), the internal/core share,
+# core.Options fields, and subgeminid flags.
+size:
+	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "  internal/core:   $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "core.Options fields: $$(awk '/^type Options struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n}' internal/core/core.go)"
+	@echo "subgeminid flags: $$(grep -c 'flags\.\(String\|Int\|Int64\|Bool\|Duration\|Float64\|Uint\|Var\|Func\)(' cmd/subgeminid/main.go)"
 
 clean:
 	$(GO) clean ./...

@@ -2,8 +2,8 @@
 // documents, so they cannot drift from what the code actually does:
 //
 //   - ALGORITHM.md: the tracer-produced tables of the paper's Fig. 1
-//     worked example (internal/gen/paperex), rendered by running the real
-//     matcher with both trace sinks installed.
+//     worked example (internal/gen/paperex), rendered from one run of the
+//     real matcher with both trace sinks installed.
 //   - OPERATIONS.md: the subgeminid metrics reference, generated from the
 //     server's metric registry (server.MetricsReference), and the
 //     fault-injection point table, generated from the faults registry
@@ -101,12 +101,13 @@ func blocksFor(path string) (map[string]string, error) {
 	}
 }
 
-// algorithmBlocks runs the Fig. 1 example once and returns the generated
-// trace blocks.
+// algorithmBlocks runs the Fig. 1 example once, with both trace sinks
+// installed, and returns the generated trace blocks.
 func algorithmBlocks() (map[string]string, error) {
+	g := paperex.PaperMain()
 	var table bytes.Buffer
 	col := trace.NewCollector(0)
-	res, err := core.Find(paperex.PaperMain(), paperex.PaperPattern(), core.Options{
+	res, err := core.Find(g, paperex.PaperPattern(), core.Options{
 		TraceTable: &table,
 		Tracer:     col,
 	})
@@ -126,10 +127,6 @@ func algorithmBlocks() (map[string]string, error) {
 	if err := trace.Render(&run, events); err != nil {
 		return nil, err
 	}
-	regions, err := phase2RegionsBlock()
-	if err != nil {
-		return nil, err
-	}
 	blast, err := incrementalBlastRadiusBlock()
 	if err != nil {
 		return nil, err
@@ -137,7 +134,7 @@ func algorithmBlocks() (map[string]string, error) {
 	return map[string]string{
 		"paper-example-trace":      fence(run.String()),
 		"paper-example-table1":     fence(table.String()),
-		"phase2-regions":           regions,
+		"phase2-regions":           phase2RegionsBlock(res, events, g.NumDevices()+g.NumNets()),
 		"incremental-blast-radius": blast,
 	}, nil
 }
@@ -203,27 +200,16 @@ func incrementalBlastRadiusBlock() (string, error) {
 	return strings.TrimRight(b.String(), "\n"), nil
 }
 
-// phase2RegionsBlock reruns the Fig. 1 example on the region-localized
-// Phase II engine (TraceTable forces the whole-graph engine, so the run
-// above cannot supply this) and renders the per-candidate region table
-// from the ball sizes the tracer reports.
-func phase2RegionsBlock() (string, error) {
-	main := paperex.PaperMain()
-	vertices := main.NumDevices() + main.NumNets()
-	col := trace.NewCollector(0)
-	res, err := core.Find(main, paperex.PaperPattern(), core.Options{Tracer: col})
-	if err != nil {
-		return "", err
-	}
-	if len(res.Instances) != 1 {
-		return "", fmt.Errorf("paper example found %d instances on the region engine, want 1", len(res.Instances))
-	}
+// phase2RegionsBlock renders the per-candidate region table of a run from
+// the ball sizes its phase2_candidate events report; vertices is the size
+// of the run's main graph.
+func phase2RegionsBlock(res *core.Result, events []trace.Event, vertices int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Key vertex radius %d (pattern eccentricity); G has %d vertices.\n\n",
 		res.Report.RegionRadius, vertices)
 	b.WriteString("| candidate | ball vertices | share of G | passes | outcome |\n")
 	b.WriteString("|---|---|---|---|---|\n")
-	for _, e := range col.Events() {
+	for _, e := range events {
 		if e.Kind != trace.KindPhase2Candidate {
 			continue
 		}
@@ -234,7 +220,7 @@ func phase2RegionsBlock() (string, error) {
 		fmt.Fprintf(&b, "| %s | %d | %.0f%% | %d | %s |\n",
 			e.Candidate, e.BallSize, 100*float64(e.BallSize)/float64(vertices), e.Passes, outcome)
 	}
-	return strings.TrimRight(b.String(), "\n"), nil
+	return strings.TrimRight(b.String(), "\n")
 }
 
 // operationsBlocks renders the runbook's generated reference tables from

@@ -28,7 +28,9 @@
 //	-max N             stop after N instances
 //	-workers N         verify Phase II candidates over N workers
 //	                   (-1 = all CPUs; incompatible with -nonoverlap/-max)
-//	-v                 trace the phases to stderr
+//	-v                 print the run's trace to stderr: Phase I passes,
+//	                   the candidate vector and one row per Phase II
+//	                   candidate (the tables tracefmt renders)
 //	-tracetable        print Table-1-style per-pass label tables
 //	-trace FILE        write a subgemini-trace/v1 JSONL event stream
 //	                   ("-" = stdout; render it with tracefmt)
@@ -73,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		nonOverlap  = flag.Bool("nonoverlap", false, "report only disjoint instances")
 		maxInst     = flag.Int("max", 0, "stop after this many instances (0 = no limit)")
 		workers     = flag.Int("workers", 0, "verify Phase II candidates over N workers, 0 = sequential (-1 = all CPUs; incompatible with -nonoverlap and -max)")
-		verbose     = flag.Bool("v", false, "trace matching to stderr")
+		verbose     = flag.Bool("v", false, "print the Phase I pass and Phase II candidate tables to stderr")
 		traceTable  = flag.Bool("tracetable", false, "print a Table-1-style per-pass label table for every Phase II candidate")
 		tracePath   = flag.String("trace", "", `write a subgemini-trace/v1 JSONL event stream to this file ("-" = stdout; render with tracefmt)`)
 		quiet       = flag.Bool("q", false, "print only the instance count")
@@ -138,9 +140,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *nonOverlap {
 		opts.Policy = subgemini.NonOverlapping
 	}
-	if *verbose {
-		opts.Trace = stderr
-	}
 	if *traceTable {
 		opts.TraceTable = stdout
 	}
@@ -157,6 +156,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		traceSink = subgemini.NewJSONLTracer(out)
 		opts.Tracer = traceSink
+	}
+	var verboseLog *eventLog
+	if *verbose {
+		verboseLog = &eventLog{next: opts.Tracer}
+		opts.Tracer = verboseLog
 	}
 
 	var res *subgemini.Result
@@ -176,9 +180,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else {
 		res, err = subgemini.Find(circuit, pattern, opts)
 	}
+	// Emit traces even when the match failed: a partial trace of an
+	// aborted run is exactly what post-mortem debugging wants.
+	if verboseLog != nil {
+		subgemini.RenderTrace(stderr, verboseLog.events)
+	}
 	if traceSink != nil {
-		// Flush even when the match failed: a partial trace of an aborted
-		// run is exactly what post-mortem debugging wants.
 		if ferr := traceSink.Flush(); ferr != nil && err == nil {
 			return fmt.Errorf("writing trace: %w", ferr)
 		}
@@ -205,6 +212,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "stats:", res.Report.String())
 	return nil
+}
+
+// eventLog keeps every trace event of a run for -v, forwarding each to next
+// (the -trace sink) when one is set.  A traced run is sequential, so the
+// log needs no locking.
+type eventLog struct {
+	events []subgemini.TraceEvent
+	next   subgemini.Tracer
+}
+
+func (l *eventLog) Event(e subgemini.TraceEvent) {
+	l.events = append(l.events, e)
+	if l.next != nil {
+		l.next.Event(e)
+	}
 }
 
 // sweepFlags carries the subset of CLI options the -library mode honors.

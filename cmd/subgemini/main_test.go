@@ -91,6 +91,33 @@ func TestCLITraceTable(t *testing.T) {
 	}
 }
 
+// TestCLIVerbose: -v renders the run's trace events on stderr as the
+// tracefmt tables, and still feeds a -trace file when both are given.
+func TestCLIVerbose(t *testing.T) {
+	ckt := writeTemp(t, "c.sp", circuitSrc)
+	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
+	var out, errOut strings.Builder
+	if err := run([]string{"-circuit", ckt, "-cell", "NAND2", "-v", "-trace", jsonl}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"run: pattern NAND2", "Phase I relabeling:", "phase1: key vertex",
+		"Phase II candidates:", "MATCH", "run end: 1 instance(s)"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("-v stderr missing %q:\n%s", want, errOut.String())
+		}
+	}
+	if !strings.Contains(out.String(), "1 instance(s)") {
+		t.Errorf("-v changed stdout:\n%s", out.String())
+	}
+	data, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"kind":"phase2_candidate"`) {
+		t.Errorf("-trace file lost its events under -v:\n%s", data)
+	}
+}
+
 func TestCLIBind(t *testing.T) {
 	ckt := writeTemp(t, "c.sp", circuitSrc)
 	out, err := runCLI(t, "-circuit", ckt, "-cell", "INV", "-bind", "A=y", "-q")

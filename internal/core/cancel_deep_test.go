@@ -32,7 +32,7 @@ func ring(name string, n int) *graph.Circuit {
 }
 
 // TestCancelInsideSolve is the deterministic regression test for polling
-// Options.Cancel inside the phase2.solve recursion.  The hook fires on
+// Options.Cancel inside the Phase II solve recursion.  The hook fires on
 // poll 40; with in-solve polling each candidate accounts for several polls
 // (one between candidates plus one every p2CancelStride passes), so the
 // run is cut a handful of candidates in.  The old between-candidates-only
@@ -71,43 +71,31 @@ func TestCancelInsideSolve(t *testing.T) {
 // TestCancelPathologicalDeadline: a deadline context cuts a ring match
 // whose single first candidate alone takes far longer than the deadline.
 // Before in-solve polling this returned only after that candidate finished.
-// Both Phase II engines must honor the deadline: the ring pattern's
-// eccentricity spans the whole main graph, so the region engine's balls
-// degenerate to O(|G|) and its solve strides carry the polling.
+// The ring pattern's eccentricity spans the whole main graph, so the
+// Phase II balls degenerate to O(|G|) and the solve strides carry the
+// polling.
 func TestCancelPathologicalDeadline(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		legacy bool
-	}{{"region", false}, {"legacy", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, s := ring("g", 4004), ring("s", 4000)
-			const deadline = 40 * time.Millisecond
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			start := time.Now()
-			m, err := core.NewMatcher(g, core.Options{Cancel: ctx.Err})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.legacy {
-				core.UseWholeGraphPhase2ForTest(m)
-			}
-			res, err := m.Find(s)
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("Find returned %v, want context.DeadlineExceeded", err)
-			}
-			if res == nil || res.Report.CancelledAt == "" {
-				t.Fatalf("cancelled Find returned res=%v, want a partial report with CancelledAt set", res)
-			}
-			// The generous bound absorbs CI noise; the point is that the run
-			// does not outlive the deadline by a whole O(n²) candidate
-			// (hundreds of ms).
-			if elapsed > 10*deadline {
-				t.Errorf("cancelled run returned after %v, want well under %v", elapsed, 10*deadline)
-			}
-		})
-	}
+	t.Run("region", func(t *testing.T) {
+		g, s := ring("g", 4004), ring("s", 4000)
+		const deadline = 40 * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		start := time.Now()
+		res, err := core.Find(g, s, core.Options{Cancel: ctx.Err})
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Find returned %v, want context.DeadlineExceeded", err)
+		}
+		if res == nil || res.Report.CancelledAt == "" {
+			t.Fatalf("cancelled Find returned res=%v, want a partial report with CancelledAt set", res)
+		}
+		// The generous bound absorbs CI noise; the point is that the run
+		// does not outlive the deadline by a whole O(n²) candidate
+		// (hundreds of ms).
+		if elapsed > 10*deadline {
+			t.Errorf("cancelled run returned after %v, want well under %v", elapsed, 10*deadline)
+		}
+	})
 }
 
 // TestCancelInsideRegionExtract: with the extraction cancellation block

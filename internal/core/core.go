@@ -72,11 +72,6 @@ type Options struct {
 	// limit).
 	MaxInstances int
 
-	// MaxGuessDepth bounds the Phase II guess recursion (0 = default 64).
-	// The bound is a safety valve; circuits in practice need a handful of
-	// nested guesses at most.
-	MaxGuessDepth int
-
 	// Seed perturbs the unique-label stream.  Runs with equal seeds are
 	// bit-for-bit reproducible.
 	Seed uint64
@@ -138,9 +133,6 @@ type Options struct {
 	// so delta.PatternKey deliberately excludes it.
 	Observe *obs.Scope
 
-	// Trace, when non-nil, receives a human-readable account of the run.
-	Trace io.Writer
-
 	// Tracer, when non-nil, receives one structured event per Phase I
 	// relabeling pass, one for the candidate-vector selection, and one per
 	// Phase II candidate examined (see internal/trace for the event
@@ -150,11 +142,14 @@ type Options struct {
 	// deterministic candidate order the sinks and docgen rely on.
 	Tracer trace.Tracer
 
-	// TraceTable, when non-nil, receives a Table-1-style rendering of every
-	// Phase II candidate verification: one row per vertex, one column per
-	// relabeling pass, with symbolic labels (KV, A, B, ...), '*' for safe
-	// vertices and brackets for matched ones — the presentation the paper
-	// uses to walk through its example.  Verbose; intended for small runs.
+	// TraceTable, when non-nil, receives the Fig. 2/4-style Phase I table
+	// and a Table-1-style rendering of every Phase II candidate
+	// verification: one row per vertex, one column per relabeling pass,
+	// with symbolic labels (KV, A, B, ...), '*' for safe vertices and
+	// brackets for matched ones — the presentation the paper uses to walk
+	// through its example.  Main-graph rows cover the vertices of the
+	// candidate's ball that Phase II labeled.  Verbose; intended for small
+	// runs.  Like Tracer, it sends FindParallel to the sequential matcher.
 	TraceTable io.Writer
 
 	// The Ablate* options disable individual design decisions so the
@@ -178,19 +173,6 @@ func (o *Options) cancelled() error {
 		return nil
 	}
 	return o.Cancel()
-}
-
-func (o *Options) guessDepth() int {
-	if o.MaxGuessDepth <= 0 {
-		return 64
-	}
-	return o.MaxGuessDepth
-}
-
-func (o *Options) tracef(format string, args ...any) {
-	if o.Trace != nil {
-		fmt.Fprintf(o.Trace, format+"\n", args...)
-	}
 }
 
 // Instance is one verified embedding of the pattern in the main graph.
@@ -301,10 +283,6 @@ type Matcher struct {
 	// type labels.  It captures structure only, so it survives global
 	// re-marking.
 	gCSR *csr.Graph
-
-	// wholeGraphP2 forces the whole-graph Phase II engine, the reference the
-	// region engine is tested against; only tests set it.
-	wholeGraphP2 bool
 }
 
 // CSR is a flat compressed-sparse-row view of a circuit, the representation
@@ -454,7 +432,6 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 		tr.Event(e)
 	}
 	if len(cv) == 0 {
-		m.opts.tracef("phase1: empty candidate vector, no instances")
 		if tr != nil {
 			tr.Event(trace.Event{Kind: trace.KindRunEnd})
 		}
@@ -462,7 +439,6 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 	}
 	res.Report.KeyVertex = pat.space.Name(key)
 	res.Report.KeyIsDevice = pat.space.IsDevice(key)
-	m.opts.tracef("phase1: key=%s |CV|=%d passes=%d", res.Report.KeyVertex, len(cv), res.Report.Phase1Passes)
 
 	// Phase II: verify each candidate.
 	t1 := time.Now()
@@ -470,11 +446,10 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 	if o := m.opts.Observe; o != nil {
 		p2Ref = o.Begin(obs.KindPhase2, pat.s.Name)
 	}
-	p2, err := m.newPhase2Engine(pat, key, &res.Report)
+	p2, err := newP2Region(m, pat, key, &res.Report)
 	if err != nil {
 		// The pattern references a global net absent from G: no instance
 		// can exist.
-		m.opts.tracef("phase2: %v", err)
 		res.Report.Phase2Duration = time.Since(t1)
 		if o := m.opts.Observe; o != nil {
 			o.End(p2Ref)
@@ -525,7 +500,6 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 				res.Instances = append(res.Instances, inst)
 				res.Report.Instances++
 				res.Report.MatchedDevices += len(inst.DevMap)
-				m.opts.tracef("phase2: instance #%d at %s", len(res.Instances), m.gSpace.Name(c))
 			}
 			if m.opts.Policy == NonOverlapping {
 				for _, gd := range inst.DevMap {
@@ -555,40 +529,4 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 			Instances: len(res.Instances), Candidates: res.Report.Candidates})
 	}
 	return res, nil
-}
-
-// phase2Engine is what the candidate loops of Find and FindParallel need
-// from a Phase II implementation.  Two engines satisfy it: the whole-graph
-// reference engine (phase2.go) and the region-localized engine
-// (phase2region.go); both find identical instances in identical order.
-type phase2Engine interface {
-	// verifyCandidate postulates c = image(key) and runs the Phase II
-	// search, returning a verified instance or nil.
-	verifyCandidate(key, c label.VID) *Instance
-	// cancelled reports the latched Options.Cancel error, if any fired
-	// inside the engine.
-	cancelled() error
-	// close releases pooled scratch; must be called exactly once.
-	close()
-}
-
-// newPhase2Engine picks the Phase II engine for this run: the
-// region-localized engine, unless the caller wants the step-by-step table
-// (Options.TraceTable renders whole-graph labeling state and is wired into
-// the whole-graph engine only) or a test forced the whole-graph reference.
-// key is the Phase I key vertex; the region engine derives its ball radius
-// from the pattern's eccentricity at key.
-func (m *Matcher) newPhase2Engine(pat *pattern, key label.VID, rep *stats.Report) (phase2Engine, error) {
-	if m.wholeGraphP2 || m.opts.TraceTable != nil {
-		p2, err := newPhase2(m, pat, rep)
-		if err != nil {
-			return nil, err
-		}
-		return p2, nil
-	}
-	p2, err := newP2Region(m, pat, key, rep)
-	if err != nil {
-		return nil, err
-	}
-	return p2, nil
 }

@@ -38,10 +38,28 @@ func SetIncReplayCap(f float64) (restore func()) {
 	return func() { incReplayCap = old }
 }
 
-// UseWholeGraphPhase2ForTest makes m verify candidates with the whole-graph
-// Phase II engine (phase2.go), the reference the region engine must match
-// instance for instance and in order.
-func UseWholeGraphPhase2ForTest(m *Matcher) { m.wholeGraphP2 = true }
+// SetGuessDepthForTest overrides the Phase II guess depth bound and returns
+// a restore func, so tests can make deep symmetric searches hit it.
+func SetGuessDepthForTest(n int) (restore func()) {
+	old := guessDepthLimit
+	guessDepthLimit = n
+	return func() { guessDepthLimit = old }
+}
+
+// FindPhase2RefForTest is m.Find with Phase II on the whole-graph reference
+// (phase2ref_test.go), which the region engine must match instance for
+// instance and in order.  The reference never polls Options.Cancel.
+func FindPhase2RefForTest(m *Matcher, s *graph.Circuit) (*Result, error) {
+	return findPhase2Ref(m, s)
+}
+
+// DiffTraceTablesForTest verifies every candidate of s on the region engine
+// and on the whole-graph reference with Table-1 recording on, and returns
+// the number of candidate tables compared or the first disagreement (see
+// diffTraceTables).  It sets m's TraceTable option.
+func DiffTraceTablesForTest(m *Matcher, s *graph.Circuit) (int, error) {
+	return diffTraceTables(m, s)
+}
 
 // RunPhase1ForTest runs candidate generation alone, mirroring Find's
 // global cross-marking, and returns the key vertex, candidate vector, and

@@ -119,18 +119,14 @@ var incReplayCap = 0.5
 // previous capture prev and the dirty set ds when both are usable.  It
 // returns the result plus a fresh capture for the next edit; the capture is
 // nil when the run was cancelled or when options incompatible with capture
-// were set (tracing, NonOverlapping) or a test forced the whole-graph
-// Phase II engine.
+// were set (tracing, NonOverlapping).
 // prev/ds may be nil (first run against a circuit version): the run is then
 // a full match that additionally captures.
 func (m *Matcher) FindIncremental(s *graph.Circuit, prev *IncrementalState, ds *DirtySet) (*Result, *IncrementalState, error) {
 	o := &m.opts
-	if m.wholeGraphP2 || o.Policy == NonOverlapping ||
-		o.Tracer != nil || o.TraceTable != nil || o.Trace != nil {
+	if o.Policy == NonOverlapping || o.Tracer != nil || o.TraceTable != nil {
 		// Capture-incompatible runs: NonOverlapping carries consumed state
-		// across runs, the whole-graph engine bypasses the region Phase II
-		// whose draw accounting the capture needs, and tracing sinks expect
-		// the plain event stream.
+		// across runs, and tracing sinks expect the plain event stream.
 		res, err := m.Find(s)
 		if res != nil {
 			res.Report.IncrementalMode = "legacy"
@@ -588,7 +584,7 @@ func (m *Matcher) finishIncremental(pat *pattern, p1 *phase1, key label.VID, cv 
 	if o := m.opts.Observe; o != nil {
 		p2Ref = o.Begin(obs.KindPhase2, pat.s.Name)
 	}
-	p2, err := m.newPhase2Engine(pat, key, &res.Report)
+	p2, err := newP2Region(m, pat, key, &res.Report)
 	if err != nil {
 		// The pattern references a global net absent from G: no instance
 		// can exist (same contract as Find).
@@ -601,14 +597,13 @@ func (m *Matcher) finishIncremental(pat *pattern, p1 *phase1, key label.VID, cv 
 		return res, state, nil
 	}
 	defer p2.close()
-	reg := p2.(*p2region) // the whole-graph engine was excluded up front
 
 	// The Phase II dirty ball: candidates within the pattern radius of a
 	// dirty vertex must be re-verified, everything else replays.
 	var inA []bool
 	keySame := false
 	if rc != nil {
-		inA = phase2DirtyBall(reg.g, reg.fixedGvid, rc.ds, nd, reg.radius)
+		inA = phase2DirtyBall(p2.g, p2.fixedGvid, rc.ds, nd, p2.radius)
 		// Pattern VIDs are index-derived, so a structurally identical
 		// pattern yields the same key VID; a different key changes every
 		// candidate's search even far from the edits.
@@ -643,11 +638,11 @@ func (m *Matcher) finishIncremental(pat *pattern, p1 *phase1, key label.VID, cv 
 			// Replay: advance the unique-label stream exactly as the
 			// verification would have and rebuild the instance from the
 			// captured images.
-			reg.uniq.Skip(oc.draws)
+			p2.uniq.Skip(oc.draws)
 			res.Report.Replayed++
 			inst = m.instanceFromOutcome(pat, oc)
 		} else {
-			d0 := reg.uniq.Draws()
+			d0 := p2.uniq.Draws()
 			inst = p2.verifyCandidate(key, c)
 			if err := p2.cancelled(); err != nil {
 				res.Report.CancelledAt = "phase2"
@@ -658,7 +653,7 @@ func (m *Matcher) finishIncremental(pat *pattern, p1 *phase1, key label.VID, cv 
 				return res, nil, err
 			}
 			res.Report.Recomputed++
-			oc = m.outcomeFromInstance(pat, inst, reg.uniq.Draws()-d0)
+			oc = m.outcomeFromInstance(pat, inst, p2.uniq.Draws()-d0)
 		}
 		state.outcomes[int32(c)] = oc
 		if inst == nil {

@@ -177,27 +177,6 @@ func TestMatcherReuseAndResetConsumed(t *testing.T) {
 	}
 }
 
-func TestTraceOutput(t *testing.T) {
-	g := graph.New("g")
-	vdd, gnd := railNets(g)
-	a, y := g.AddNet("a"), g.AddNet("y")
-	stdcell.INV.MustInstantiate(g, "u1", map[string]*graph.Net{"A": a, "Y": y, "VDD": vdd, "GND": gnd})
-	var buf strings.Builder
-	res, err := Find(g, stdcell.INV.Pattern(), Options{Globals: []string{"VDD", "GND"}, Trace: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Instances) != 1 {
-		t.Fatalf("found %d, want 1", len(res.Instances))
-	}
-	out := buf.String()
-	for _, want := range []string{"phase1:", "phase2:", "instance #1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestSeedsProduceSameResult(t *testing.T) {
 	g := func() *graph.Circuit {
 		c := graph.New("g")

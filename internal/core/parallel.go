@@ -34,10 +34,11 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || m.opts.Trace != nil || m.opts.Tracer != nil {
-		// Tracing interleaves arbitrarily across workers; a traced run
-		// falls back to the sequential matcher, which produces the same
-		// instances with a deterministic, ordered trace.
+	if workers == 1 || m.opts.Tracer != nil || m.opts.TraceTable != nil {
+		// Algorithm observers would interleave arbitrarily across workers
+		// (and a TraceTable writer would be written concurrently); an
+		// observed run falls back to the sequential matcher, which produces
+		// the same instances with a deterministic, ordered trace.
 		return m.Find(s)
 	}
 	if s == nil {
@@ -82,7 +83,7 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 		workers = len(cv)
 	}
 	// Pre-warm the pattern's type labels, the one matcher cache the
-	// Phase II engines write, so workers only read it; the main graph's
+	// Phase II engine writes, so workers only read it; the main graph's
 	// labels and shape come from the immutable CSR view.
 	for _, d := range pat.s.Devices {
 		m.typeLabel(d.Type)
@@ -105,7 +106,7 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 		go func(w int) {
 			defer wg.Done()
 			sh := &shards[w]
-			p2, err := m.newPhase2Engine(pat, key, &sh.report)
+			p2, err := newP2Region(m, pat, key, &sh.report)
 			if err != nil {
 				sh.err = err
 				return
@@ -172,6 +173,7 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 		res.Report.Phase2Passes += shards[w].report.Phase2Passes
 		res.Report.Guesses += shards[w].report.Guesses
 		res.Report.Backtracks += shards[w].report.Backtracks
+		res.Report.GuessLimitHits += shards[w].report.GuessLimitHits
 		res.Report.VerifyCalls += shards[w].report.VerifyCalls
 		res.Report.Candidates += shards[w].report.Candidates
 		res.Report.CandidatesMatched += shards[w].report.CandidatesMatched

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"subgemini/internal/core"
@@ -118,5 +119,32 @@ func TestFindParallelEmptyAndSingleWorker(t *testing.T) {
 	}
 	if len(res.Instances) != 0 {
 		t.Errorf("found %d FAs in an inverter chain", len(res.Instances))
+	}
+}
+
+// TestFindParallelTraceTableMatchesFind: a TraceTable writer sends
+// FindParallel to the sequential matcher, so its rendering — the Phase I
+// table included — equals Find's byte for byte, and no two workers write
+// the shared writer at once (make race runs this under the detector).
+func TestFindParallelTraceTableMatchesFind(t *testing.T) {
+	d := gen.RippleAdder(4)
+	var want, got bytes.Buffer
+	seq, err := core.Find(d.C.Clone(), stdcell.FA.Pattern(), core.Options{Globals: rails, TraceTable: &want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Report.Candidates < 2 {
+		t.Fatalf("workload has %d candidates; it needs several to reach the workers", seq.Report.Candidates)
+	}
+	m, err := core.NewMatcher(d.C.Clone(), core.Options{Globals: rails, TraceTable: &got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.FindParallel(stdcell.FA.Pattern(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("FindParallel rendered %d bytes of tables, Find %d; they differ:\n%s",
+			got.Len(), want.Len(), got.String())
 	}
 }

@@ -6,15 +6,16 @@ import (
 
 	"subgemini/internal/core"
 	"subgemini/internal/gen"
+	"subgemini/internal/gen/paperex"
 	"subgemini/internal/graph"
 	"subgemini/internal/stdcell"
 )
 
-// This file holds the differential test between the two Phase II engines:
-// the whole-graph reference engine (core.UseWholeGraphPhase2ForTest) and the
-// region-localized engine that restricts each candidate's verification to
-// the ball of vertices within the pattern's key-vertex eccentricity.  The
-// two must produce identical instances in identical order — the region
+// This file holds the differential tests between the production Phase II
+// engine, which restricts each candidate's verification to the ball of
+// vertices within the pattern's key-vertex eccentricity, and the
+// whole-graph reference (core.FindPhase2RefForTest, phase2ref_test.go).
+// The two must produce identical instances in identical order — the region
 // engine's soundness argument (every possible image of a non-fixed pattern
 // vertex lies inside the candidate's ball) plus its global-vid-tiebroken
 // partition order are exactly what this checks.
@@ -29,17 +30,16 @@ func findOrdered(t *testing.T, g, s *graph.Circuit, opts core.Options) []string 
 	return instStrings(res)
 }
 
-// findWholeGraph is findOrdered on the whole-graph Phase II engine.
+// findWholeGraph is findOrdered on the whole-graph Phase II reference.
 func findWholeGraph(t *testing.T, g, s *graph.Circuit, opts core.Options) []string {
 	t.Helper()
 	m, err := core.NewMatcher(g, opts)
 	if err != nil {
 		t.Fatalf("NewMatcher: %v", err)
 	}
-	core.UseWholeGraphPhase2ForTest(m)
-	res, err := m.Find(s)
+	res, err := core.FindPhase2RefForTest(m, s)
 	if err != nil {
-		t.Fatalf("Find: %v", err)
+		t.Fatalf("reference Find: %v", err)
 	}
 	return instStrings(res)
 }
@@ -56,8 +56,8 @@ func sameOrdered(a, b []string) bool {
 	return true
 }
 
-// TestPhase2Differential asserts the engines agree — instances and their
-// order — over a spread of fixed workloads covering global-seeded balls,
+// TestPhase2Differential asserts the engine and the reference agree —
+// instances and their order — over a spread of fixed workloads covering global-seeded balls,
 // guessing-heavy structures, port-only patterns, and the NonOverlapping
 // consume path, then over random circuits.
 func TestPhase2Differential(t *testing.T) {
@@ -94,7 +94,7 @@ func TestPhase2Differential(t *testing.T) {
 			want := findWholeGraph(t, w.g, w.s, w.opts)
 			got := findOrdered(t, w.g, w.s, w.opts)
 			if !sameOrdered(want, got) {
-				t.Errorf("legacy found %d instances, region %d (or order differs)\nlegacy: %v\nregion: %v",
+				t.Errorf("reference found %d instances, region %d (or order differs)\nreference: %v\nregion: %v",
 					len(want), len(got), want, got)
 			}
 		})
@@ -109,7 +109,7 @@ func TestPhase2Differential(t *testing.T) {
 			want := findWholeGraph(t, g, cell.Pattern(), core.Options{Globals: rails})
 			got := findOrdered(t, g, cell.Pattern(), core.Options{Globals: rails})
 			if !sameOrdered(want, got) {
-				t.Logf("seed=%d gates=%d cell=%s: legacy %d instances, region %d",
+				t.Logf("seed=%d gates=%d cell=%s: reference %d instances, region %d",
 					seed, gates, cell.Name, len(want), len(got))
 				return false
 			}
@@ -121,34 +121,26 @@ func TestPhase2Differential(t *testing.T) {
 	})
 }
 
-// TestPhase2DifferentialParallel asserts engine agreement under FindParallel
-// for several worker counts: per-worker region scratch, the shared
-// type-label cache, and the canonical instance order must all behave
-// identically across engines (exercised under -race in tier1).
+// TestPhase2DifferentialParallel asserts agreement with the reference under
+// FindParallel for several worker counts: per-worker region scratch, the
+// shared type-label cache, and the canonical instance order must all hold
+// up (exercised under -race in tier1).
 func TestPhase2DifferentialParallel(t *testing.T) {
 	g := gen.RandomLogic(600, 8, 23).C
-	runPar := func(s *graph.Circuit, workers int, legacy bool) []string {
-		t.Helper()
-		var pool core.ScratchPool
-		m, err := core.NewMatcher(g, core.Options{Globals: rails, Scratch: &pool})
-		if err != nil {
-			t.Fatalf("NewMatcher: %v", err)
-		}
-		if legacy {
-			core.UseWholeGraphPhase2ForTest(m)
-		}
-		res, err := m.FindParallel(s, workers)
-		if err != nil {
-			t.Fatalf("FindParallel: %v", err)
-		}
-		return instStrings(res)
-	}
+	var pool core.ScratchPool
 	for _, cell := range []*stdcell.CellDef{stdcell.NAND2, stdcell.FA} {
-		want := runPar(cell.Pattern(), 1, true)
+		want := findWholeGraph(t, g, cell.Pattern(), core.Options{Globals: rails})
 		for _, workers := range []int{1, 2, 4} {
-			got := runPar(cell.Pattern(), workers, false)
-			if !sameOrdered(want, got) {
-				t.Errorf("%s workers=%d: legacy %d instances, region %d (or order differs)",
+			m, err := core.NewMatcher(g, core.Options{Globals: rails, Scratch: &pool})
+			if err != nil {
+				t.Fatalf("NewMatcher: %v", err)
+			}
+			res, err := m.FindParallel(cell.Pattern(), workers)
+			if err != nil {
+				t.Fatalf("FindParallel: %v", err)
+			}
+			if got := instStrings(res); !sameOrdered(want, got) {
+				t.Errorf("%s workers=%d: reference %d instances, region %d (or order differs)",
 					cell.Name, workers, len(want), len(got))
 			}
 		}
@@ -156,8 +148,8 @@ func TestPhase2DifferentialParallel(t *testing.T) {
 }
 
 // TestPhase2DifferentialBind covers the pre-matched paths: bound ports and
-// globals become fixed seeds at the head of every ball, and both engines
-// must resolve them to the same instances.
+// globals become fixed seeds at the head of every ball, and the engine must
+// resolve them to the reference's instances.
 func TestPhase2DifferentialBind(t *testing.T) {
 	g := gen.RandomLogic(80, 5, 7).C
 	var target string
@@ -174,6 +166,44 @@ func TestPhase2DifferentialBind(t *testing.T) {
 	want := findWholeGraph(t, g, stdcell.INV.Pattern(), opts)
 	got := findOrdered(t, g, stdcell.INV.Pattern(), opts)
 	if !sameOrdered(want, got) {
-		t.Errorf("bind: legacy %v, region %v", want, got)
+		t.Errorf("bind: reference %v, region %v", want, got)
+	}
+}
+
+// TestTraceTableMatchesReference holds the Table-1 rendering, which the
+// region engine draws from region-local state, to the whole-graph
+// reference's: per candidate the same verdict, pass count and pattern rows,
+// and every main-graph row the region table shows carries the reference's
+// label value, safe bit and matched bit.  Rows only the reference shows lie
+// outside the candidate's ball (core.DiffTraceTablesForTest).
+func TestTraceTableMatchesReference(t *testing.T) {
+	cases := []struct {
+		name string
+		g, s *graph.Circuit
+		opts core.Options
+	}{
+		{"paper-example", paperex.PaperMain(), paperex.PaperPattern(), core.Options{}},
+		{"adder16-fa", gen.RippleAdder(16).C, stdcell.FA.Pattern(), core.Options{Globals: rails}},
+		{"adder16-fa-nonoverlap", gen.RippleAdder(16).C, stdcell.FA.Pattern(),
+			core.Options{Globals: rails, Policy: core.NonOverlapping}},
+		{"rand300-xor2", gen.RandomLogic(300, 8, 11).C, stdcell.XOR2.Pattern(), core.Options{Globals: rails}},
+		{"grid6-pass3", gen.SwitchGrid(6, 4).C, gen.PassChainPattern(3), core.Options{Globals: rails}},
+		{"ring68-ring4", ring("g", 68), ring("s", 4), core.Options{}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := core.NewMatcher(c.g, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := core.DiffTraceTablesForTest(m, c.s)
+			if err != nil {
+				t.Fatalf("after %d agreeing tables: %v", n, err)
+			}
+			if n == 0 {
+				t.Fatal("no candidate table was compared")
+			}
+			t.Logf("%d candidate tables agree", n)
+		})
 	}
 }

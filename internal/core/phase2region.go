@@ -11,26 +11,25 @@ import (
 	"subgemini/internal/trace"
 )
 
-// p2region is the region-localized Phase II engine.  Where the whole-graph
-// engine (phase2.go) relabels and partitions over gSpace VIDs — touching,
-// snapshotting, and resetting O(|G|)-indexed state — this engine first
-// extracts, per candidate c, the ball of main-graph vertices within the
-// pattern's key-vertex eccentricity r of c (pattern.ecc) and runs the whole
-// relabel / partition / solve / verify machinery over dense region-local
-// ids.  The localization is sound: an instance whose key image is c maps
-// every pattern vertex along a non-fixed pattern path of length <= r from
-// the key, and the image of that path is a same-length path from c through
-// non-fixed, non-consumed main-graph vertices, so every possible image lies
-// inside the ball.  Pre-matched fixed vertices (globals and bind targets)
-// are seeded at the head of every ball so their labels stay visible to
-// relabeling even though no label ever spreads through them.
+// p2region is the Phase II engine (paper §IV).  Per candidate c it first
+// extracts the ball of main-graph vertices within the pattern's key-vertex
+// eccentricity r of c (pattern.ecc) and runs the whole relabel / partition /
+// solve / verify machinery over dense region-local ids.  The localization is
+// sound: an instance whose key image is c maps every pattern vertex along a
+// non-fixed pattern path of length <= r from the key, and the image of that
+// path is a same-length path from c through non-fixed, non-consumed
+// main-graph vertices, so every possible image lies inside the ball.
+// Pre-matched fixed vertices (globals and bind targets) are seeded at the
+// head of every ball so their labels stay visible to relabeling even though
+// no label ever spreads through them.
 //
 // The payoff is per-candidate work bounded by the region, not the circuit:
 // partition scans, guess snapshots, and resets all cost O(|ball|), the CSR
 // edge walk replaces per-edge class hashing with a precomputed multiplier,
 // and a candidate whose ball cannot hold the pattern is rejected before any
-// relabeling.  The whole-graph engine (phase2.go) stays as the differential
-// oracle (TestPhase2Differential).
+// relabeling.  The whole-graph formulation of the same loop lives in the
+// tests (phase2ref_test.go) as the differential reference
+// (TestPhase2Differential, TestTraceTableMatchesReference).
 type p2region struct {
 	m   *Matcher
 	pat *pattern
@@ -44,16 +43,16 @@ type p2region struct {
 	// Flat pattern-side arrays for compatible() and relabelS, built once
 	// per engine.  The main side reads the CSR view: type labels from
 	// g.DevType, pin counts and net degrees as row lengths.  Comparing type
-	// labels stands in for the whole-graph engine's type-string
-	// comparison; a hash collision can only admit a candidate that
-	// verifyMapping, which compares the strings, then refutes.
+	// labels stands in for a type-string comparison; a hash collision can
+	// only admit a candidate that verifyMapping, which compares the
+	// strings, then refutes.
 	sPins, sNetDeg []int32
 	sWild, sPort   []bool
 	sDevLab        []label.Value
 	ablateDeg      bool
 
-	// Pattern-side state: identical layout to the whole-graph engine, but
-	// match entries hold region-local ids (unmatchedL when unmatched).
+	// Pattern-side state: match entries hold region-local ids (unmatchedL
+	// when unmatched).
 	sInitLab   []label.Value
 	sInitSafe  []bool
 	sInitMatch []int32
@@ -86,11 +85,10 @@ type p2region struct {
 	lSafeList []int32
 
 	// lTouched lists the local ids whose labels were ever written this
-	// candidate (the whole-graph engine's touched list): collectPairs scans
-	// it instead of the full ball, so a candidate refuted after labeling a
-	// ring pays for the ring, not the ball.  Like the whole-graph list it is
-	// never truncated by restore — stale entries are filtered by the exactly
-	// restored lLab/lMatch state.
+	// candidate: collectPairs scans it instead of the full ball, so a
+	// candidate refuted after labeling a ring pays for the ring, not the
+	// ball.  It is never truncated by restore — stale entries are filtered
+	// by the exactly restored lLab/lMatch state.
 	lTouched []int32
 	lInT     []bool
 
@@ -115,23 +113,48 @@ type p2region struct {
 	candsPool [][]labLocal
 	snapDepth int
 
+	// table records the last seeded candidate's passes for the Table-1
+	// rendering (Options.TraceTable); nil when no table is wanted.
+	table *tableTracer
+
 	cancelErr error
 }
 
+// unmatched marks an unmatched entry in lMatch, which holds pattern vids.
+const unmatched label.VID = -1
+
 // unmatchedL marks an unmatched entry in the region-local match arrays.
 const unmatchedL int32 = -1
+
+// p2CancelStride is how many solve passes run between Options.Cancel polls.
+// A pass does at least O(pattern) work, so the stride bounds the work
+// between polls without putting the callback on the per-pass hot path.
+const p2CancelStride = 32
+
+// guessDepthLimit bounds the guess recursion.  The bound is a safety valve:
+// circuits in practice need a handful of nested guesses at most.  A guess
+// refused at the bound abandons a branch unexplored, so each refusal counts
+// in Report.GuessLimitHits.  Variable for tests.
+var guessDepthLimit = 64
 
 // rCancelBlock is how many ball vertices a region BFS expands between
 // Options.Cancel polls, so even extracting one huge region from a
 // high-fanout circuit honors a deadline.  Variable for tests.
 var rCancelBlock = 4096
 
-// labLocal is the region-engine partition pair: a label, the local id of
-// the vertex carrying it, and that vertex's global vid.  Pairs sort by
-// (label, global vid) — see sortLocalPairs — so partition runs, and
-// therefore the guess enumeration order and the first instance found at a
-// candidate, are identical to the whole-graph engine's.  Carrying the gvid
-// in the pair (it packs into the struct's padding) keeps the sort's
+// labVID is a pattern-side partition pair: a label and the vertex carrying
+// it.
+type labVID struct {
+	lab label.Value
+	vid label.VID
+}
+
+// labLocal is the region-side partition pair: a label, the local id of the
+// vertex carrying it, and that vertex's global vid.  Pairs sort by (label,
+// global vid) — see sortLocalPairs — so partition runs, and therefore the
+// guess enumeration order and the first instance found at a candidate, do
+// not depend on the BFS order that assigned the local ids.  Carrying the
+// gvid in the pair (it packs into the struct's padding) keeps the sort's
 // tiebreak a field read instead of a ball indirection.
 type labLocal struct {
 	lab    label.Value
@@ -211,11 +234,11 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 	return p, nil
 }
 
-// initPrematch resolves the fixed vertex sets: the same name/degree
-// validation as the whole-graph engine (phase2.initPrematch), but instead
-// of writing main-graph state it records the fixed gvids, their labels, and
-// their pattern counterparts for per-ball seeding.  The iteration order
-// over pat.s.Nets fixes the seeds' local ids.
+// initPrematch pre-matches global nets by name (paper §V.A) and bound
+// ports to their targets, recording the fixed gvids, their labels, and
+// their pattern counterparts for per-ball seeding.  A pattern global or
+// bind target with no counterpart in the main graph means no instance can
+// exist.  The iteration order over pat.s.Nets fixes the seeds' local ids.
 func (p *p2region) initPrematch() error {
 	m, pat := p.m, p.pat
 	prematch := func(n *graph.Net, gn *graph.Net, lab label.Value) error {
@@ -297,7 +320,8 @@ func (p *p2region) close() {
 	p.pool, p.scr = nil, nil
 }
 
-// cancelled exposes the solve-internal cancellation latch (phase2Engine).
+// cancelled reports the Options.Cancel error latched inside the solve
+// recursion or the ball extraction, if any fired.
 func (p *p2region) cancelled() error { return p.cancelErr }
 
 // extract builds the radius-r ball around candidate c: the fixed seeds
@@ -413,7 +437,8 @@ func sizeVIDs(s []label.VID, n int) []label.VID {
 	return s[:n]
 }
 
-// consumedDev mirrors phase2.consumedDev.
+// consumedDev reports whether a main-graph vertex is a device already
+// claimed by a previous instance under the NonOverlapping policy.
 func (p *p2region) consumedDev(v label.VID) bool {
 	return p.gSpace.IsDevice(v) && p.m.consumed[v]
 }
@@ -426,7 +451,9 @@ func (p *p2region) touchL(lv int32) {
 	}
 }
 
-// match records pattern vertex sv ↔ region-local vertex lv as matched.
+// match records pattern vertex sv ↔ region-local vertex lv as matched: both
+// receive the same fresh unique label (the paper's "random, unique label"),
+// become safe, and are frozen.
 func (p *p2region) match(sv label.VID, lv int32) {
 	lab := p.uniq.Next()
 	p.sLab[sv] = lab
@@ -442,9 +469,11 @@ func (p *p2region) match(sv label.VID, lv int32) {
 	p.matched++
 }
 
-// verifyCandidate postulates c = image(key) and runs the region-local
-// Phase II search (phase2Engine).  With a Tracer installed the candidate
-// event additionally carries the extracted ball size.
+// verifyCandidate postulates c = image(key) and runs the Phase II search.
+// It returns a verified instance, or nil when c is a false candidate.  With
+// a Tracer installed, every examined candidate emits one
+// KindPhase2Candidate event carrying its outcome, cost and ball size; the
+// untraced path pays nothing.
 func (p *p2region) verifyCandidate(key, c label.VID) *Instance {
 	etr := p.m.opts.Tracer
 	if etr == nil {
@@ -452,17 +481,18 @@ func (p *p2region) verifyCandidate(key, c label.VID) *Instance {
 	}
 	start := time.Now()
 	passes0, guesses0, backtracks0 := p.rep.Phase2Passes, p.rep.Guesses, p.rep.Backtracks
-	balls0 := p.rep.RegionBallSum
+	balls0, limits0 := p.rep.RegionBallSum, p.rep.GuessLimitHits
 	inst := p.verify(key, c)
 	etr.Event(trace.Event{
-		Kind:       trace.KindPhase2Candidate,
-		Candidate:  p.gSpace.Name(c),
-		Matched:    inst != nil,
-		Passes:     p.rep.Phase2Passes - passes0,
-		Guesses:    p.rep.Guesses - guesses0,
-		Backtracks: p.rep.Backtracks - backtracks0,
-		BallSize:   p.rep.RegionBallSum - balls0,
-		DurationNS: time.Since(start).Nanoseconds(),
+		Kind:         trace.KindPhase2Candidate,
+		Candidate:    p.gSpace.Name(c),
+		Matched:      inst != nil,
+		Passes:       p.rep.Phase2Passes - passes0,
+		Guesses:      p.rep.Guesses - guesses0,
+		Backtracks:   p.rep.Backtracks - backtracks0,
+		GuessLimited: p.rep.GuessLimitHits > limits0,
+		BallSize:     p.rep.RegionBallSum - balls0,
+		DurationNS:   time.Since(start).Nanoseconds(),
 	})
 	return inst
 }
@@ -497,15 +527,46 @@ func (p *p2region) verify(key, c label.VID) *Instance {
 		return nil
 	}
 	p.reset()
-	p.match(key, p.local[c])
-	if !p.solve(0) {
-		return nil
+	if p.m.opts.TraceTable != nil {
+		p.table = newTableTracer(p.sSpace, p.gSpace, p.gSpace.Name(c))
 	}
-	return p.buildInstance()
+	p.match(key, p.local[c])
+	if p.table != nil {
+		p.snapshotTable()
+	}
+	var inst *Instance
+	if p.solve(0) {
+		inst = p.buildInstance()
+	}
+	if p.table != nil {
+		p.table.render(p.m.opts.TraceTable, inst != nil)
+	}
+	return inst
 }
 
-// solve runs the relabel / check / mark-safe / match loop over the region,
-// guessing on stalls; the cancellation protocol matches phase2.solve.
+// snapshotTable records the state after the seed match or one solve pass
+// for the Table-1 rendering.  Main-graph rows are the labeled vertices of
+// lTouched mapped through the ball; the fixed seeds never enter lTouched,
+// so, as in the paper's table, pre-matched globals get no row.
+func (p *p2region) snapshotTable() {
+	sMatched := make([]bool, len(p.sMatch))
+	for i, lv := range p.sMatch {
+		sMatched[i] = lv != unmatchedL
+	}
+	g := p.table.pass(p.sLab, p.sSafe, sMatched)
+	for _, lv := range p.lTouched {
+		if p.lLab[lv] != 0 {
+			g[label.VID(p.ball[lv])] = gCell{p.lLab[lv], p.lSafe[lv], p.lMatch[lv] != unmatched}
+		}
+	}
+}
+
+// solve runs the relabel / check / mark-safe / match loop over the region
+// until every pattern vertex is matched, guessing on stalls (paper §IV
+// algorithm VerifyImage).  Options.Cancel is polled every p2CancelStride
+// passes, at any recursion depth, so even a single pathological candidate
+// (deep symmetric guessing, the exponential-tail case) honors its deadline;
+// a cancelled solve returns false with p.cancelErr set.
 func (p *p2region) solve(depth int) bool {
 	for {
 		if p.cancelErr != nil {
@@ -520,6 +581,9 @@ func (p *p2region) solve(depth int) bool {
 		}
 		p.relabelRound()
 		progress, ok := p.partitionRound()
+		if p.table != nil {
+			p.snapshotTable()
+		}
 		if !ok {
 			return false
 		}
@@ -533,11 +597,13 @@ func (p *p2region) solve(depth int) bool {
 	}
 }
 
-// relabelRound simultaneously relabels both sides: the pattern by a full
-// scan (it is small), the region by walking the CSR edges of the safe
-// frontier.  The accumulation acc += Mul[e]*lab is bit-identical to the
-// whole-graph engine's label.Combine fold, with the per-edge class hash
-// replaced by the precomputed multiplier.
+// relabelRound simultaneously relabels, on both sides, every unmatched
+// vertex adjacent to at least one safe non-fixed vertex, accumulating
+// contributions from safe neighbors only (Label Invariant 2): the pattern
+// by a full scan (it is small), the region by walking the CSR edges of the
+// safe frontier.  The region accumulation acc += Mul[e]*lab is
+// bit-identical to the pattern side's label.Combine fold, with the
+// per-edge class hash replaced by the precomputed multiplier.
 func (p *p2region) relabelRound() {
 	p.sPendV = p.sPendV[:0]
 	p.sPendL = p.sPendL[:0]
@@ -583,7 +649,10 @@ func (p *p2region) relabelRound() {
 	}
 }
 
-// relabelS mirrors phase2.relabelS over this engine's pattern arrays.
+// relabelS computes the would-be new label of pattern vertex v and whether
+// it has a safe non-fixed neighbor (the trigger condition).  A device's
+// first label folds in its type; image devices share types, so the fold is
+// consistent across the two graphs.
 func (p *p2region) relabelS(v label.VID) (label.Value, bool) {
 	acc := p.sLab[v]
 	triggered := false
@@ -616,10 +685,10 @@ func (p *p2region) relabelS(v label.VID) (label.Value, bool) {
 	return acc, triggered
 }
 
-// relabelL computes the would-be new label of region-local vertex lv and
-// whether a safe non-fixed neighbor triggered it.  Devices and nets share
-// one CSR edge loop; devices are never fixed, so the trigger rule
-// !lFixed[ln] degenerates to the whole-graph engine's per-kind rules.
+// relabelL is relabelS on the region side; the two must apply the exact
+// same rule for Invariant 2 to hold.  Devices and nets share one CSR edge
+// loop; devices are never fixed, so the trigger rule !lFixed[ln] matches
+// relabelS's per-kind rules.
 func (p *p2region) relabelL(lv int32) (label.Value, bool) {
 	acc := p.lLab[lv]
 	gv := p.ball[lv]
@@ -641,9 +710,18 @@ func (p *p2region) relabelL(lv int32) (label.Value, bool) {
 	return acc, triggered
 }
 
-// partitionRound is the whole-graph engine's partition walk over region
-// pairs: fail when a main partition is smaller than its pattern partition,
-// safe-mark equal-sized partitions, match singletons.
+// partitionRound groups unmatched labeled vertices by label on both sides,
+// fails the candidate when a region partition is smaller than the
+// same-label pattern partition, marks equal-sized partitions safe, and
+// matches singleton pairs.  It reports whether anything progressed.
+//
+// Partitions are materialized as label-sorted pair lists walked in
+// lockstep, which is allocation-free across passes and makes the iteration
+// order (and therefore the whole run) deterministic.  Equal-sized
+// partitions are safe (paper §IV): assuming an instance exists at this
+// candidate, the region partition contains only images.  A wrong
+// assumption at a false candidate is caught later by a consistency failure
+// or by verifyMapping.
 func (p *p2region) partitionRound() (progress, ok bool) {
 	p.collectPairs()
 	si, gi := 0, 0
@@ -681,6 +759,8 @@ func (p *p2region) partitionRound() (progress, ok bool) {
 			if cs == 1 {
 				sv, lv := p.sPairs[si].vid, p.gPairs[gStart].lv
 				if !p.compatible(sv, label.VID(p.ball[lv])) {
+					// A structural impossibility surfaced by a label
+					// collision: treat as a failed candidate.
 					return false, false
 				}
 				p.match(sv, lv)
@@ -695,7 +775,7 @@ func (p *p2region) partitionRound() (progress, ok bool) {
 // collectPairs rebuilds the sorted (label, vertex) pair lists.  The region
 // side iterates the touched list — every ever-labeled vertex is in it —
 // keeps only pairs whose label also occurs on the pattern side, and sorts
-// with the global-vid tiebreak so run order matches the whole-graph engine.
+// with the global-vid tiebreak so run order follows vertex order.
 //
 // The pattern-label filter is sound because no consumer ever looks at a
 // g-only run: the partition merge walk skips past labels absent from
@@ -744,11 +824,35 @@ func labIn(set []label.Value, lab label.Value) bool {
 	return lo < len(set) && set[lo] == lab
 }
 
+// sortPairs orders by label, then vid.  Pair lists are small (on the order
+// of the pattern size), so a shell sort beats the allocation cost of
+// sort.Slice here.
+func sortPairs(a []labVID) {
+	for gap := len(a) / 2; gap > 0; gap /= 2 {
+		for i := gap; i < len(a); i++ {
+			v := a[i]
+			j := i
+			for j >= gap && less(v, a[j-gap]) {
+				a[j] = a[j-gap]
+				j -= gap
+			}
+			a[j] = v
+		}
+	}
+}
+
+func less(x, y labVID) bool {
+	if x.lab != y.lab {
+		return x.lab < y.lab
+	}
+	return x.vid < y.vid
+}
+
 // sortLocalPairs shell-sorts region pairs by (label, global vid).  Local
 // ids follow BFS discovery order, not vid order, so the tiebreak goes
-// through the pair's gv field to reproduce the whole-graph engine's
-// deterministic run order; the comparison is written out inline because
-// this sort runs once per pass per candidate.
+// through the pair's gv field to keep run order independent of the BFS;
+// the comparison is written out inline because this sort runs once per
+// pass per candidate.
 func sortLocalPairs(a []labLocal) {
 	for gap := len(a) / 2; gap > 0; gap /= 2 {
 		for i := gap; i < len(a); i++ {
@@ -782,9 +886,14 @@ func (p *p2region) gRun(lab label.Value) []labLocal {
 	return p.gPairs[start:lo]
 }
 
-// compatible mirrors phase2.compatible — structural plausibility of
-// mapping pattern vertex sv to main-graph vertex gv — over the flat
-// pattern arrays and the CSR view instead of the vertex objects.
+// compatible reports whether matching sv to main-graph vertex gv is
+// structurally plausible: device types and arities must agree, and net
+// degrees must satisfy the image conditions (equal for internal pattern
+// nets — the induced-subgraph requirement — and at least as large for
+// ports).  Phase II labels carry no degree information, so checking here
+// prunes false paths that would otherwise be discovered only by the final
+// verification; the check is sound because every true image satisfies it
+// by definition.
 func (p *p2region) compatible(sv, gv label.VID) bool {
 	if p.sSpace.IsDevice(sv) != p.gSpace.IsDevice(gv) {
 		return false
@@ -806,11 +915,13 @@ func (p *p2region) compatible(sv, gv label.VID) bool {
 	return gdeg == p.sNetDeg[sv]
 }
 
-// guess mirrors phase2.guess over region pairs, with the candidate list
-// buffer recycled by depth so steady-state guessing does not allocate.
+// guess resolves a stall (paper Fig. 5): pick the unmatched pattern vertex
+// whose label has the smallest region partition and try each member in
+// turn, backtracking on failure.  The candidate list buffer is recycled by
+// depth so steady-state guessing does not allocate.
 func (p *p2region) guess(depth int) bool {
-	if depth >= p.m.opts.guessDepth() {
-		p.m.opts.tracef("phase2: guess depth limit %d reached", depth)
+	if depth >= guessDepthLimit {
+		p.rep.GuessLimitHits++
 		return false
 	}
 	var bestS label.VID = -1
@@ -822,13 +933,15 @@ func (p *p2region) guess(depth int) bool {
 		}
 		size := len(p.gRun(p.sLab[vid]))
 		if size == 0 {
-			return false
+			return false // an unmatched pattern vertex with no possible image
 		}
 		if bestS < 0 || size < bestSize {
 			bestS, bestSize = vid, size
 		}
 	}
 	if bestS < 0 {
+		// Nothing left to guess but not everything matched: the pattern has
+		// unlabeled vertices, which cannot happen for connected patterns.
 		return false
 	}
 	for depth >= len(p.candsPool) {
@@ -852,6 +965,8 @@ func (p *p2region) guess(depth int) bool {
 		p.restore(snap)
 		p.release()
 		if p.cancelErr != nil {
+			// The failed solve was a cancellation, not a refutation: stop
+			// trying alternatives and unwind the whole recursion.
 			return false
 		}
 	}
@@ -905,11 +1020,22 @@ func (p *p2region) restore(sn *rsnapshot) {
 	p.matched = sn.matched
 }
 
-// verifyMapping checks the completed match edge-by-edge, in region-local
-// terms; the rules are exactly verify.go's.
+// verifyMapping checks the completed match edge-by-edge (the paper's
+// "verify the isomorphism mapping" step).  Labels only approximate exact
+// partitions, so this check is what makes the matcher sound: it confirms
+//
+//   - the device and net maps are injective;
+//   - every device maps to one of equal type with, per terminal class, the
+//     exact multiset of image nets (source/drain interchange allowed within
+//     a class, nothing else);
+//   - every internal pattern net maps to a net of equal degree (induced
+//     subgraph: internal nets may not connect outside the instance);
+//   - every port maps to a net of at least its degree;
+//   - every global maps to the identically named global.
 func (p *p2region) verifyMapping() bool {
 	// Injectivity over local ids (each local id names one main-graph
-	// vertex, so local injectivity is global injectivity).
+	// vertex, so local injectivity is global injectivity), tracked with
+	// the reusable round-marker array.
 	p.markID++
 	for _, d := range p.pat.s.Devices {
 		lv := p.sMatch[p.sSpace.DevVID(d)]
@@ -961,7 +1087,11 @@ func (p *p2region) verifyMapping() bool {
 	return true
 }
 
-// pinsAgree mirrors phase2.pinsAgree with the local-to-global translation.
+// pinsAgree checks that, for every terminal class, the multiset of image
+// nets of d's pins equals the multiset of nets of gd's pins.  Devices have
+// a handful of pins, so a stack-allocated insertion sort avoids the
+// allocation and closure cost of sort.Slice in this hot path (it runs once
+// per device per verified instance).
 func (p *p2region) pinsAgree(d, gd *graph.Device) bool {
 	var sBuf, gBuf [16]uint64
 	nPins := len(d.Pins)
@@ -988,6 +1118,18 @@ func (p *p2region) pinsAgree(d, gd *graph.Device) bool {
 		}
 	}
 	return true
+}
+
+func insertionSort(a []uint64) {
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i - 1
+		for j >= 0 && a[j] > v {
+			a[j+1] = a[j]
+			j--
+		}
+		a[j+1] = v
+	}
 }
 
 // buildInstance converts the local match arrays into an Instance.

@@ -6,75 +6,16 @@ import (
 	"subgemini/internal/label"
 )
 
-// ScratchPool recycles the O(|G|) main-graph arrays of Phase II
-// verification state across matching runs.  Phase II already resets only
-// the vertices a candidate touched; the pool extends that economy across
-// runs, so a long-lived caller (subgeminid serving a resident circuit) no
-// longer pays six main-graph-sized allocations per request.  The zero
+// ScratchPool recycles the Phase II engine's state across matching runs:
+// one O(|G|) translation array plus the ball-sized per-candidate arrays,
+// whose capacities grow to the largest region a circuit produces and then
+// stay flat.  A long-lived caller (subgeminid serving a resident circuit)
+// then no longer pays main-graph-sized allocations per request.  The zero
 // value is ready to use, and one pool may serve any number of concurrent
 // matchers over the same circuit.  Install it via Options.Scratch.
 type ScratchPool struct {
 	pool sync.Pool
-
-	// rpool recycles the region-localized Phase II engine's state (see
-	// phase2region.go): one O(|G|) translation array plus the ball-sized
-	// per-candidate arrays, whose capacities grow to the largest region a
-	// circuit produces and then stay flat.
-	rpool sync.Pool
 }
-
-// gscratch bundles the main-graph-sized Phase II state.  A scratch in the
-// pool is clean: gLab zero, gSafe/inTouched/fixedG false, gMatch all
-// unmatched, and every mark entry <= markID.  phase2.close restores this
-// invariant before returning a scratch, which costs O(touched), not O(|G|).
-type gscratch struct {
-	gLab      []label.Value
-	gSafe     []bool
-	gMatch    []label.VID
-	inTouched []bool
-	mark      []uint32
-	fixedG    []bool
-	markID    uint32
-
-	// Dynamic per-run slices, kept for their grown capacity.
-	touched   []label.VID
-	gSafeList []label.VID
-	gPendV    []label.VID
-	gPendL    []label.Value
-	gPairs    []labVID
-}
-
-// get returns a clean scratch for a main graph of gn vertices.  A pooled
-// scratch of a different size (the resident circuit was swapped) is
-// discarded and a fresh one allocated.
-func (sp *ScratchPool) get(gn int) *gscratch {
-	if v := sp.pool.Get(); v != nil {
-		s := v.(*gscratch)
-		if len(s.gLab) == gn {
-			if s.markID >= 1<<31 {
-				// Round marks rely on markID strictly increasing within
-				// one scratch; restart well before uint32 wraps around.
-				clear(s.mark)
-				s.markID = 0
-			}
-			return s
-		}
-	}
-	s := &gscratch{
-		gLab:      make([]label.Value, gn),
-		gSafe:     make([]bool, gn),
-		gMatch:    make([]label.VID, gn),
-		inTouched: make([]bool, gn),
-		mark:      make([]uint32, gn),
-		fixedG:    make([]bool, gn),
-	}
-	for i := range s.gMatch {
-		s.gMatch[i] = unmatched
-	}
-	return s
-}
-
-func (sp *ScratchPool) put(s *gscratch) { sp.pool.Put(s) }
 
 // rscratch bundles the region engine's reusable state.  A scratch in the
 // pool is clean: every local entry is -1 and every mark entry <= markID.
@@ -106,7 +47,7 @@ type rscratch struct {
 
 // getRegion returns a clean region scratch for a main graph of gn vertices.
 func (sp *ScratchPool) getRegion(gn int) *rscratch {
-	if v := sp.rpool.Get(); v != nil {
+	if v := sp.pool.Get(); v != nil {
 		s := v.(*rscratch)
 		if len(s.local) == gn {
 			if s.markID >= 1<<31 {
@@ -126,4 +67,4 @@ func (sp *ScratchPool) getRegion(gn int) *rscratch {
 	return s
 }
 
-func (sp *ScratchPool) putRegion(s *rscratch) { sp.rpool.Put(s) }
+func (sp *ScratchPool) putRegion(s *rscratch) { sp.pool.Put(s) }

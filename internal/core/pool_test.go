@@ -12,8 +12,8 @@ import (
 // results: repeated Finds that recycle Phase II scratch across different
 // patterns (different prematch sets, different touched footprints) return
 // exactly what fresh-allocating Finds return.  This exercises the
-// clean-state invariant phase2.close() maintains — a stale gLab/gMatch/
-// fixedG entry from a previous run would corrupt a later candidate walk.
+// clean-state invariant p2region.close() maintains — a stale local or mark
+// entry from a previous run would corrupt a later candidate's ball.
 func TestScratchPoolReuse(t *testing.T) {
 	d := gen.RandomLogic(60, 7, 3)
 	cells := []*stdcell.CellDef{stdcell.INV, stdcell.NAND2, stdcell.NOR2, stdcell.FA, stdcell.DFF}
@@ -49,7 +49,7 @@ func TestScratchPoolReuse(t *testing.T) {
 		}
 	}
 
-	// Bind forces the prematch path (fixedGList cleanup in close()).
+	// Bind forces the prematch path (fixed seeds at the head of every ball).
 	target := d.C.Nets[5].Name
 	want := run(core.Options{Bind: map[string]string{"A": target}}, stdcell.INV)
 	got := run(core.Options{Bind: map[string]string{"A": target}, Scratch: &pool}, stdcell.INV)

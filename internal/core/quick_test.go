@@ -17,8 +17,9 @@ import (
 // arbitrary random circuits, SubGemini and the exhaustive DFS matcher find
 // exactly the same instance sets, for every prime pattern.  The baseline
 // shares no labeling code with the engines, so each configuration — the
-// sequential matcher, FindParallel, and the whole-graph Phase II reference —
-// is checked against it independently rather than only against each other.
+// sequential matcher, FindParallel, and the whole-graph Phase II reference
+// (phase2ref_test.go) — is checked against it independently rather than
+// only against each other.
 func TestQuickCoreEqualsBaseline(t *testing.T) {
 	patterns := []*stdcell.CellDef{stdcell.INV, stdcell.NAND2, stdcell.NOR2, stdcell.XOR2, stdcell.AOI21, stdcell.MUX2}
 	engines := []struct {
@@ -27,10 +28,7 @@ func TestQuickCoreEqualsBaseline(t *testing.T) {
 	}{
 		{"find", (*core.Matcher).Find},
 		{"parallel2", func(m *core.Matcher, s *graph.Circuit) (*core.Result, error) { return m.FindParallel(s, 2) }},
-		{"whole-graph", func(m *core.Matcher, s *graph.Circuit) (*core.Result, error) {
-			core.UseWholeGraphPhase2ForTest(m)
-			return m.Find(s)
-		}},
+		{"phase2-ref", core.FindPhase2RefForTest},
 	}
 	prop := func(seed int64, nGates uint8) bool {
 		d := gen.RandomLogic(10+int(nGates%30), 5, seed)

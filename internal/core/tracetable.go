@@ -13,14 +13,14 @@ import (
 // per vertex, one column per Phase II relabeling pass, cells showing
 // symbolic labels (KV for the key pair's label, then A, B, C, ... in order
 // of first appearance).  A '*' marks a safe vertex and brackets mark a
-// matched one, mirroring the paper's boldface and boxes.
+// matched one, mirroring the paper's boldface and boxes.  Main-graph rows
+// are keyed by global vid, so an engine that works over region-local ids
+// renders the same rows as one working over the whole graph.
 type tableTracer struct {
-	p         *phase2
-	candidate string
+	sSpace, gSpace *label.Space
+	candidate      string
 
 	passes  []passSnap
-	gSeen   map[label.VID]bool
-	gOrder  []label.VID
 	symbols map[label.Value]string
 }
 
@@ -28,47 +28,36 @@ type passSnap struct {
 	sLab   []label.Value
 	sSafe  []bool
 	sMatch []bool
-	gLab   map[label.VID]label.Value
-	gSafe  map[label.VID]bool
-	gMatch map[label.VID]bool
+	g      map[label.VID]gCell // labeled main-graph vertices
 }
 
-func newTableTracer(p *phase2, candidate string) *tableTracer {
+// gCell is one main-graph vertex's state after a pass.
+type gCell struct {
+	lab           label.Value
+	safe, matched bool
+}
+
+func newTableTracer(sSpace, gSpace *label.Space, candidate string) *tableTracer {
 	return &tableTracer{
-		p:         p,
+		sSpace:    sSpace,
+		gSpace:    gSpace,
 		candidate: candidate,
-		gSeen:     map[label.VID]bool{},
 		symbols:   map[label.Value]string{},
 	}
 }
 
-// snapshot records the state after one relabel/partition pass.
-func (t *tableTracer) snapshot() {
-	p := t.p
-	sn := passSnap{
-		sLab:   append([]label.Value(nil), p.sLab...),
-		sSafe:  append([]bool(nil), p.sSafe...),
-		sMatch: make([]bool, len(p.sMatch)),
-		gLab:   map[label.VID]label.Value{},
-		gSafe:  map[label.VID]bool{},
-		gMatch: map[label.VID]bool{},
-	}
-	for i, m := range p.sMatch {
-		sn.sMatch[i] = m != unmatched
-	}
-	for _, v := range p.touched {
-		if p.gLab[v] == 0 {
-			continue
-		}
-		if !t.gSeen[v] {
-			t.gSeen[v] = true
-			t.gOrder = append(t.gOrder, v)
-		}
-		sn.gLab[v] = p.gLab[v]
-		sn.gSafe[v] = p.gSafe[v]
-		sn.gMatch[v] = p.gMatch[v] != unmatched
-	}
-	t.passes = append(t.passes, sn)
+// pass records the pattern side after one relabel/partition pass, copying
+// sLab and sSafe and taking ownership of sMatched, and returns the pass's
+// main-graph map for the engine to fill with its labeled vertices.
+func (t *tableTracer) pass(sLab []label.Value, sSafe, sMatched []bool) map[label.VID]gCell {
+	g := map[label.VID]gCell{}
+	t.passes = append(t.passes, passSnap{
+		sLab:   append([]label.Value(nil), sLab...),
+		sSafe:  append([]bool(nil), sSafe...),
+		sMatch: sMatched,
+		g:      g,
+	})
+	return g
 }
 
 // symbol assigns stable single-letter names in order of first appearance;
@@ -112,13 +101,18 @@ func (t *tableTracer) cell(lab label.Value, safe, matched bool) string {
 }
 
 // render writes the two per-pass tables (pattern then main graph), in the
-// style of the paper's Table 1.
-func (t *tableTracer) render(w io.Writer, verdict string) {
+// style of the paper's Table 1.  A main-graph vertex gets a row once any
+// pass has labeled it.
+func (t *tableTracer) render(w io.Writer, matched bool) {
 	// Pre-assign symbols in pass/vertex order so naming is stable.
 	for _, sn := range t.passes {
 		for v := 0; v < len(sn.sLab); v++ {
 			t.symbol(sn.sLab[v])
 		}
+	}
+	verdict := "no match"
+	if matched {
+		verdict = "MATCH"
 	}
 	fmt.Fprintf(w, "Phase II trace for candidate %s (%s, %d passes)\n", t.candidate, verdict, len(t.passes))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -126,35 +120,36 @@ func (t *tableTracer) render(w io.Writer, verdict string) {
 	for i := range t.passes {
 		header += fmt.Sprintf("\tpass %d", i+1)
 	}
-	writeSide := func(title string, rows []label.VID, sSide bool) {
-		fmt.Fprintf(tw, "-- %s --%s\n", title, dashes(len(t.passes)))
-		fmt.Fprintln(tw, header)
-		for _, v := range rows {
-			var name string
-			if sSide {
-				name = t.p.sSpace.Name(v)
-			} else {
-				name = t.p.gSpace.Name(v)
+	fmt.Fprintf(tw, "-- pattern S --%s\n", dashes(len(t.passes)))
+	fmt.Fprintln(tw, header)
+	for v := 0; v < t.sSpace.Size(); v++ {
+		line := t.sSpace.Name(label.VID(v))
+		for _, sn := range t.passes {
+			line += "\t" + t.cell(sn.sLab[v], sn.sSafe[v], sn.sMatch[v])
+		}
+		fmt.Fprintln(tw, line)
+	}
+	seen := map[label.VID]bool{}
+	var gRows []label.VID
+	for _, sn := range t.passes {
+		for v := range sn.g {
+			if !seen[v] {
+				seen[v] = true
+				gRows = append(gRows, v)
 			}
-			line := name
-			for _, sn := range t.passes {
-				if sSide {
-					line += "\t" + t.cell(sn.sLab[v], sn.sSafe[v], sn.sMatch[v])
-				} else {
-					line += "\t" + t.cell(sn.gLab[v], sn.gSafe[v], sn.gMatch[v])
-				}
-			}
-			fmt.Fprintln(tw, line)
 		}
 	}
-	sRows := make([]label.VID, t.p.sSpace.Size())
-	for i := range sRows {
-		sRows[i] = label.VID(i)
-	}
-	writeSide("pattern S", sRows, true)
-	gRows := append([]label.VID(nil), t.gOrder...)
 	sort.Slice(gRows, func(i, j int) bool { return gRows[i] < gRows[j] })
-	writeSide("main graph G (touched vertices)", gRows, false)
+	fmt.Fprintf(tw, "-- main graph G (touched vertices) --%s\n", dashes(len(t.passes)))
+	fmt.Fprintln(tw, header)
+	for _, v := range gRows {
+		line := t.gSpace.Name(v)
+		for _, sn := range t.passes {
+			c := sn.g[v]
+			line += "\t" + t.cell(c.lab, c.safe, c.matched)
+		}
+		fmt.Fprintln(tw, line)
+	}
 	tw.Flush()
 	fmt.Fprintln(w)
 }

@@ -51,7 +51,7 @@ func TestTraceTablePaperExample(t *testing.T) {
 // TestTraceTableSymbols checks the symbol assignment: KV first, then
 // letters A..Z, then AA-style names, all stable per value.
 func TestTraceTableSymbols(t *testing.T) {
-	tr := newTableTracer(nil, "c")
+	tr := newTableTracer(nil, nil, "c")
 	if got := tr.symbol(label.Value(0)); got != "" {
 		t.Errorf("symbol(0) = %q, want empty", got)
 	}

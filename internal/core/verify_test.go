@@ -33,10 +33,11 @@ func TestGlobalsBakedInPatternPropagate(t *testing.T) {
 	}
 }
 
-// setupVerify runs one successful candidate verification and hands back the
-// live phase2 state so the tests below can corrupt it and check that
-// verifyMapping refuses.
-func setupVerify(t *testing.T) (*phase2, *graph.Circuit, *graph.Circuit) {
+// setupVerify runs one successful candidate verification on the Phase II
+// engine and hands back its live state so the tests below can corrupt it
+// and check that verifyMapping refuses.  sMatch holds region-local ids;
+// the candidate's ball stays extracted, so local translates gvids.
+func setupVerify(t *testing.T) (*p2region, *graph.Circuit, *graph.Circuit) {
 	t.Helper()
 	g := graph.New("g")
 	vdd, gnd := g.AddNet("VDD"), g.AddNet("GND")
@@ -63,7 +64,7 @@ func setupVerify(t *testing.T) (*phase2, *graph.Circuit, *graph.Circuit) {
 	if len(cv) == 0 {
 		t.Fatal("no candidates")
 	}
-	p2, err := newPhase2(m, pat, &rep.Report)
+	p2, err := newP2Region(m, pat, key, &rep.Report)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestVerifyMappingRejectsTypeMismatch(t *testing.T) {
 
 func TestVerifyMappingRejectsUnmatchedVertex(t *testing.T) {
 	p2, _, s := setupVerify(t)
-	p2.sMatch[p2.sSpace.DevVID(s.Devices[0])] = unmatched
+	p2.sMatch[p2.sSpace.DevVID(s.Devices[0])] = unmatchedL
 	if p2.verifyMapping() {
 		t.Error("mapping with an unmatched device accepted")
 	}
@@ -120,7 +121,7 @@ func TestVerifyMappingRejectsUnmatchedVertex(t *testing.T) {
 			internal = n
 		}
 	}
-	p2b.sMatch[p2b.sSpace.NetVID(internal)] = unmatched
+	p2b.sMatch[p2b.sSpace.NetVID(internal)] = unmatchedL
 	if p2b.verifyMapping() {
 		t.Error("mapping with an unmatched net accepted")
 	}
@@ -136,7 +137,11 @@ func TestVerifyMappingRejectsWrongNetImage(t *testing.T) {
 			internal = n
 		}
 	}
-	p2.sMatch[p2.sSpace.NetVID(internal)] = p2.gSpace.NetVID(g.NetByName("a"))
+	a := p2.local[p2.gSpace.NetVID(g.NetByName("a"))]
+	if a < 0 {
+		t.Fatal("net a lies outside the candidate's ball")
+	}
+	p2.sMatch[p2.sSpace.NetVID(internal)] = a
 	if p2.verifyMapping() {
 		t.Error("wrong internal-net image accepted")
 	}

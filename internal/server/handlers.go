@@ -67,8 +67,8 @@ type StatsJSON struct {
 	Phase1Micros   int64  `json:"phase1_us"`
 	Phase2Micros   int64  `json:"phase2_us"`
 
-	// Region-localized Phase II engine instrumentation; zero/omitted when
-	// the whole-graph engine ran.
+	// Phase II candidate-region instrumentation; omitted when no ball was
+	// extracted.
 	RegionRadius   int `json:"region_radius,omitempty"`
 	RegionMaxSize  int `json:"region_max_size,omitempty"`
 	RegionVertices int `json:"region_vertices,omitempty"`

@@ -45,6 +45,7 @@ func (t *patternTotals) add(r *Report) {
 	t.sum.Phase2Passes += r.Phase2Passes
 	t.sum.Guesses += r.Guesses
 	t.sum.Backtracks += r.Backtracks
+	t.sum.GuessLimitHits += r.GuessLimitHits
 	t.sum.VerifyCalls += r.VerifyCalls
 	t.sum.Phase2Duration += r.Phase2Duration
 	t.sum.Instances += r.Instances
@@ -79,6 +80,7 @@ func (a *Aggregate) AddPattern(pattern string, r *Report) {
 	a.sum.Phase2Passes += r.Phase2Passes
 	a.sum.Guesses += r.Guesses
 	a.sum.Backtracks += r.Backtracks
+	a.sum.GuessLimitHits += r.GuessLimitHits
 	a.sum.VerifyCalls += r.VerifyCalls
 	a.sum.Phase2Duration += r.Phase2Duration
 	a.sum.Instances += r.Instances

@@ -11,7 +11,7 @@ func TestAggregateSums(t *testing.T) {
 	a.Add(&Report{
 		Phase1Passes: 3, Phase1Duration: 2 * time.Millisecond, CVSize: 5,
 		Candidates: 5, Phase2Passes: 7, Guesses: 2, Backtracks: 1,
-		VerifyCalls: 4, Phase2Duration: 3 * time.Millisecond,
+		GuessLimitHits: 1, VerifyCalls: 4, Phase2Duration: 3 * time.Millisecond,
 		Instances: 4, MatchedDevices: 16,
 		KeyVertex: "n1", EarlyAbort: false,
 	})
@@ -27,7 +27,7 @@ func TestAggregateSums(t *testing.T) {
 		t.Errorf("EarlyAborts = %d, want 1", s.EarlyAborts)
 	}
 	if s.Sum.Phase1Passes != 4 || s.Sum.Phase2Passes != 7 || s.Sum.Guesses != 2 ||
-		s.Sum.Backtracks != 1 || s.Sum.VerifyCalls != 4 || s.Sum.Candidates != 5 ||
+		s.Sum.Backtracks != 1 || s.Sum.GuessLimitHits != 1 || s.Sum.VerifyCalls != 4 || s.Sum.Candidates != 5 ||
 		s.Sum.CVSize != 5 || s.Sum.Instances != 4 || s.Sum.MatchedDevices != 16 {
 		t.Errorf("bad counter sums: %+v", s.Sum)
 	}

@@ -33,13 +33,14 @@ type Report struct {
 	Phase2Passes      int           // relabeling passes across all candidates
 	Guesses           int           // ambiguity resolutions attempted
 	Backtracks        int           // guesses that failed and were undone
+	GuessLimitHits    int           // guesses refused at the depth bound; each abandons a branch unexplored, so an instance may be missed
 	VerifyCalls       int           // full mapping verifications performed
 	Phase2Duration    time.Duration // wall-clock spent in Phase II
 
-	// Region-localized Phase II engine (zero when the whole-graph engine
-	// ran).  RegionBallSum accumulates the extracted ball sizes across all
-	// candidates, so RegionBallSum/Candidates approximates the average
-	// per-candidate working set; RegionMaxSize is the largest single ball.
+	// Phase II candidate regions.  RegionBallSum accumulates the extracted
+	// ball sizes across all candidates, so RegionBallSum/Candidates
+	// approximates the average per-candidate working set; RegionMaxSize is
+	// the largest single ball.
 	RegionRadius  int // pattern eccentricity from the key vertex
 	RegionMaxSize int // largest candidate ball extracted
 	RegionBallSum int // total ball vertices across all candidates
@@ -72,7 +73,7 @@ type Report struct {
 func (r *Report) Total() time.Duration { return r.Phase1Duration + r.Phase2Duration }
 
 // RegionAvgSize returns the mean candidate ball size of the run, or zero
-// when the region engine did not run.
+// when no ball was extracted.
 func (r *Report) RegionAvgSize() float64 {
 	if r.RegionBallSum == 0 || r.Candidates == 0 {
 		return 0
@@ -87,6 +88,9 @@ func (r *Report) String() string {
 		r.Instances, r.MatchedDevices, r.CVSize, r.KeyVertex,
 		r.Phase1Passes, r.Phase2Passes, r.Guesses, r.Backtracks,
 		r.Phase1Duration.Round(time.Microsecond), r.Phase2Duration.Round(time.Microsecond))
+	if r.GuessLimitHits > 0 {
+		s += fmt.Sprintf(" guessLimitHits=%d", r.GuessLimitHits)
+	}
 	if r.RegionBallSum > 0 {
 		s += fmt.Sprintf(" regionR=%d regionAvg=%.0f regionMax=%d",
 			r.RegionRadius, r.RegionAvgSize(), r.RegionMaxSize)

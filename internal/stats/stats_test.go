@@ -28,4 +28,11 @@ func TestString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
 	}
+	if strings.Contains(s, "guessLimitHits") {
+		t.Errorf("String() = %q reports guess-limit hits for a run without any", s)
+	}
+	r.GuessLimitHits = 3
+	if s := r.String(); !strings.Contains(s, "guessLimitHits=3") {
+		t.Errorf("String() = %q missing guessLimitHits=3", s)
+	}
 }

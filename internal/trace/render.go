@@ -86,8 +86,11 @@ func (r *renderer) flushPhase2() {
 	fmt.Fprintln(tw, "candidate\toutcome\tpasses\tguesses\tbacktracks\ttime")
 	for _, e := range r.cands {
 		outcome := "no match"
-		if e.Matched {
+		switch {
+		case e.Matched:
 			outcome = "MATCH"
+		case e.GuessLimited:
+			outcome = "guess limit"
 		}
 		// Durations are "-" when absent — docgen strips them so generated
 		// documentation tables stay byte-for-byte reproducible.

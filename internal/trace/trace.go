@@ -51,8 +51,10 @@ const (
 	KindCandidateVector Kind = "candidate_vector"
 	// KindPhase2Candidate records one Phase II candidate verification:
 	// Candidate names the postulated image of the key vertex, Matched says
-	// whether a verified instance was built, and Passes/Guesses/Backtracks/
-	// DurationNS give the effort the candidate cost.
+	// whether a verified instance was built, Passes/Guesses/Backtracks/
+	// BallSize/DurationNS give the effort the candidate cost, and
+	// GuessLimited says the search refused a guess at the depth bound, so
+	// a refuted candidate may hide an instance.
 	KindPhase2Candidate Kind = "phase2_candidate"
 	// KindRunEnd closes a run: Instances found and Candidates examined.
 	KindRunEnd Kind = "run_end"
@@ -94,13 +96,14 @@ type Event struct {
 	CVSize      int    `json:"cv_size,omitempty"`
 
 	// KindPhase2Candidate.
-	Candidate  string `json:"candidate,omitempty"`
-	Matched    bool   `json:"matched,omitempty"`
-	Passes     int    `json:"passes,omitempty"`
-	Guesses    int    `json:"guesses,omitempty"`
-	Backtracks int    `json:"backtracks,omitempty"`
-	BallSize   int    `json:"ball_size,omitempty"` // region engine: extracted ball vertices
-	DurationNS int64  `json:"duration_ns,omitempty"`
+	Candidate    string `json:"candidate,omitempty"`
+	Matched      bool   `json:"matched,omitempty"`
+	Passes       int    `json:"passes,omitempty"`
+	Guesses      int    `json:"guesses,omitempty"`
+	Backtracks   int    `json:"backtracks,omitempty"`
+	GuessLimited bool   `json:"guess_limited,omitempty"`
+	BallSize     int    `json:"ball_size,omitempty"` // extracted ball vertices
+	DurationNS   int64  `json:"duration_ns,omitempty"`
 
 	// KindRunEnd.
 	Instances  int `json:"instances,omitempty"`

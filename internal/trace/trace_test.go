@@ -60,7 +60,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Kind: KindCandidateVector, KeyVertex: "N4", CVSize: 2},
 		{Kind: KindPhase2Candidate, Candidate: "N13", Passes: 4, Backtracks: 1, DurationNS: 1500},
 		{Kind: KindPhase2Candidate, Candidate: "N14", Matched: true, Passes: 7, DurationNS: 2500},
-		{Kind: KindRunEnd, Instances: 1, Candidates: 2},
+		{Kind: KindPhase2Candidate, Candidate: "N15", Passes: 9, Guesses: 3, GuessLimited: true, BallSize: 12},
+		{Kind: KindRunEnd, Instances: 1, Candidates: 3},
 	}
 	for _, e := range in {
 		w.Event(e)
@@ -127,7 +128,8 @@ func TestRenderTables(t *testing.T) {
 		{Kind: KindCandidateVector, KeyVertex: "N4", CVSize: 2},
 		{Kind: KindPhase2Candidate, Candidate: "N13", Passes: 4},
 		{Kind: KindPhase2Candidate, Candidate: "N14", Matched: true, Passes: 7, Guesses: 1, DurationNS: 3000},
-		{Kind: KindRunEnd, Instances: 1, Candidates: 2},
+		{Kind: KindPhase2Candidate, Candidate: "N15", Passes: 9, Guesses: 3, GuessLimited: true},
+		{Kind: KindRunEnd, Instances: 1, Candidates: 3},
 	}
 	if err := Render(&buf, events); err != nil {
 		t.Fatal(err)
@@ -139,8 +141,8 @@ func TestRenderTables(t *testing.T) {
 		"S valid", "S partitions", "G pruned",
 		"key vertex N4 (net), |CV| = 2",
 		"Phase II candidates:",
-		"N13", "no match", "N14", "MATCH",
-		"run end: 1 instance(s) from 2 candidate(s)",
+		"N13", "no match", "N14", "MATCH", "N15", "guess limit",
+		"run end: 1 instance(s) from 3 candidate(s)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)

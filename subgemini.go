@@ -119,8 +119,9 @@ func NewMatcher(g *Circuit, opts Options) (*Matcher, error) { return core.NewMat
 // FindParallel is Find with candidate verification fanned out over the
 // given number of workers (0 = GOMAXPROCS).  MatchAll policy only; results
 // equal Find's up to a canonicalized instance order.  When Options.Tracer
-// is set it falls back to the sequential Find so the event stream keeps
-// its deterministic candidate order.
+// or Options.TraceTable is set it falls back to the sequential Find, so
+// the event stream and the tables keep their deterministic candidate
+// order and no writer is shared between workers.
 func FindParallel(g, s *Circuit, opts Options, workers int) (*Result, error) {
 	m, err := core.NewMatcher(g, opts)
 	if err != nil {
