@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-incremental bench-e2e smoke-daemon chaos-smoke bench-compare docs docs-check size clean
+.PHONY: all tier1 build test vet fmt-check lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-incremental bench-e2e smoke-daemon chaos-smoke bench-compare docs docs-check size clean
 
 all: tier1
 
@@ -12,7 +12,7 @@ all: tier1
 # The differential run and the benchmark smoke keep the engines honest:
 # each must agree bit for bit with its test-only reference, and the
 # benchmarks must at least compile and complete one iteration.
-tier1: vet lint-logs docs-check race diff bench-smoke smoke-daemon chaos-smoke
+tier1: vet fmt-check lint-logs docs-check race diff bench-smoke smoke-daemon chaos-smoke
 
 # Engine differentials: Phase I CSR vs the pointer-walking reference in
 # phase1ref_test.go, the flat initial labels vs NewInitLabels, Phase II
@@ -21,10 +21,12 @@ tier1: vet lint-logs docs-check race diff bench-smoke smoke-daemon chaos-smoke
 # engine vs Find on a fresh matcher, on fixed and random circuits, twice
 # (scratch-pool reuse across runs is part of the contract), under the race
 # detector.  The server's instance renderer runs against the map-building
-# reference it replaced, byte for byte.
+# reference it replaced, byte for byte, and the netlist reader and
+# flattener against theirs (parseref_test.go) over ten seconds of fuzzing.
 diff: diff-incremental
 	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestScratchPoolReuse' ./internal/core/
 	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference' ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 
 # Incremental differential only: FindIncremental replay after random edit
 # batches against the full-matcher oracle, bit-identical instances.
@@ -43,6 +45,7 @@ diff-phase2:
 # parse plus flatten, store Put and ApplyEdits on rand4000) report
 # allocations, the figure their block allocation is about, as do the match
 # request path's (BenchmarkFindScratch/request, BenchmarkRenderMatch).
+# BenchmarkParseFlatten runs its reader, flatten and hierarchical cases.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch' -benchmem -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderMatch' -benchmem -benchtime 1x ./internal/server/
@@ -97,6 +100,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every tracked Go file must be gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 # Structured-logging boundary: code under internal/ must not import the
 # legacy "log" package (internal/obs owns slog; printf-style lines lose

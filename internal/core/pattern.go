@@ -27,7 +27,6 @@ type pattern struct {
 	// corrupt) and Phase II drops the type fold from device base labels on
 	// both sides so image labels still agree.
 	wildcards bool
-
 }
 
 // fixed reports whether a pattern net is pre-matched (global or bound) and

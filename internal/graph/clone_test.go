@@ -3,10 +3,12 @@ package graph_test
 import (
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"subgemini/internal/gen"
 	"subgemini/internal/graph"
+	"subgemini/internal/netlist"
 )
 
 // conns lists a net's connections as (device name, pin) pairs, the
@@ -112,6 +114,39 @@ func TestCloneAllocationsConstant(t *testing.T) {
 	}
 	if per := (allocs[1] - allocs[0]) / (vertices[1] - vertices[0]); per > 0.01 {
 		t.Errorf("Clone allocations grow by %.3f per vertex, want < 0.01 (name-map tables only)", per)
+	}
+}
+
+// TestParseFlattenAllocationsConstant: reading a flat netlist and building
+// its circuit allocates in chunks, blocks and slabs, never per card, pin
+// or net, so from rand1000 to rand4000 the count may grow only by the
+// chunks and blocks a larger input needs and the name maps' tables.
+func TestParseFlattenAllocationsConstant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds rand4000")
+	}
+	var allocs, vertices []float64
+	for _, gates := range []int{1000, 4000} {
+		c := gen.RandomLogic(gates, gates/64+8, 1).C
+		var src strings.Builder
+		if err := netlist.WriteCircuit(&src, c); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(3, func() {
+			f, err := netlist.ParseString(src.String(), "rand.sp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.MainCircuit("rand"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		allocs = append(allocs, n)
+		vertices = append(vertices, float64(c.NumDevices()+c.NumNets()))
+		t.Logf("rand%d: %d devices, %d nets: %.0f allocations", gates, c.NumDevices(), c.NumNets(), n)
+	}
+	if per := (allocs[1] - allocs[0]) / (vertices[1] - vertices[0]); per > 0.01 {
+		t.Errorf("ParseString plus MainCircuit allocations grow by %.3f per vertex, want < 0.01", per)
 	}
 }
 

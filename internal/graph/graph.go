@@ -21,9 +21,10 @@
 // it allocates in proportion to its size, not one allocation each, and
 // Clone copies a circuit into one exact-size slab per kind (devices, pins,
 // nets, connections).  Cloning therefore costs O(1) allocations besides
-// the name maps' tables, and building or parsing a circuit allocates only
-// as its nets' connection lists grow.  Vertex pointers stay stable for the
-// circuit's lifetime.
+// the name maps' tables, and building a circuit vertex by vertex allocates
+// only as its nets' connection lists grow.  Build, the bulk constructor the
+// netlist reader uses, carves every connection list from one exact-size
+// slab instead.  Vertex pointers stay stable for the circuit's lifetime.
 package graph
 
 import (
@@ -189,14 +190,11 @@ func (c *Circuit) DeviceByName(name string) *Device { return c.devByName[name] }
 // classes[i] and connects to nets[i].  The two slices must have equal,
 // nonzero length and the device name must be unique within the circuit.
 func (c *Circuit) AddDevice(name, typ string, classes []TermClass, nets []*Net) (*Device, error) {
-	if len(classes) != len(nets) {
-		return nil, fmt.Errorf("graph: device %s: %d classes but %d nets", name, len(classes), len(nets))
-	}
-	if len(nets) == 0 {
-		return nil, fmt.Errorf("graph: device %s: no terminals", name)
+	if err := checkTerminals(name, len(classes), len(nets)); err != nil {
+		return nil, err
 	}
 	if _, dup := c.devByName[name]; dup {
-		return nil, fmt.Errorf("graph: duplicate device name %q", name)
+		return nil, errDuplicateDevice(name)
 	}
 	for i, n := range nets {
 		if n == nil {
@@ -212,6 +210,96 @@ func (c *Circuit) AddDevice(name, typ string, classes []TermClass, nets []*Net) 
 	c.Devices = append(c.Devices, d)
 	c.devByName[name] = d
 	return d, nil
+}
+
+// checkTerminals reports a device whose class and net counts differ or
+// that has no terminals; AddDevice and Build refuse both.
+func checkTerminals(name string, classes, nets int) error {
+	if classes != nets {
+		return fmt.Errorf("graph: device %s: %d classes but %d nets", name, classes, nets)
+	}
+	if nets == 0 {
+		return fmt.Errorf("graph: device %s: no terminals", name)
+	}
+	return nil
+}
+
+func errDuplicateDevice(name string) error {
+	return fmt.Errorf("graph: duplicate device name %q", name)
+}
+
+// DeviceSpec describes one device for Build: its name and type, and the
+// class and the net (an index into Build's nets) of each terminal.
+type DeviceSpec struct {
+	Name, Type string
+	Classes    []TermClass
+	Nets       []int32
+}
+
+// Build returns the circuit that AddNet for each name in nets, in order,
+// followed by AddDevice for each spec in devs, in order, would build, but
+// builds it in bulk: the name maps are sized to the tables, devices and
+// pins come from the circuit's blocks, and every Net.Conns is carved from
+// one exact-size slab, filled in (device, pin) order.  The caller has
+// materialized both tables, so their lengths bound everything Build
+// allocates.  When a device fails one of AddDevice's checks, Build returns
+// its index with AddDevice's error and no circuit.  Net names must be
+// distinct and every net index in range; anything else is a caller bug and
+// panics.
+func Build(name string, nets []string, devs []DeviceSpec) (*Circuit, int, error) {
+	c := &Circuit{
+		Name:      name,
+		Devices:   make([]*Device, 0, len(devs)),
+		Nets:      make([]*Net, 0, len(nets)),
+		netByName: make(map[string]*Net, len(nets)),
+		devByName: make(map[string]*Device, len(devs)),
+	}
+	for i, nm := range nets {
+		n := c.newNet()
+		n.Index, n.Name = i, nm
+		c.Nets = append(c.Nets, n)
+		c.netByName[nm] = n
+	}
+	if len(c.netByName) != len(nets) {
+		panic("graph: Build: duplicate net name")
+	}
+	// next[i] is where net i's next connection goes: counted degrees, then
+	// their prefix sums, then advanced as the devices fill the slab.
+	next := make([]int32, len(nets)+1)
+	for _, s := range devs {
+		for _, ni := range s.Nets {
+			next[ni+1]++
+		}
+	}
+	for i := range nets {
+		next[i+1] += next[i]
+	}
+	conns := make([]Conn, next[len(nets)])
+	for i, n := range c.Nets {
+		if lo, hi := next[i], next[i+1]; hi > lo {
+			n.Conns = conns[lo:hi:hi]
+		}
+	}
+	for i, s := range devs {
+		if err := checkTerminals(s.Name, len(s.Classes), len(s.Nets)); err != nil {
+			return nil, i, err
+		}
+		d := c.newDevice(len(s.Nets))
+		d.Index, d.Name, d.Type = i, s.Name, s.Type
+		// One map write both inserts and detects a repeated name; on a
+		// repeat the circuit is discarded, so the overwrite is harmless.
+		c.devByName[s.Name] = d
+		if len(c.devByName) != i+1 {
+			return nil, i, errDuplicateDevice(s.Name)
+		}
+		for k, ni := range s.Nets {
+			d.Pins[k] = Pin{Class: s.Classes[k], Net: c.Nets[ni]}
+			conns[next[ni]] = Conn{Dev: d, Pin: k}
+			next[ni]++
+		}
+		c.Devices = append(c.Devices, d)
+	}
+	return c, -1, nil
 }
 
 // MustAddDevice is AddDevice that panics on error; intended for

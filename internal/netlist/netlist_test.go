@@ -1,8 +1,14 @@
 package netlist
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
+
+	"subgemini/internal/graph"
 )
 
 const nandSrc = `
@@ -162,6 +168,47 @@ func TestPattern(t *testing.T) {
 	if _, err := f.Pattern("NOPE"); err == nil {
 		t.Error("unknown subckt accepted")
 	}
+}
+
+// TestPatternDoesNotPinSource: a pattern, and the .SUBCKT name a caller
+// takes from the File to key it by, keep none of the source text alive.
+// Pattern caches hold both for long, and a small cell selected from a large
+// inline netlist must not keep the whole request body reachable.
+func TestPatternDoesNotPinSource(t *testing.T) {
+	pat, key, collected := patternFromLargeSource(t)
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("source text survived a GC while its pattern was held")
+	}
+	if pat.NumDevices() != 2 || key != "INV" {
+		t.Fatalf("pattern %q has %d devices, want INV with 2", key, pat.NumDevices())
+	}
+}
+
+// patternFromLargeSource compiles the INV cell of a netlist that an unused
+// cell makes about a megabyte long.  It returns the pattern, INV's name as
+// the File holds it, and a channel closed once the source is collected.
+func patternFromLargeSource(t *testing.T) (*graph.Circuit, string, <-chan struct{}) {
+	var b strings.Builder
+	b.WriteString(".GLOBAL VDD GND\n.SUBCKT INV A Y\nMP Y A VDD pmos\nMN Y A GND nmos\n.ENDS\n.SUBCKT BIG A Y\n")
+	for i := range 40000 {
+		fmt.Fprintf(&b, "MN%d Y A n%d nmos\n", i, i)
+	}
+	b.WriteString(".ENDS\n")
+	src := b.String()
+	collected := make(chan struct{})
+	runtime.AddCleanup(unsafe.StringData(src), func(ch chan struct{}) { close(ch) }, collected)
+	f, err := ParseString(src, "lib.sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := f.Pattern("INV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pat, f.Subckts["INV"].Name, collected
 }
 
 func TestRecursiveInstantiationRejected(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"subgemini/internal/extract"
 	"subgemini/internal/gen"
 	"subgemini/internal/graph"
 	"subgemini/internal/netlist"
@@ -304,24 +305,57 @@ func TestRoundTripsIsExact(t *testing.T) {
 	}
 }
 
-// BenchmarkParseFlatten times the upload path's netlist half: Parse plus
-// MainCircuit of a rand4000 netlist (27k devices).
+// BenchmarkParseFlatten times the upload path's netlist half on rand4000
+// (27k devices): "reader" is ParseString alone, "flatten" MainCircuit of
+// the parsed file, and "hierarchical" both of them over the same design
+// after extract.Cells, written with extract.WriteHierarchical, so that
+// MainCircuit expands a subcircuit instance per extracted cell.
 func BenchmarkParseFlatten(b *testing.B) {
-	var buf strings.Builder
-	if err := netlist.WriteCircuit(&buf, gen.RandomLogic(4000, 4000/64+8, 1).C); err != nil {
+	d := gen.RandomLogic(4000, 4000/64+8, 1)
+	var flat strings.Builder
+	if err := netlist.WriteCircuit(&flat, d.C); err != nil {
 		b.Fatal(err)
 	}
-	src := buf.String()
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := netlist.ParseString(src, "rand4000.sp")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.MainCircuit("rand4000"); err != nil {
-			b.Fatal(err)
-		}
+	ext := d.C.Clone()
+	if _, err := extract.Cells(ext, stdcell.All(), extract.Options{Globals: []string{"VDD", "GND"}}); err != nil {
+		b.Fatal(err)
 	}
+	var hier strings.Builder
+	if err := extract.WriteHierarchical(&hier, ext); err != nil {
+		b.Fatal(err)
+	}
+	parsed, err := netlist.ParseString(flat.String(), "rand4000.sp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("reader", func(b *testing.B) {
+		b.SetBytes(int64(flat.Len()))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := netlist.ParseString(flat.String(), "rand4000.sp"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("flatten", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := parsed.MainCircuit("rand4000"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hierarchical", func(b *testing.B) {
+		b.SetBytes(int64(hier.Len()))
+		b.ReportAllocs()
+		for b.Loop() {
+			f, err := netlist.ParseString(hier.String(), "rand4000.sp")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := f.MainCircuit("rand4000"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -31,13 +31,16 @@ const (
 	KindPhase1      = "phase1"       // SubGemini Phase I relabeling
 	KindPhase2      = "phase2"       // SubGemini Phase II verification
 	KindCacheLookup = "cache-lookup" // pattern / result-cache lookup
+	KindParse       = "parse"        // netlist upload: reading the text
+	KindFlatten     = "flatten"      // netlist upload: building the circuit
 	KindPersist     = "persist"      // store write (PUT, PATCH, pattern save)
 )
 
 // SpanKinds enumerates every span kind in the order /metrics renders them.
 var SpanKinds = []string{
 	KindQueueWait, KindShedCheck, KindStoreGet, KindCSRBuild,
-	KindPhase1, KindPhase2, KindCacheLookup, KindPersist,
+	KindPhase1, KindPhase2, KindCacheLookup, KindParse, KindFlatten,
+	KindPersist,
 }
 
 // SpanRef identifies a span inside one Timeline.  NoSpan is the nil value:

@@ -524,7 +524,8 @@ func (s *Server) cancelHook(ctx context.Context) func() error {
 	}
 }
 
-// parseCircuitBody reads and flattens a netlist request body.
+// parseCircuitBody reads and flattens a netlist request body, under a
+// parse span and then a flatten span.
 func (s *Server) parseCircuitBody(r *http.Request, name string) (*graph.Circuit, *httpError) {
 	src, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -534,11 +535,17 @@ func (s *Server) parseCircuitBody(r *http.Request, name string) (*graph.Circuit,
 		}
 		return nil, errf(http.StatusBadRequest, "reading body: %v", err)
 	}
+	sc := obs.ScopeFromContext(r.Context())
+	ref := sc.Begin(obs.KindParse, name)
+	sc.AttrInt(ref, "bytes", int64(len(src)))
 	f, err := netlist.ParseString(string(src), name)
+	sc.End(ref)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "parsing netlist: %v", err)
 	}
+	ref = sc.Begin(obs.KindFlatten, name)
 	ckt, err := f.MainCircuit(name)
+	sc.End(ref)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "building circuit: %v", err)
 	}

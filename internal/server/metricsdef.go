@@ -77,7 +77,7 @@ func MetricsReference() []MetricDef {
 		{"subgeminid_faults_armed", "gauge", "", "fault-injection points currently armed (0 in production)"},
 		{"subgeminid_faults_fired_total", "counter", "", "injected faults fired since boot"},
 		{"subgeminid_slow_requests_total", "counter", "", "requests over the -slow-request threshold (each also logs a slow-request line and is kept by the flight recorder)"},
-		{"subgeminid_request_spans_total", "counter", "kind", "telemetry spans recorded, by kind: queue-wait, shed-check, store-get, csr-build, phase1, phase2, cache-lookup, persist"},
+		{"subgeminid_request_spans_total", "counter", "kind", "telemetry spans recorded, by kind: queue-wait, shed-check, store-get, csr-build, phase1, phase2, cache-lookup, parse, flatten, persist"},
 		{"subgeminid_flight_recorder_kept_total", "counter", "reason", "timelines the flight recorder kept, by reason: shed, cancel, error, slow, sampled"},
 		{"subgeminid_match_phase1_seconds", "histogram", "le", "Phase I wall time per run, decade buckets 10µs..10s"},
 		{"subgeminid_match_phase2_seconds", "histogram", "le", "Phase II wall time per run, decade buckets 10µs..10s"},

@@ -195,6 +195,40 @@ func TestDebugRequestsTimeline(t *testing.T) {
 	}
 }
 
+// TestUploadSpans: a netlist upload reads as parse, then flatten, then
+// persist, on the store API and on the legacy single-circuit upload.
+func TestUploadSpans(t *testing.T) {
+	s, _ := newAdderServer(t, func(c *Config) { c.FlightSampleN = 1 })
+	const src = ".GLOBAL VDD GND\nMP y a VDD pmos\nMN y a GND nmos\n"
+	for _, path := range []string{"/v1/circuits/inv", "/v1/circuit?name=inv"} {
+		method := "PUT"
+		if strings.HasPrefix(path, "/v1/circuit?") {
+			method = "POST"
+		}
+		rec := do(t, s, method, path, src)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
+		}
+		tls := debugFind(t, s, rec.Header().Get("X-Request-Id"))
+		if len(tls) != 1 {
+			t.Fatalf("%s %s: %d timelines, want 1", method, path, len(tls))
+		}
+		var kinds []string
+		last := int64(-1)
+		for _, sp := range tls[0].Spans {
+			if sp.Open || sp.StartUS < last {
+				t.Errorf("%s %s: span %+v open or out of order", method, path, sp)
+			}
+			last = sp.StartUS
+			kinds = append(kinds, sp.Kind)
+		}
+		want := []string{obs.KindParse, obs.KindFlatten, obs.KindPersist}
+		if strings.Join(kinds, ",") != strings.Join(want, ",") {
+			t.Errorf("%s %s: spans %v, want %v", method, path, kinds, want)
+		}
+	}
+}
+
 // TestDebugRequestsFilters: list filtering by path, limit, and outcome.
 func TestDebugRequestsFilters(t *testing.T) {
 	s, _ := newAdderServer(t, func(c *Config) { c.FlightSampleN = 1 })
