@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-incremental bench-e2e smoke-daemon chaos-smoke bench-compare docs docs-check size clean
+.PHONY: all tier1 build test vet fmt-check lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-e2e bench-harness smoke-daemon chaos-smoke bench-compare docs docs-check size clean
 
 all: tier1
 
@@ -12,7 +12,9 @@ all: tier1
 # The differential run and the benchmark smoke keep the engines honest:
 # each must agree bit for bit with its test-only reference, and the
 # benchmarks must at least compile and complete one iteration.
-tier1: vet fmt-check lint-logs docs-check race diff bench-smoke smoke-daemon chaos-smoke
+# bench-harness builds and tests the end-to-end benchmark module, which
+# the root ./... patterns skip.
+tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness smoke-daemon chaos-smoke
 
 # Engine differentials: Phase I CSR vs the pointer-walking reference in
 # phase1ref_test.go, the flat initial labels vs NewInitLabels, Phase II
@@ -64,17 +66,18 @@ bench-sweep:
 bench-phase2:
 	$(GO) run ./cmd/benchtab -table phase2 -json BENCH_phase2_region.json
 
-# Incremental-matching table only: re-match and re-sweep cost after delta
-# edits of growing size, replaying from the versioned result cache vs
-# recomputing from scratch, archived as BENCH_incremental.json.
-bench-incremental:
-	$(GO) run ./cmd/benchtab -table incremental -json BENCH_incremental.json
-
 # End-to-end daemon benchmark (BENCHMARK.json's command): boots the real
 # subgeminid and drives the four closed-loop workloads, one row each.  See
 # benchmark/README.md for flags (--workload, --seed, --seconds, --trace).
 bench-e2e:
 	bash benchmark/run.sh
+
+# The benchmark is its own Go module (benchmark/go.mod), so go build, vet
+# and test at the root skip it; a core or delta API change could break it
+# unnoticed.  Its TestSmoke boots the real daemon and checks every
+# workload's oracle for one second.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Process-level daemon smoke: boot subgeminid with a temporary data
 # directory, upload two circuits and a pattern library, run a sync match,

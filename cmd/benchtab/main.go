@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtab [-table results|scaling|baseline|ablation|coverage|phase1|phase2|sweep|incremental|all] [-quick] [-json out.json]
+//	benchtab [-table results|scaling|baseline|ablation|coverage|phase1|phase2|sweep|all] [-quick] [-json out.json]
 //
 // Absolute times are machine-dependent; the shapes the paper claims —
 // instance counts, tight candidate vectors, flat time-per-matched-device,
@@ -31,22 +31,21 @@ import (
 // jsonOutput is the -json document: one optional section per table, plus
 // the summed matcher reports of the results suite.
 type jsonOutput struct {
-	Schema        string                 `json:"schema"`
-	Quick         bool                   `json:"quick"`
-	Results       []bench.Row            `json:"results,omitempty"`
-	ResultsTotals *stats.Snapshot        `json:"results_totals,omitempty"`
-	Scaling       []bench.ScalePoint     `json:"scaling,omitempty"`
-	Baseline      []bench.BaselineRow    `json:"baseline,omitempty"`
-	Ablation      []bench.AblationRow    `json:"ablation,omitempty"`
-	Coverage      []bench.CoverageRow    `json:"coverage,omitempty"`
-	Phase1        []bench.Phase1Row      `json:"phase1,omitempty"`
-	Phase2        []bench.Phase2Row      `json:"phase2,omitempty"`
-	Sweep         []bench.SweepRow       `json:"sweep,omitempty"`
-	Incremental   []bench.IncrementalRow `json:"incremental,omitempty"`
+	Schema        string              `json:"schema"`
+	Quick         bool                `json:"quick"`
+	Results       []bench.Row         `json:"results,omitempty"`
+	ResultsTotals *stats.Snapshot     `json:"results_totals,omitempty"`
+	Scaling       []bench.ScalePoint  `json:"scaling,omitempty"`
+	Baseline      []bench.BaselineRow `json:"baseline,omitempty"`
+	Ablation      []bench.AblationRow `json:"ablation,omitempty"`
+	Coverage      []bench.CoverageRow `json:"coverage,omitempty"`
+	Phase1        []bench.Phase1Row   `json:"phase1,omitempty"`
+	Phase2        []bench.Phase2Row   `json:"phase2,omitempty"`
+	Sweep         []bench.SweepRow    `json:"sweep,omitempty"`
 }
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: results, scaling, baseline, ablation, coverage, phase1, phase2, sweep, incremental, all")
+	table := flag.String("table", "all", "which table to regenerate: results, scaling, baseline, ablation, coverage, phase1, phase2, sweep, all")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
 	jsonPath := flag.String("json", "", "also write the selected tables to this file as JSON")
 	flag.Parse()
@@ -98,11 +97,6 @@ func main() {
 	run("sweep", func() error {
 		rows, err := sweepTable(*quick)
 		out.Sweep = rows
-		return err
-	})
-	run("incremental", func() error {
-		rows, err := incrementalTable(*quick)
-		out.Incremental = rows
 		return err
 	})
 
@@ -298,27 +292,6 @@ func sweepTable(quick bool) ([]bench.SweepRow, error) {
 	}
 	w.Flush()
 	fmt.Println("(per-pattern instance counts are checked against the sequential loop; worker rows need real cores to win)")
-	fmt.Println()
-	return rows, nil
-}
-
-func incrementalTable(quick bool) ([]bench.IncrementalRow, error) {
-	rows, err := bench.IncrementalScaling(quick)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== Incremental re-match: refreshing results after an edit vs recomputing from scratch ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tedited devs\treplayed\trecomputed\tre-match (inc)\tre-match (full)\tre-sweep (inc)\tre-sweep (full)\tspeedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%s %v\t%s %v\t%v\t%v\t%.1fx\n",
-			r.Circuit, r.Devices, r.EditDevs, r.Replayed, r.Recomputed,
-			r.Pattern, round(r.ReMatch), r.Pattern, round(r.ReMatchFull),
-			round(r.IncResweep), round(r.FullResweep), r.Speedup)
-	}
-	w.Flush()
-	fmt.Println("(speedup = full re-sweep / incremental re-match: refreshing a pattern's result after the edit")
-	fmt.Println(" vs the pre-delta full library re-sweep; sweep instance counts are cross-checked full vs incremental)")
 	fmt.Println()
 	return rows, nil
 }

@@ -59,29 +59,6 @@ func TestScalingSeriesShape(t *testing.T) {
 	}
 }
 
-func TestIncrementalScalingShape(t *testing.T) {
-	rows, err := IncrementalScaling(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("%d rows in quick mode, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.Replayed == 0 {
-		t.Error("incremental sweep replayed nothing; engine inert")
-	}
-	if r.Instances <= 0 {
-		t.Errorf("no instances matched on %s", r.Circuit)
-	}
-	if r.ReMatch <= 0 || r.ReMatchFull <= 0 || r.IncResweep <= 0 || r.FullResweep <= 0 {
-		t.Errorf("zero timing: %+v", r)
-	}
-	if r.Speedup <= 0 {
-		t.Errorf("speedup %.2f, want > 0", r.Speedup)
-	}
-}
-
 func TestAblationShape(t *testing.T) {
 	rows, err := Ablation()
 	if err != nil {

@@ -375,6 +375,17 @@ func (m *Matcher) ResetConsumed() {
 // library pattern matched against a netlist with declared globals gets the
 // consistent Fig. 7 semantics without repeating the names in Options.
 func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
+	pat, err := m.prepare(s)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	return res, m.match(pat, res, nil, nil)
+}
+
+// prepare applies the global union to both circuits and builds the
+// pattern; every entry point starts here.
+func (m *Matcher) prepare(s *graph.Circuit) (*pattern, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil pattern")
 	}
@@ -384,22 +395,22 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 	for _, n := range m.g.Globals() {
 		s.MarkGlobal(n.Name)
 	}
-	pat, err := newPattern(s, &m.opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	tr := m.opts.Tracer
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindRunStart, Circuit: m.g.Name, Pattern: pat.s.Name,
-			Devices: m.g.NumDevices(), Nets: m.g.NumNets()})
-	}
+	return newPattern(s, &m.opts)
+}
 
-	// Phase I: choose the key vertex and candidate vector.
+// runPhase1 chooses the key vertex and candidate vector under the phase1
+// span and fills the Phase I report fields, the key vertex included.  An
+// empty candidate vector means Phase I proved no instance exists.  The
+// error is non-nil only when Options.Cancel fired; res then holds the
+// partial report, so callers can see where the run was cut.
+func (m *Matcher) runPhase1(pat *pattern, res *Result) (label.VID, []label.VID, error) {
 	t0 := time.Now()
 	p1Ref := obs.NoSpan
 	if o := m.opts.Observe; o != nil {
 		p1Ref = o.Begin(obs.KindPhase1, pat.s.Name)
+		if mode := res.Report.IncrementalMode; mode != "" {
+			o.Attr(p1Ref, "mode", mode)
+		}
 	}
 	p1 := newPhase1(m, pat, &res.Report)
 	key, cv, err := p1.run()
@@ -410,10 +421,8 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 		o.End(p1Ref)
 	}
 	if err != nil {
-		// p1.run errors only when Options.Cancel fired; hand back the
-		// partial report so callers can see where the run was cut.
 		res.Report.CancelledAt = "phase1"
-		return res, err
+		return 0, nil, err
 	}
 	res.Report.CVSize = len(cv)
 	if p1.tracer != nil {
@@ -423,22 +432,44 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 		}
 		p1.tracer.render(m.opts.TraceTable, keyName, len(cv))
 	}
+	if len(cv) > 0 {
+		res.Report.KeyVertex = pat.space.Name(key)
+		res.Report.KeyIsDevice = pat.space.IsDevice(key)
+	}
+	if tr := m.opts.Tracer; tr != nil {
+		tr.Event(trace.Event{Kind: trace.KindCandidateVector, CVSize: len(cv),
+			KeyVertex: res.Report.KeyVertex, KeyIsDevice: res.Report.KeyIsDevice})
+	}
+	return key, cv, nil
+}
+
+// match runs both phases for a prepared pattern; Find and FindIncremental
+// share its candidate loop.  rc, when non-nil, replays captured Phase II
+// outcomes.  st, when non-nil, receives this run's capture (the key and
+// every candidate's outcome) and turns on the Recomputed count; capturing
+// runs use the MatchAll policy.  The error is non-nil only when
+// Options.Cancel fired; res then holds the partial report and st is
+// incomplete.
+func (m *Matcher) match(pat *pattern, res *Result, rc *replayCtx, st *IncrementalState) error {
+	tr := m.opts.Tracer
 	if tr != nil {
-		e := trace.Event{Kind: trace.KindCandidateVector, CVSize: len(cv)}
-		if len(cv) > 0 {
-			e.KeyVertex = pat.space.Name(key)
-			e.KeyIsDevice = pat.space.IsDevice(key)
-		}
-		tr.Event(e)
+		tr.Event(trace.Event{Kind: trace.KindRunStart, Circuit: m.g.Name, Pattern: pat.s.Name,
+			Devices: m.g.NumDevices(), Nets: m.g.NumNets()})
+	}
+	key, cv, err := m.runPhase1(pat, res)
+	if err != nil {
+		return err
 	}
 	if len(cv) == 0 {
 		if tr != nil {
 			tr.Event(trace.Event{Kind: trace.KindRunEnd})
 		}
-		return res, nil
+		return nil
 	}
-	res.Report.KeyVertex = pat.space.Name(key)
-	res.Report.KeyIsDevice = pat.space.IsDevice(key)
+	if st != nil {
+		st.keyVID = key
+		st.outcomes = make(map[int32]*candOutcome, len(cv))
+	}
 
 	// Phase II: verify each candidate.
 	t1 := time.Now()
@@ -457,9 +488,12 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 		if tr != nil {
 			tr.Event(trace.Event{Kind: trace.KindRunEnd})
 		}
-		return res, nil
+		return nil
 	}
 	defer p2.close()
+	if rc != nil && !rc.arm(p2, key) {
+		rc = nil
+	}
 	seen := make(map[string]bool)
 	var sigBuf []int
 	for _, c := range cv {
@@ -467,31 +501,38 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 			break
 		}
 		if err := m.opts.cancelled(); err != nil {
-			res.Report.CancelledAt = "phase2"
-			res.Report.Phase2Duration = time.Since(t1)
-			if o := m.opts.Observe; o != nil {
-				o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
-				o.End(p2Ref)
-			}
-			return res, err
+			return m.cutPhase2(res, t1, p2Ref, err)
 		}
 		res.Report.Candidates++
-		for {
-			inst := p2.verifyCandidate(key, c)
+		var oc *candOutcome
+		if rc != nil {
+			oc = rc.outcome(c)
+		}
+		var inst *Instance
+		if oc != nil {
+			// Replay: advance the unique-label stream exactly as the
+			// verification would have and rebuild the instance from the
+			// captured images.
+			p2.uniq.Skip(oc.draws)
+			res.Report.Replayed++
+			inst = m.instanceFromOutcome(pat, oc)
+		} else {
+			d0 := p2.uniq.Draws()
+			inst = p2.verifyCandidate(key, c)
 			if err := p2.cancelled(); err != nil {
 				// Cancellation fired mid-candidate, deep inside the solve
 				// recursion; the candidate's partial state was discarded.
-				res.Report.CancelledAt = "phase2"
-				res.Report.Phase2Duration = time.Since(t1)
-				if o := m.opts.Observe; o != nil {
-					o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
-					o.End(p2Ref)
-				}
-				return res, err
+				return m.cutPhase2(res, t1, p2Ref, err)
 			}
-			if inst == nil {
-				break
+			if st != nil {
+				res.Report.Recomputed++
+				oc = m.outcomeFromInstance(pat, inst, p2.uniq.Draws()-d0)
 			}
+		}
+		if st != nil {
+			st.outcomes[int32(c)] = oc
+		}
+		for inst != nil {
 			res.Report.CandidatesMatched++
 			var sig string
 			sig, sigBuf = inst.signature(sigBuf)
@@ -501,14 +542,13 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 				res.Report.Instances++
 				res.Report.MatchedDevices += len(inst.DevMap)
 			}
-			if m.opts.Policy == NonOverlapping {
-				for _, gd := range inst.DevMap {
-					m.consumed[gd.Index] = true
-				}
-			} else {
+			if m.opts.Policy != NonOverlapping {
 				// MatchAll reports at most one instance per candidate; the
 				// candidate loop continues with the next c.
 				break
+			}
+			for _, gd := range inst.DevMap {
+				m.consumed[gd.Index] = true
 			}
 			if m.opts.MaxInstances > 0 && len(res.Instances) >= m.opts.MaxInstances {
 				break
@@ -516,11 +556,19 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 			// NonOverlapping: retry the same candidate in case several
 			// disjoint instances share the key image (possible when the key
 			// is a shared net).
+			inst = p2.verifyCandidate(key, c)
+			if err := p2.cancelled(); err != nil {
+				return m.cutPhase2(res, t1, p2Ref, err)
+			}
 		}
 	}
 	res.Report.Phase2Duration = time.Since(t1)
 	if o := m.opts.Observe; o != nil {
 		o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
+		if st != nil {
+			o.AttrInt(p2Ref, "replayed", int64(res.Report.Replayed))
+			o.AttrInt(p2Ref, "recomputed", int64(res.Report.Recomputed))
+		}
 		o.AttrInt(p2Ref, "instances", int64(res.Report.Instances))
 		o.End(p2Ref)
 	}
@@ -528,5 +576,17 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 		tr.Event(trace.Event{Kind: trace.KindRunEnd,
 			Instances: len(res.Instances), Candidates: res.Report.Candidates})
 	}
-	return res, nil
+	return nil
+}
+
+// cutPhase2 closes a Phase II run that Options.Cancel cut short and hands
+// back the cancellation error.
+func (m *Matcher) cutPhase2(res *Result, t1 time.Time, p2Ref obs.SpanRef, err error) error {
+	res.Report.CancelledAt = "phase2"
+	res.Report.Phase2Duration = time.Since(t1)
+	if o := m.opts.Observe; o != nil {
+		o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
+		o.End(p2Ref)
+	}
+	return err
 }

@@ -28,16 +28,6 @@ func SetRegionCancelBlock(n int) (restore func()) {
 	return func() { rCancelBlock = old }
 }
 
-// SetIncReplayCap overrides the dirty-region degradation threshold and
-// returns a restore func, so incremental tests can force both the
-// region-replay path (cap 1.0) and the full-capture degradation path
-// (cap 0) on the same circuits.
-func SetIncReplayCap(f float64) (restore func()) {
-	old := incReplayCap
-	incReplayCap = f
-	return func() { incReplayCap = old }
-}
-
 // SetGuessDepthForTest overrides the Phase II guess depth bound and returns
 // a restore func, so tests can make deep symmetric searches hit it.
 func SetGuessDepthForTest(n int) (restore func()) {
@@ -65,7 +55,7 @@ func DiffTraceTablesForTest(m *Matcher, s *graph.Circuit) (int, error) {
 // global cross-marking, and returns the key vertex, candidate vector, and
 // the report counters Phase I filled in.
 func RunPhase1ForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, stats.Report, error) {
-	pat, err := testPattern(m, s)
+	pat, err := m.prepare(s)
 	if err != nil {
 		return 0, nil, stats.Report{}, err
 	}
@@ -77,7 +67,7 @@ func RunPhase1ForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, sta
 // RunPhase1RefForTest is RunPhase1ForTest over the reference Phase I
 // (phase1ref_test.go).  The reference never polls Options.Cancel.
 func RunPhase1RefForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, stats.Report, error) {
-	pat, err := testPattern(m, s)
+	pat, err := m.prepare(s)
 	if err != nil {
 		return 0, nil, stats.Report{}, err
 	}
@@ -90,7 +80,7 @@ func RunPhase1RefForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, 
 // a run of m against s starts Phase I from (newPhase1's flat pass over the
 // CSR view), after Find's global cross-marking.
 func InitialMainLabelsForTest(m *Matcher, s *graph.Circuit) ([]label.Value, []bool, error) {
-	pat, err := testPattern(m, s)
+	pat, err := m.prepare(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,14 +94,3 @@ func InitialMainLabelsForTest(m *Matcher, s *graph.Circuit) ([]label.Value, []bo
 
 // LabelsForTest exposes a shared initial labeling's values.
 func (il *InitLabels) LabelsForTest() []label.Value { return il.lab }
-
-// testPattern applies Find's global cross-marking and builds the pattern.
-func testPattern(m *Matcher, s *graph.Circuit) (*pattern, error) {
-	for _, n := range s.Globals() {
-		m.markGlobal(n.Name)
-	}
-	for _, n := range m.g.Globals() {
-		s.MarkGlobal(n.Name)
-	}
-	return newPattern(s, &m.opts)
-}

@@ -74,30 +74,53 @@ func TestFindParallelEmitsObserveSpans(t *testing.T) {
 	}
 }
 
-// TestFindIncrementalEmitsObserveSpans checks the capture path tags its
-// phase1 span mode=full and its phase2 span with replayed/recomputed.
+// TestFindIncrementalEmitsObserveSpans checks both incremental paths on the
+// paper example (CV {N13, N14}): the capture run tags its phase1 span
+// mode=full and verifies both candidates, and a re-match over an identity
+// dirty set tags it mode=replay and replays both.
 func TestFindIncrementalEmitsObserveSpans(t *testing.T) {
-	tl := obs.NewTimeline("r-inc", "http", "POST", "/v1/match")
-	m, err := core.NewMatcher(paperex.PaperMain(), core.Options{Observe: tl.Scope(obs.NoSpan)})
-	if err != nil {
-		t.Fatal(err)
+	g := paperex.PaperMain()
+	spans := func(prev *core.IncrementalState, ds *core.DirtySet) (p1, p2 obs.SpanJSON, st *core.IncrementalState) {
+		t.Helper()
+		tl := obs.NewTimeline("r-inc", "http", "POST", "/v1/match")
+		m, err := core.NewMatcher(g, core.Options{Observe: tl.Scope(obs.NoSpan)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := m.FindIncremental(paperex.PaperPattern(), prev, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == nil || len(res.Instances) != 1 {
+			t.Fatalf("%d instances, state %v", len(res.Instances), st != nil)
+		}
+		byKind := map[string]obs.SpanJSON{}
+		for _, sp := range tl.JSON().Spans {
+			byKind[sp.Kind] = sp
+		}
+		return byKind[obs.KindPhase1], byKind[obs.KindPhase2], st
 	}
-	res, st, err := m.FindIncremental(paperex.PaperPattern(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
+
+	p1, p2, st := spans(nil, nil)
+	if p1.Attrs["mode"] != "full" || p1.Attrs["cv_size"] != "2" {
+		t.Errorf("capture phase1 span = %+v, want mode=full, cv_size 2", p1)
 	}
-	if st == nil || len(res.Instances) != 1 {
-		t.Fatalf("capture run: %d instances, state %v", len(res.Instances), st != nil)
+	if p2.Attrs["replayed"] != "0" || p2.Attrs["recomputed"] != "2" {
+		t.Errorf("capture phase2 span = %+v, want replayed=0 recomputed=2", p2)
 	}
-	byKind := map[string]obs.SpanJSON{}
-	for _, sp := range tl.JSON().Spans {
-		byKind[sp.Kind] = sp
+
+	ds := &core.DirtySet{DevOld2New: identity(g.NumDevices()), NetOld2New: identity(g.NumNets())}
+	p1, p2, _ = spans(st, ds)
+	if p1.Attrs["mode"] != "replay" || p1.Attrs["cv_size"] != "2" || p1.Attrs["passes"] == "" {
+		t.Errorf("replay phase1 span = %+v, want mode=replay, cv_size 2, passes set", p1)
 	}
-	if byKind[obs.KindPhase1].Attrs["mode"] != "full" {
-		t.Errorf("phase1 span = %+v, want mode=full", byKind[obs.KindPhase1])
+	for _, gone := range []string{"dirty", "region", "degraded"} {
+		if v, ok := p1.Attrs[gone]; ok {
+			t.Errorf("replay phase1 span has %s=%s; Phase I keeps no incremental state", gone, v)
+		}
 	}
-	if byKind[obs.KindPhase2].Attrs["recomputed"] != "2" {
-		t.Errorf("phase2 span = %+v, want recomputed=2", byKind[obs.KindPhase2])
+	if p2.Attrs["replayed"] != "2" || p2.Attrs["recomputed"] != "0" {
+		t.Errorf("replay phase2 span = %+v, want replayed=2 recomputed=0", p2)
 	}
 }
 

@@ -41,43 +41,15 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 		// the same instances with a deterministic, ordered trace.
 		return m.Find(s)
 	}
-	if s == nil {
-		return nil, fmt.Errorf("core: nil pattern")
-	}
-	for _, n := range s.Globals() {
-		m.markGlobal(n.Name)
-	}
-	for _, n := range m.g.Globals() {
-		s.MarkGlobal(n.Name)
-	}
-	pat, err := newPattern(s, &m.opts)
+	pat, err := m.prepare(s)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-
-	t0 := time.Now()
-	p1Ref := obs.NoSpan
-	if o := m.opts.Observe; o != nil {
-		p1Ref = o.Begin(obs.KindPhase1, pat.s.Name)
-	}
-	key, cv, err := newPhase1(m, pat, &res.Report).run()
-	res.Report.Phase1Duration = time.Since(t0)
-	if o := m.opts.Observe; o != nil {
-		o.AttrInt(p1Ref, "passes", int64(res.Report.Phase1Passes))
-		o.AttrInt(p1Ref, "cv_size", int64(len(cv)))
-		o.End(p1Ref)
-	}
-	if err != nil {
-		res.Report.CancelledAt = "phase1"
+	key, cv, err := m.runPhase1(pat, res)
+	if err != nil || len(cv) == 0 {
 		return res, err
 	}
-	res.Report.CVSize = len(cv)
-	if len(cv) == 0 {
-		return res, nil
-	}
-	res.Report.KeyVertex = pat.space.Name(key)
-	res.Report.KeyIsDevice = pat.space.IsDevice(key)
 
 	if workers > len(cv) {
 		workers = len(cv)

@@ -69,16 +69,6 @@ type phase1 struct {
 	// vertices); run checks it after each pass.
 	cancelErr error
 
-	// relabelEvents counts relabeling passes executed (net and device passes
-	// each count one); seqComplete records that run reached candidate
-	// selection rather than aborting on a consistency verdict.  The
-	// incremental engine (incremental.go) captures both: relabelEvents
-	// bounds how far label influence can have traveled from an edit (one hop
-	// per pass), and seqComplete tells a later replay whether the captured
-	// final labels are the labels of the full pattern-driven pass sequence.
-	relabelEvents int
-	seqComplete   bool
-
 	// tracer, when non-nil, records per-round state for the Fig. 2/4-style
 	// rendering (Options.TraceTable).
 	tracer *phase1Tracer
@@ -261,7 +251,6 @@ func (p *phase1) run() (key label.VID, cv []label.VID, err error) {
 		}
 		prevSig = sig
 	}
-	p.seqComplete = true
 	key, cv = p.chooseCandidates()
 	return key, cv, nil
 }
@@ -321,13 +310,11 @@ func countDistinct(labs []label.Value) int {
 // relabelNets applies the Fig. 3 relabeling function to every valid pattern
 // net and every active main-graph net simultaneously.
 func (p *phase1) relabelNets() {
-	p.relabelEvents++
 	p.relabelCSR(p.sActNet, p.gActNet)
 }
 
 // relabelDevices is the device-side counterpart of relabelNets.
 func (p *phase1) relabelDevices() {
-	p.relabelEvents++
 	p.relabelCSR(p.sActDev, p.gActDev)
 }
 

@@ -691,10 +691,7 @@ func (p *phase2) pinsAgree(d, gd *graph.Device) bool {
 // overlap policy, signature de-duplication), without observers or
 // cancellation.
 func findPhase2Ref(m *Matcher, s *graph.Circuit) (*Result, error) {
-	if s == nil {
-		return nil, fmt.Errorf("core: nil pattern")
-	}
-	pat, err := testPattern(m, s)
+	pat, err := m.prepare(s)
 	if err != nil {
 		return nil, err
 	}
@@ -764,7 +761,7 @@ func findPhase2Ref(m *Matcher, s *graph.Circuit) (*Result, error) {
 //     refuted by the reference too.
 func diffTraceTables(m *Matcher, s *graph.Circuit) (int, error) {
 	m.opts.TraceTable = io.Discard
-	pat, err := testPattern(m, s)
+	pat, err := m.prepare(s)
 	if err != nil {
 		return 0, err
 	}

@@ -47,12 +47,12 @@ type Report struct {
 
 	// Incremental matching (zero/empty for plain Find runs).
 	// IncrementalMode records which path FindIncremental took: "replay"
-	// (region-scoped Phase I + cached Phase II outcomes), "full" (a capture
-	// run over the whole graph), or "legacy" (capture-incompatible options
-	// sent the run through plain Find).  Replayed counts candidates whose outcome was
-	// replayed from the previous state; Recomputed counts candidates
-	// verified afresh; DirtyVertices is the size of the dirty set the run
-	// started from.
+	// (full Phase I + cached Phase II outcomes), "full" (no usable capture:
+	// a capturing run that replays nothing), or "legacy"
+	// (capture-incompatible options sent the run through plain Find).
+	// Replayed counts candidates whose outcome was replayed from the
+	// previous state; Recomputed counts candidates verified afresh;
+	// DirtyVertices is the size of the dirty set the run started from.
 	IncrementalMode string
 	Replayed        int
 	Recomputed      int
