@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-phase2 bench-e2e bench-harness smoke-daemon chaos-smoke bench-compare docs docs-check size clean
+.PHONY: all tier1 build test vet fmt-check lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-e2e bench-harness smoke-daemon chaos-smoke bench-compare docs docs-check size clean
 
 all: tier1
 
@@ -19,14 +19,16 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # Engine differentials: Phase I CSR vs the pointer-walking reference in
 # phase1ref_test.go, the flat initial labels vs NewInitLabels, Phase II
 # (instances, their order, and the Table-1 per-pass state) vs the
-# whole-graph reference in phase2ref_test.go, and the incremental replay
-# engine vs Find on a fresh matcher, on fixed and random circuits, twice
-# (scratch-pool reuse across runs is part of the contract), under the race
-# detector.  The server's instance renderer runs against the map-building
-# reference it replaced, byte for byte, and the netlist reader and
-# flattener against theirs (parseref_test.go) over ten seconds of fuzzing.
+# whole-graph reference in phase2ref_test.go, the Phase II admit filter vs
+# a filter-off run (no rejected candidate verifies; same instances in the
+# same order), and the incremental replay engine vs Find on a fresh
+# matcher, on fixed and random circuits, twice (scratch-pool reuse across
+# runs is part of the contract), under the race detector.  The server's
+# instance renderer runs against the map-building reference it replaced,
+# byte for byte, and the netlist reader and flattener against theirs
+# (parseref_test.go) over ten seconds of fuzzing.
 diff: diff-incremental
-	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestScratchPoolReuse' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse' ./internal/core/
 	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference' ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 
@@ -60,11 +62,6 @@ bench-smoke:
 # sizes and worker counts, archived as BENCH_sweep.json.
 bench-sweep:
 	$(GO) run ./cmd/benchtab -table sweep -json BENCH_sweep.json
-
-# Phase II table only: region-localized Phase II timings and ball sizes
-# across workloads, archived as BENCH_phase2_region.json.
-bench-phase2:
-	$(GO) run ./cmd/benchtab -table phase2 -json BENCH_phase2_region.json
 
 # End-to-end daemon benchmark (BENCHMARK.json's command): boots the real
 # subgeminid and drives the four closed-loop workloads, one row each.  See

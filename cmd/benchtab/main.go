@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtab [-table results|scaling|baseline|ablation|coverage|phase1|phase2|sweep|all] [-quick] [-json out.json]
+//	benchtab [-table results|scaling|baseline|ablation|coverage|phase1|sweep|all] [-quick] [-json out.json]
 //
 // Absolute times are machine-dependent; the shapes the paper claims —
 // instance counts, tight candidate vectors, flat time-per-matched-device,
@@ -40,12 +40,11 @@ type jsonOutput struct {
 	Ablation      []bench.AblationRow `json:"ablation,omitempty"`
 	Coverage      []bench.CoverageRow `json:"coverage,omitempty"`
 	Phase1        []bench.Phase1Row   `json:"phase1,omitempty"`
-	Phase2        []bench.Phase2Row   `json:"phase2,omitempty"`
 	Sweep         []bench.SweepRow    `json:"sweep,omitempty"`
 }
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: results, scaling, baseline, ablation, coverage, phase1, phase2, sweep, all")
+	table := flag.String("table", "all", "which table to regenerate: results, scaling, baseline, ablation, coverage, phase1, sweep, all")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
 	jsonPath := flag.String("json", "", "also write the selected tables to this file as JSON")
 	flag.Parse()
@@ -87,11 +86,6 @@ func main() {
 	run("phase1", func() error {
 		rows, err := phase1(*quick)
 		out.Phase1 = rows
-		return err
-	})
-	run("phase2", func() error {
-		rows, err := phase2(*quick)
-		out.Phase2 = rows
 		return err
 	})
 	run("sweep", func() error {
@@ -247,23 +241,6 @@ func phase1(quick bool) ([]bench.Phase1Row, error) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%v\n",
 			r.Circuit, r.Devices, r.Pattern, r.Passes, r.Pruned, r.CVSize, r.Found, round(r.P1))
-	}
-	w.Flush()
-	fmt.Println()
-	return rows, nil
-}
-
-func phase2(quick bool) ([]bench.Phase2Row, error) {
-	rows, err := bench.Phase2Regions(quick)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== Phase II: region-localized candidate verification ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tpattern\tcandidates\tfound\tradius\tavg ball\tmax ball\tphase2 (min)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%.0f\t%d\t%v\n",
-			r.Circuit, r.Devices, r.Pattern, r.Candidates, r.Found, r.Radius, r.AvgBall, r.MaxBall, round(r.P2))
 	}
 	w.Flush()
 	fmt.Println()

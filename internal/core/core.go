@@ -119,9 +119,10 @@ type Options struct {
 
 	// Observe, when non-nil, receives span timelines for the run: one
 	// phase1 span (attrs: passes, cv_size), one phase2 span (attrs:
-	// candidates, instances — or replayed/recomputed on the incremental
-	// path), and a csr-build span when the matcher has to construct its own
-	// adjacency view.  Wiring a request timeline in is one line:
+	// candidates, filtered, instances — plus replayed/recomputed on the
+	// incremental path), and a csr-build span when the matcher has to
+	// construct its own adjacency view.  Wiring a request timeline in is
+	// one line:
 	//
 	//	opts.Observe = obs.ScopeFromContext(ctx)
 	//
@@ -565,6 +566,7 @@ func (m *Matcher) match(pat *pattern, res *Result, rc *replayCtx, st *Incrementa
 	res.Report.Phase2Duration = time.Since(t1)
 	if o := m.opts.Observe; o != nil {
 		o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
+		o.AttrInt(p2Ref, "filtered", int64(res.Report.Filtered))
 		if st != nil {
 			o.AttrInt(p2Ref, "replayed", int64(res.Report.Replayed))
 			o.AttrInt(p2Ref, "recomputed", int64(res.Report.Recomputed))
@@ -586,6 +588,7 @@ func (m *Matcher) cutPhase2(res *Result, t1 time.Time, p2Ref obs.SpanRef, err er
 	res.Report.Phase2Duration = time.Since(t1)
 	if o := m.opts.Observe; o != nil {
 		o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
+		o.AttrInt(p2Ref, "filtered", int64(res.Report.Filtered))
 		o.End(p2Ref)
 	}
 	return err

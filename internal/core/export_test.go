@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
 	"subgemini/internal/stats"
@@ -49,6 +51,52 @@ func FindPhase2RefForTest(m *Matcher, s *graph.Circuit) (*Result, error) {
 // diffTraceTables).  It sets m's TraceTable option.
 func DiffTraceTablesForTest(m *Matcher, s *graph.Circuit) (int, error) {
 	return diffTraceTables(m, s)
+}
+
+// AdmitAuditForTest runs m's Phase I, then Find's candidate loop
+// (refLoop) with the admit filter off: a candidate gets only the checks
+// verify made before the filter (not consumed, not fixed, the key's kind,
+// compatible for a device key) and then the full search.  Before each
+// verification it asks admit about the same candidate, which draws no
+// unique label, so the run draws exactly the filter-off label stream.  It
+// returns the filter-off result and how many verifications admit
+// rejected, or an error naming the first rejected candidate whose
+// verification found an instance.
+func AdmitAuditForTest(m *Matcher, s *graph.Circuit) (*Result, int, error) {
+	pat, err := m.prepare(s)
+	if err != nil {
+		return nil, 0, err
+	}
+	res := &Result{}
+	key, cv, err := m.runPhase1(pat, res)
+	if err != nil || len(cv) == 0 {
+		return res, 0, err
+	}
+	p2, err := newP2Region(m, pat, key, &res.Report)
+	if err != nil {
+		return res, 0, nil // a pre-match constraint is unsatisfiable
+	}
+	defer p2.close()
+	keyDev := pat.space.IsDevice(key)
+	rejected := 0
+	err = refLoop(m, res, cv, func(c label.VID) (*Instance, error) {
+		if p2.consumedDev(c) || p2.fixedMain(int32(c)) {
+			return nil, nil
+		}
+		admitted := p2.admit(key, c)
+		var inst *Instance
+		if keyDev == m.gSpace.IsDevice(c) && (!keyDev || p2.compatible(key, c)) {
+			inst = p2.search(key, c)
+		}
+		if !admitted {
+			rejected++
+			if inst != nil {
+				return nil, fmt.Errorf("admit rejected candidate %s, which verifies as %v", m.gSpace.Name(c), inst)
+			}
+		}
+		return inst, nil
+	})
+	return res, rejected, err
 }
 
 // RunPhase1ForTest runs candidate generation alone, mirroring Find's

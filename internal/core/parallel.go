@@ -149,6 +149,7 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 		res.Report.VerifyCalls += shards[w].report.VerifyCalls
 		res.Report.Candidates += shards[w].report.Candidates
 		res.Report.CandidatesMatched += shards[w].report.CandidatesMatched
+		res.Report.Filtered += shards[w].report.Filtered
 		res.Report.RegionBallSum += shards[w].report.RegionBallSum
 		if shards[w].report.RegionMaxSize > res.Report.RegionMaxSize {
 			res.Report.RegionMaxSize = shards[w].report.RegionMaxSize
@@ -176,6 +177,7 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	res.Report.Instances = len(res.Instances)
 	if o := m.opts.Observe; o != nil {
 		o.AttrInt(p2Ref, "candidates", int64(res.Report.Candidates))
+		o.AttrInt(p2Ref, "filtered", int64(res.Report.Filtered))
 		o.AttrInt(p2Ref, "instances", int64(res.Report.Instances))
 	}
 	return res, nil

@@ -97,30 +97,23 @@ func newPattern(s *graph.Circuit, opts *Options) (*pattern, error) {
 	return p, nil
 }
 
-// eccFrom returns the eccentricity of pattern vertex from over the
-// traversal that ignores fixed (global or bound) nets: the largest hop
-// distance from it to any device or non-fixed net.  The region-localized
-// Phase II engine keys on eccFrom(key): any instance whose key image is c
-// lies entirely within that many hops of c through non-fixed vertices,
-// because every pattern vertex is that close to the key through non-fixed
-// vertices (checkConnected guarantees reachability) and the image of such
-// a path is a same-length path through non-fixed main-graph vertices.  One
-// BFS over the pattern, O(V+E); callers must not pass a fixed net.
-func (p *pattern) eccFrom(from label.VID) int {
+// distFrom returns every pattern vertex's hop distance from vertex from
+// over the traversal that ignores fixed (global or bound) nets, and -1 for
+// the fixed nets themselves.  The Phase II engine reads one such BFS from
+// the key twice: eccFrom takes its radius from it, and the admit tables
+// take their forward edges (next-level neighbours) from it.  One BFS over
+// the pattern, O(V+E); callers must not pass a fixed net.
+func (p *pattern) distFrom(from label.VID) []int32 {
 	size := p.space.Size()
-	dist := make([]int, size)
+	dist := make([]int32, size)
 	for i := range dist {
 		dist[i] = -1
 	}
 	queue := make([]label.VID, 1, size)
 	queue[0] = from
 	dist[from] = 0
-	far := 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		if dist[u] > far {
-			far = dist[u]
-		}
 		if p.space.IsDevice(u) {
 			for _, pin := range p.space.Device(u).Pins {
 				if p.fixed(pin.Net) {
@@ -142,7 +135,23 @@ func (p *pattern) eccFrom(from label.VID) int {
 			}
 		}
 	}
-	return far
+	return dist
+}
+
+// eccFrom returns the eccentricity of the BFS source of dist: the largest
+// hop distance from it to any device or non-fixed net.  The
+// region-localized Phase II engine keys on the key vertex's eccentricity:
+// any instance whose key image is c lies entirely within that many hops of
+// c through non-fixed vertices, because every pattern vertex is that close
+// to the key through non-fixed vertices (checkConnected guarantees
+// reachability) and the image of such a path is a same-length path through
+// non-fixed main-graph vertices.
+func eccFrom(dist []int32) int {
+	far := int32(0)
+	for _, d := range dist {
+		far = max(far, d)
+	}
+	return int(far)
 }
 
 // checkConnected verifies that all devices and non-fixed nets form a single

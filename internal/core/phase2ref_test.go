@@ -687,9 +687,8 @@ func (p *phase2) pinsAgree(d, gd *graph.Device) bool {
 }
 
 // findPhase2Ref is Find with Phase II on the whole-graph reference: the
-// same Phase I, then its own copy of Find's candidate loop (MaxInstances,
-// overlap policy, signature de-duplication), without observers or
-// cancellation.
+// same Phase I, then refLoop, a copy of Find's candidate loop, without
+// observers or cancellation.
 func findPhase2Ref(m *Matcher, s *graph.Circuit) (*Result, error) {
 	pat, err := m.prepare(s)
 	if err != nil {
@@ -710,6 +709,14 @@ func findPhase2Ref(m *Matcher, s *graph.Circuit) (*Result, error) {
 	if err != nil {
 		return res, nil // a pre-match constraint is unsatisfiable
 	}
+	return res, refLoop(m, res, cv, func(c label.VID) (*Instance, error) { return p2.verify(key, c), nil })
+}
+
+// refLoop is Find's candidate loop for the test-only runs: MaxInstances,
+// the overlap policy (a NonOverlapping candidate is verified again after
+// each instance) and signature de-duplication.  verify answers one
+// verification of candidate c; its first error stops the loop.
+func refLoop(m *Matcher, res *Result, cv []label.VID, verify func(c label.VID) (*Instance, error)) error {
 	seen := make(map[string]bool)
 	for _, c := range cv {
 		if m.opts.MaxInstances > 0 && len(res.Instances) >= m.opts.MaxInstances {
@@ -717,7 +724,10 @@ func findPhase2Ref(m *Matcher, s *graph.Circuit) (*Result, error) {
 		}
 		res.Report.Candidates++
 		for {
-			inst := p2.verify(key, c)
+			inst, err := verify(c)
+			if err != nil {
+				return err
+			}
 			if inst == nil {
 				break
 			}
@@ -739,7 +749,7 @@ func findPhase2Ref(m *Matcher, s *graph.Circuit) (*Result, error) {
 			}
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // diffTraceTables runs Phase I once, then verifies every candidate on the

@@ -12,13 +12,14 @@ import (
 )
 
 // p2region is the Phase II engine (paper §IV).  Per candidate c it first
-// extracts the ball of main-graph vertices within the pattern's key-vertex
-// eccentricity r of c (pattern.ecc) and runs the whole relabel / partition /
-// solve / verify machinery over dense region-local ids.  The localization is
-// sound: an instance whose key image is c maps every pattern vertex along a
-// non-fixed pattern path of length <= r from the key, and the image of that
-// path is a same-length path from c through non-fixed, non-consumed
-// main-graph vertices, so every possible image lies inside the ball.
+// runs the admit filter (see admit), then extracts the ball of main-graph
+// vertices within the pattern's key-vertex eccentricity r of c (eccFrom)
+// and runs the whole relabel / partition / solve / verify machinery over
+// dense region-local ids.  The localization is sound: an instance whose
+// key image is c maps every pattern vertex along a non-fixed pattern path
+// of length <= r from the key, and the image of that path is a same-length
+// path from c through non-fixed, non-consumed main-graph vertices, so
+// every possible image lies inside the ball.
 // Pre-matched fixed vertices (globals and bind targets) are seeded at the
 // head of every ball so their labels stay visible to relabeling even though
 // no label ever spreads through them.
@@ -67,6 +68,16 @@ type p2region struct {
 	fixedGvid []int32
 	fixedLab  []label.Value
 	fixedSvid []label.VID
+
+	// Admit tables (see admit), built once per engine from the BFS that
+	// gives the radius.  For pattern vertex u, aEdges[aStart[u]:aFwd[u]]
+	// are its pins on fixed nets as (fixed main vid, class multiplier), and
+	// aEdges[aFwd[u]:aStart[u+1]] its forward edges to the next BFS level
+	// as (pattern vid, class multiplier).  aPoll counts walk visits down
+	// to the next Options.Cancel poll, across candidates.
+	aStart, aFwd []int32
+	aEdges       []admitEdge
+	aPoll        int
 
 	// Pooled O(|G|) translation state; local is -1 outside the current ball.
 	local  []int32
@@ -137,10 +148,26 @@ const p2CancelStride = 32
 // in Report.GuessLimitHits.  Variable for tests.
 var guessDepthLimit = 64
 
-// rCancelBlock is how many ball vertices a region BFS expands between
-// Options.Cancel polls, so even extracting one huge region from a
-// high-fanout circuit honors a deadline.  Variable for tests.
+// rCancelBlock is how many ball vertices a region BFS expands, or the admit
+// walk visits, between Options.Cancel polls, so even extracting one huge
+// region from a high-fanout circuit honors a deadline.  Variable for tests.
 var rCancelBlock = 4096
+
+// admitDepth bounds the admit walk (see admit).  On random logic, depth 2
+// rejects every false INV candidate but few false NAND2, NOR2 and NAND3
+// ones; depth 3 rejects all of those too.  Deeper walks reject nothing more
+// on random or tiled designs, and every true candidate pays for them: on FA
+// in a ripple adder, depth 4 more than doubles the walk (EXPERIMENTS.md
+// § "Candidate filter").
+const admitDepth = 3
+
+// admitEdge is one admit-table entry: a pattern vid (forward edge) or a
+// fixed main-graph vid (fixed pin), with the class multiplier of the edge,
+// the value csr.Graph.Mul holds for the edge's image.
+type admitEdge struct {
+	v   int32
+	mul uint64
+}
 
 // labVID is a pattern-side partition pair: a label and the vertex carrying
 // it.
@@ -162,14 +189,16 @@ type labLocal struct {
 }
 
 func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p2region, error) {
+	dist := pat.distFrom(key)
 	p := &p2region{
 		m: m, pat: pat, rep: rep,
 		sSpace: pat.space,
 		gSpace: m.gSpace,
 		g:      m.csrView(),
 		uniq:   label.NewUniqueSource(m.opts.Seed),
-		radius: pat.eccFrom(key),
+		radius: eccFrom(dist),
 	}
+	p.aPoll = rCancelBlock
 	rep.RegionRadius = p.radius
 	sn := p.sSpace.Size()
 	p.sInitLab = make([]label.Value, sn)
@@ -231,7 +260,54 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 		p.close()
 		return nil, err
 	}
+	p.initAdmit(dist)
 	return p, nil
+}
+
+// initAdmit builds the admit tables from the key's BFS distances: per
+// device, its pins on fixed nets (after initPrematch, which resolves their
+// images); per vertex, its edges to neighbours one level further from the
+// key.  Every pattern edge lands in exactly one list — a fixed pin, or a
+// forward edge of whichever endpoint is nearer the key, since the pattern
+// is bipartite — so the tables hold one entry per pin.
+func (p *p2region) initAdmit(dist []int32) {
+	sn := p.sSpace.Size()
+	pins := 0
+	for _, d := range p.pat.s.Devices {
+		pins += len(d.Pins)
+	}
+	p.aStart = make([]int32, sn+1)
+	p.aFwd = make([]int32, sn)
+	p.aEdges = make([]admitEdge, 0, pins)
+	fwd := func(u, v label.VID, class graph.TermClass) {
+		if dist[u] >= 0 && dist[v] == dist[u]+1 {
+			p.aEdges = append(p.aEdges, admitEdge{int32(v), label.ClassMul(class)})
+		}
+	}
+	for u := 0; u < sn; u++ {
+		vid := label.VID(u)
+		p.aStart[u] = int32(len(p.aEdges))
+		if !p.sSpace.IsDevice(vid) {
+			p.aFwd[u] = p.aStart[u]
+			for _, conn := range p.sSpace.Net(vid).Conns {
+				fwd(vid, p.sSpace.DevVID(conn.Dev), conn.Dev.Pins[conn.Pin].Class)
+			}
+			continue
+		}
+		for _, pin := range p.sSpace.Device(vid).Pins {
+			nv := p.sSpace.NetVID(pin.Net)
+			for i, sv := range p.fixedSvid {
+				if sv == nv {
+					p.aEdges = append(p.aEdges, admitEdge{p.fixedGvid[i], label.ClassMul(pin.Class)})
+				}
+			}
+		}
+		p.aFwd[u] = int32(len(p.aEdges))
+		for _, pin := range p.sSpace.Device(vid).Pins {
+			fwd(vid, p.sSpace.NetVID(pin.Net), pin.Class)
+		}
+	}
+	p.aStart[sn] = int32(len(p.aEdges))
 }
 
 // initPrematch pre-matches global nets by name (paper §V.A) and bound
@@ -497,25 +573,115 @@ func (p *p2region) verifyCandidate(key, c label.VID) *Instance {
 	return inst
 }
 
-// verify is the untraced body of verifyCandidate.
+// verify is the untraced body of verifyCandidate: the admit filter, then
+// the search.  A candidate admit rejects draws no unique label.
 func (p *p2region) verify(key, c label.VID) *Instance {
-	if p.consumedDev(c) {
+	// A fixed vertex is pre-matched by name; it can never be the image of
+	// the (never-fixed) key.  Phase I keeps fixed vertices out of the
+	// candidate vector, so that guard is defensive.
+	if p.consumedDev(c) || p.fixedMain(int32(c)) {
 		return nil
 	}
+	if !p.admit(key, c) {
+		if p.cancelErr == nil {
+			p.rep.Filtered++
+		}
+		return nil
+	}
+	return p.search(key, c)
+}
+
+// fixedMain reports whether main-graph vertex v is a pre-matched global or
+// bind target.  There are a handful at most.
+func (p *p2region) fixedMain(v int32) bool {
 	for _, gv := range p.fixedGvid {
-		// A fixed vertex is pre-matched by name; it can never be the image
-		// of the (never-fixed) key.  Phase I keeps fixed vertices out of the
-		// candidate vector, so this guard is defensive.
-		if gv == int32(c) {
-			return nil
+		if gv == v {
+			return true
 		}
 	}
-	if p.sSpace.IsDevice(key) != p.gSpace.IsDevice(c) {
-		return nil
+	return false
+}
+
+// admit is an exact neighbourhood filter run before a candidate's ball is
+// extracted.  To depth min(r, admitDepth) it walks the key's BFS levels
+// outwards from c and requires that c hosts the key and that every host
+// has, for each forward edge of its pattern vertex, a CSR neighbour that
+// hosts the edge's far end: reached over an edge of the same class
+// multiplier, neither fixed, consumed, nor the host it was entered from.
+// Hosting means passing compatible (type and pin count, net degree) and
+// carrying the pattern vertex's fixed pins.  Each forward edge is searched
+// on its own, and the first neighbour that hosts ends its search.
+//
+// It is sound: the images of any instance rooted at c satisfy every
+// condition.  verifyMapping requires each pattern edge's image to be an
+// edge of the same terminal class, and each fixed pin's image to be a pin
+// of that class on the fixed net's pre-matched image; compatible holds for
+// every image; images are injective, so an image is never its BFS parent's
+// image; and balls hold no consumed device, and their fixed seeds are
+// pre-matched to the fixed pattern nets.  A multiplier collision between
+// classes can only admit more.  So a rejected
+// candidate has no instance, and admitted ones are still verified in full.
+func (p *p2region) admit(key, c label.VID) bool {
+	return p.admitAt(int32(key), int32(c), -1, min(p.radius, admitDepth))
+}
+
+// admitAt reports whether main-graph vertex h hosts pattern vertex u when
+// entered from host from (-1 at the root), walking left more levels.
+func (p *p2region) admitAt(u, h, from int32, left int) bool {
+	if p.cancelErr != nil {
+		return false
 	}
-	if p.sSpace.IsDevice(key) && !p.compatible(key, c) {
-		return nil
+	// A countdown rather than extract's modulo: the walk visits several
+	// vertices per candidate, and the division showed in its profile.
+	if p.aPoll--; p.aPoll == 0 {
+		p.aPoll = rCancelBlock
+		if p.m.opts.Cancel != nil {
+			if err := p.m.opts.Cancel(); err != nil {
+				p.cancelErr = err
+				return false
+			}
+		}
 	}
+	if !p.compatible(label.VID(u), label.VID(h)) {
+		return false
+	}
+	g := p.g
+	lo, hi := g.Start[h], g.Start[h+1]
+	for _, fe := range p.aEdges[p.aStart[u]:p.aFwd[u]] {
+		e := lo
+		for e < hi && (g.Adj[e] != fe.v || g.Mul[e] != fe.mul) {
+			e++
+		}
+		if e == hi {
+			return false
+		}
+	}
+	if left == 0 {
+		return true
+	}
+	nd := int32(g.NumDevs)
+	for _, fe := range p.aEdges[p.aFwd[u]:p.aStart[u+1]] {
+		found := false
+		for e := lo; e < hi && !found; e++ {
+			nh := g.Adj[e]
+			if g.Mul[e] != fe.mul || nh == from {
+				continue
+			}
+			if nh < nd && p.m.consumed[nh] || nh >= nd && p.fixedMain(nh) {
+				continue
+			}
+			found = p.admitAt(fe.v, nh, h, left-1)
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// search is verify past the filter: it extracts c's ball, seeds the key
+// pair and solves.
+func (p *p2region) search(key, c label.VID) *Instance {
 	if !p.extract(c) {
 		return nil // cancelled mid-extraction
 	}

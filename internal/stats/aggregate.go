@@ -42,6 +42,7 @@ func (t *patternTotals) add(r *Report) {
 	t.sum.CVSize += r.CVSize
 	t.sum.Candidates += r.Candidates
 	t.sum.CandidatesMatched += r.CandidatesMatched
+	t.sum.Filtered += r.Filtered
 	t.sum.Phase2Passes += r.Phase2Passes
 	t.sum.Guesses += r.Guesses
 	t.sum.Backtracks += r.Backtracks
@@ -77,6 +78,7 @@ func (a *Aggregate) AddPattern(pattern string, r *Report) {
 	a.sum.CVSize += r.CVSize
 	a.sum.Candidates += r.Candidates
 	a.sum.CandidatesMatched += r.CandidatesMatched
+	a.sum.Filtered += r.Filtered
 	a.sum.Phase2Passes += r.Phase2Passes
 	a.sum.Guesses += r.Guesses
 	a.sum.Backtracks += r.Backtracks

@@ -10,7 +10,7 @@ func TestAggregateSums(t *testing.T) {
 	var a Aggregate
 	a.Add(&Report{
 		Phase1Passes: 3, Phase1Duration: 2 * time.Millisecond, CVSize: 5,
-		Candidates: 5, Phase2Passes: 7, Guesses: 2, Backtracks: 1,
+		Candidates: 5, Filtered: 3, Phase2Passes: 7, Guesses: 2, Backtracks: 1,
 		GuessLimitHits: 1, VerifyCalls: 4, Phase2Duration: 3 * time.Millisecond,
 		Instances: 4, MatchedDevices: 16,
 		KeyVertex: "n1", EarlyAbort: false,
@@ -28,7 +28,7 @@ func TestAggregateSums(t *testing.T) {
 	}
 	if s.Sum.Phase1Passes != 4 || s.Sum.Phase2Passes != 7 || s.Sum.Guesses != 2 ||
 		s.Sum.Backtracks != 1 || s.Sum.GuessLimitHits != 1 || s.Sum.VerifyCalls != 4 || s.Sum.Candidates != 5 ||
-		s.Sum.CVSize != 5 || s.Sum.Instances != 4 || s.Sum.MatchedDevices != 16 {
+		s.Sum.Filtered != 3 || s.Sum.CVSize != 5 || s.Sum.Instances != 4 || s.Sum.MatchedDevices != 16 {
 		t.Errorf("bad counter sums: %+v", s.Sum)
 	}
 	if s.Sum.Phase1Duration != 3*time.Millisecond || s.Sum.Phase2Duration != 3*time.Millisecond {
@@ -61,7 +61,7 @@ func TestAggregateNilAndReset(t *testing.T) {
 // sweeps) remain attributable.
 func TestAggregatePatternDimension(t *testing.T) {
 	var a Aggregate
-	a.AddPattern("NAND2", &Report{Instances: 3, Candidates: 5})
+	a.AddPattern("NAND2", &Report{Instances: 3, Candidates: 5, Filtered: 2})
 	a.AddPattern("NAND2", &Report{Instances: 1, Candidates: 2, EarlyAbort: true})
 	a.AddPattern("INV", &Report{Instances: 7, Candidates: 9})
 	a.Add(&Report{Instances: 100}) // anonymous: totals only
@@ -77,7 +77,7 @@ func TestAggregatePatternDimension(t *testing.T) {
 	if ps[0].Runs != 1 || ps[0].Sum.Instances != 7 {
 		t.Errorf("INV totals wrong: %+v", ps[0])
 	}
-	if ps[1].Runs != 2 || ps[1].Sum.Instances != 4 || ps[1].EarlyAborts != 1 {
+	if ps[1].Runs != 2 || ps[1].Sum.Instances != 4 || ps[1].Sum.Filtered != 2 || ps[1].EarlyAborts != 1 {
 		t.Errorf("NAND2 totals wrong: %+v", ps[1])
 	}
 

@@ -30,6 +30,7 @@ type Report struct {
 	// Phase II.
 	Candidates        int           // candidate vertices examined
 	CandidatesMatched int           // candidates whose verification produced an instance (pre-dedup)
+	Filtered          int           // candidate verifications the admit filter rejected before extracting a ball (counted in Candidates too)
 	Phase2Passes      int           // relabeling passes across all candidates
 	Guesses           int           // ambiguity resolutions attempted
 	Backtracks        int           // guesses that failed and were undone
@@ -88,6 +89,9 @@ func (r *Report) String() string {
 		r.Instances, r.MatchedDevices, r.CVSize, r.KeyVertex,
 		r.Phase1Passes, r.Phase2Passes, r.Guesses, r.Backtracks,
 		r.Phase1Duration.Round(time.Microsecond), r.Phase2Duration.Round(time.Microsecond))
+	if r.Filtered > 0 {
+		s += fmt.Sprintf(" filtered=%d", r.Filtered)
+	}
 	if r.GuessLimitHits > 0 {
 		s += fmt.Sprintf(" guessLimitHits=%d", r.GuessLimitHits)
 	}

@@ -28,8 +28,12 @@ func TestString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
 	}
-	if strings.Contains(s, "guessLimitHits") {
-		t.Errorf("String() = %q reports guess-limit hits for a run without any", s)
+	if strings.Contains(s, "guessLimitHits") || strings.Contains(s, "filtered") {
+		t.Errorf("String() = %q reports guess-limit hits or filtered candidates for a run without any", s)
+	}
+	r.Filtered = 5
+	if s := r.String(); !strings.Contains(s, "filtered=5") {
+		t.Errorf("String() = %q missing filtered=5", s)
 	}
 	r.GuessLimitHits = 3
 	if s := r.String(); !strings.Contains(s, "guessLimitHits=3") {
