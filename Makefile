@@ -33,10 +33,20 @@ diff: diff-incremental
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 
 # Incremental differential only: FindIncremental replay after random edit
-# batches against the full-matcher oracle, bit-identical instances.
+# batches against the full-matcher oracle, bit-identical instances.  The
+# edit path itself: a failed or undone batch restores the circuit exactly
+# (internal/delta), edits in place and on a clone agree step for step and
+# view for view, an interrupted edit leaves the entry serving the pre-edit
+# circuit, an edit allocates under half a Clone (internal/store), a patched
+# CSR view equals a fresh build under both remap shapes (internal/csr), and
+# matches, sweeps and extract jobs racing PATCHes each answer as at the
+# version they report (internal/server).
 diff-incremental:
 	$(GO) test -race -count=2 -run 'TestIncrementalDifferential|TestIncrementalFallbacks' ./internal/core/
 	$(GO) test -race -count=2 ./internal/delta/
+	$(GO) test -race -count=2 -run 'TestPatch' ./internal/csr/
+	$(GO) test -race -count=2 -run 'TestEditInPlaceMatchesClone|TestAppendLogFaultFailsEdit|TestApplyEditsAllocatesUnderHalfAClone|TestConcurrentEditsAndMatches|TestEditedViewMatchesFreshBuild' ./internal/store/
+	$(GO) test -race -count=2 -run 'TestEditsRaceReaders|TestConcurrentPatchVsMatch' ./internal/server/
 
 # Phase II differential only: the region engine against the whole-graph
 # reference, bit-identical instances and order across worker counts, and

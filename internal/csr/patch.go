@@ -31,8 +31,15 @@ type Remap struct {
 // neighbor indices (remapped) and the same multipliers in the same order,
 // because circuit edits preserve the relative order of surviving pins and
 // connections, and a clean device keeps its type label, because edits
-// replace devices rather than retype them.  rebuilt reports whether the degradation threshold forced a
-// full New build instead (the caller feeds it into the csr-rebuild metric).
+// replace devices rather than retype them.  rebuilt reports whether the
+// degradation threshold forced a full New build instead (the caller feeds
+// it into the csr-rebuild metric).
+//
+// Cost: the circuit is read only for dirty and added vertices.  Clean rows
+// take their lengths from the old view and are copied in maximal runs of
+// consecutive vertices, one copy per run; their neighbor ids are
+// translated only when the remap moves a vertex.  An edit that only
+// rewires and appends, or removes vertices from the end, moves none.
 func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32) (g *Graph, rebuilt bool) {
 	nd, nn := c.NumDevices(), c.NumNets()
 	if old == nil || len(rm.Dev) != old.NumDevs || len(rm.Net) != old.NumNets {
@@ -42,37 +49,52 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 		return New(c), true
 	}
 
-	dirty := make([]bool, nd+nn)
-	for _, v := range dirtyDevs {
-		dirty[v] = true
+	// newVID maps an old vertex id to its new one, -1 when removed.
+	odn := old.NumDevs
+	newVID := func(ov int32) int32 {
+		if ov < int32(odn) {
+			return rm.Dev[ov]
+		}
+		if nv := rm.Net[ov-int32(odn)]; nv >= 0 {
+			return int32(nd) + nv
+		}
+		return -1
 	}
-	for _, v := range dirtyNets {
-		dirty[nd+int(v)] = true
-	}
-	// oldRow[v] = old vertex id of clean new vertex v, -1 when the row must
-	// be rebuilt from the circuit (dirty or added).
-	oldRow := make([]int32, nd+nn)
-	for i := range oldRow {
-		oldRow[i] = -1
-	}
+	moved := nd != odn
+	size := nd + nn
+	g = &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd)}
+	// clean[v]: new vertex v survived the edit and is not dirty, so its
+	// row, and its length in Start, is the old one.
+	clean := make([]bool, size)
 	for ov, nv := range rm.Dev {
-		if nv >= 0 && !dirty[nv] {
-			oldRow[nv] = int32(ov)
+		if nv >= 0 {
+			clean[nv] = true
+			g.Start[nv+1] = old.Start[ov+1] - old.Start[ov]
+			moved = moved || nv != int32(ov)
 		}
 	}
 	for ov, nv := range rm.Net {
-		if nv >= 0 && !dirty[nd+int(nv)] {
-			oldRow[nd+int(nv)] = int32(old.NumDevs + ov)
+		if nv >= 0 {
+			clean[nd+int(nv)] = true
+			g.Start[nd+int(nv)+1] = old.Start[odn+ov+1] - old.Start[odn+ov]
+			moved = moved || nv != int32(ov)
 		}
 	}
-
-	size := nd + nn
-	g = &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd)}
-	for _, d := range c.Devices {
-		g.Start[d.Index+1] = int32(len(d.Pins))
+	for _, v := range dirtyDevs {
+		clean[v] = false
 	}
-	for _, n := range c.Nets {
-		g.Start[nd+n.Index+1] = int32(len(n.Conns))
+	for _, v := range dirtyNets {
+		clean[nd+int(v)] = false
+	}
+	for v, ok := range clean {
+		if ok {
+			continue
+		}
+		if v < nd {
+			g.Start[v+1] = int32(len(c.Devices[v].Pins))
+		} else {
+			g.Start[v+1] = int32(len(c.Nets[v-nd].Conns))
+		}
 	}
 	for v := 0; v < size; v++ {
 		g.Start[v+1] += g.Start[v]
@@ -88,53 +110,62 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 		}
 		return muls[class]
 	}
-
-	// Old adjacency values are old vids; translate them to new vids once via
-	// a flat table instead of chasing pointers per edge.
-	vidMap := make([]int32, old.Size())
-	for ov, nv := range rm.Dev {
-		vidMap[ov] = nv
-	}
-	for ov, nv := range rm.Net {
-		if nv < 0 {
-			vidMap[old.NumDevs+ov] = -1
-		} else {
-			vidMap[old.NumDevs+ov] = int32(nd) + nv
-		}
-	}
-
 	var types typeMemo
-	for v := 0; v < size; v++ {
-		e, ov := g.Start[v], oldRow[v]
+	// fill writes row v from the circuit.
+	fill := func(v int) {
+		e := g.Start[v]
 		if v < nd {
-			if ov >= 0 {
-				g.DevType[v] = old.DevType[ov]
-			} else {
-				g.DevType[v] = types.label(c.Devices[v].Type)
-			}
-		}
-		if ov >= 0 {
-			lo, hi := old.Start[ov], old.Start[ov+1]
-			copy(g.Mul[e:], old.Mul[lo:hi])
-			for k := lo; k < hi; k++ {
-				g.Adj[e] = vidMap[old.Adj[k]]
-				e++
-			}
-			continue
-		}
-		if v < nd {
-			for _, pin := range c.Devices[v].Pins {
+			d := c.Devices[v]
+			g.DevType[v] = types.label(d.Type)
+			for _, pin := range d.Pins {
 				g.Adj[e] = int32(nd + pin.Net.Index)
 				g.Mul[e] = mulOf(pin.Class)
 				e++
 			}
-		} else {
-			for _, conn := range c.Nets[v-nd].Conns {
-				g.Adj[e] = int32(conn.Dev.Index)
-				g.Mul[e] = mulOf(conn.Dev.Pins[conn.Pin].Class)
-				e++
-			}
+			return
 		}
+		for _, conn := range c.Nets[v-nd].Conns {
+			g.Adj[e] = int32(conn.Dev.Index)
+			g.Mul[e] = mulOf(conn.Dev.Pins[conn.Pin].Class)
+			e++
+		}
+	}
+
+	// Walk the old vertices in order: survivors come out in new-id order
+	// (remaps never reorder), so the rows between two clean runs are the
+	// dirty and added ones, filled from the circuit.
+	v := 0
+	for ov, oldSize := int32(0), int32(old.Size()); ov < oldSize; {
+		nv := newVID(ov)
+		if nv < 0 || !clean[nv] {
+			ov++
+			continue
+		}
+		for ; v < int(nv); v++ {
+			fill(v)
+		}
+		n := int32(1)
+		for ov+n < oldSize && newVID(ov+n) == nv+n && clean[nv+n] {
+			n++
+		}
+		lo, hi, e := old.Start[ov], old.Start[ov+n], g.Start[nv]
+		copy(g.Mul[e:], old.Mul[lo:hi])
+		if moved {
+			for k, a := range old.Adj[lo:hi] {
+				g.Adj[e+int32(k)] = newVID(a)
+			}
+		} else {
+			copy(g.Adj[e:], old.Adj[lo:hi])
+		}
+		if int(nv) < nd {
+			k := min(n, int32(nd)-nv)
+			copy(g.DevType[nv:nv+k], old.DevType[ov:ov+k])
+		}
+		ov += n
+		v = int(nv + n)
+	}
+	for ; v < size; v++ {
+		fill(v)
 	}
 	return g, false
 }

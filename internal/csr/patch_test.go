@@ -260,3 +260,70 @@ func TestPatchRebuildThreshold(t *testing.T) {
 		t.Fatalf("Patch(nil, ...) did not report rebuilt")
 	}
 }
+
+// TestPatchRemaps covers the two shapes of vertex remap Patch
+// distinguishes: one that moves no surviving vertex (an eco edit rewires a
+// pin onto an appended net, then moves it back and removes that net), so
+// clean rows are copied as they are, and one that shifts vertices (a device
+// removed mid-circuit), so clean rows' neighbor ids are translated.
+func TestPatchRemaps(t *testing.T) {
+	type edit func(c *graph.Circuit, s *editState) error
+	rewire := func(dev, pin int, net func(c *graph.Circuit) *graph.Net) edit {
+		return func(c *graph.Circuit, s *editState) error {
+			d, to := c.Devices[dev], net(c)
+			s.dirtyDev[d], s.dirtyNet[d.Pins[pin].Net], s.dirtyNet[to] = true, true, true
+			return c.RewirePin(d.Name, pin, to)
+		}
+	}
+	var home *graph.Net // device 20's pin 1 net before the eco edit
+	for _, tc := range []struct {
+		name    string
+		shifted bool
+		edits   []edit
+	}{
+		{"identity", false, []edit{
+			rewire(20, 1, func(c *graph.Circuit) *graph.Net {
+				home = c.Devices[20].Pins[1].Net
+				return c.AddNet("eco")
+			}),
+			func(c *graph.Circuit, s *editState) error {
+				if err := rewire(20, 1, func(*graph.Circuit) *graph.Net { return home })(c, s); err != nil {
+					return err
+				}
+				return c.RemoveNet("eco")
+			},
+		}},
+		{"shifted", true, []edit{
+			func(c *graph.Circuit, s *editState) error {
+				victim := c.Devices[25]
+				for _, p := range victim.Pins {
+					s.dirtyNet[p.Net] = true
+				}
+				return c.RemoveDevice(victim.Name)
+			},
+		}},
+	} {
+		c := chain(60)
+		view := New(c)
+		for i, ed := range tc.edits {
+			s := newEditState(c)
+			if err := ed(c, s); err != nil {
+				t.Fatalf("%s edit %d: %v", tc.name, i, err)
+			}
+			rm, dd, dn := s.finish()
+			moves := false
+			for ov, nv := range rm.Dev {
+				moves = moves || (nv >= 0 && nv != int32(ov))
+			}
+			if moves != tc.shifted {
+				t.Fatalf("%s edit %d: the remap moves vertices: %v", tc.name, i, moves)
+			}
+			got, rebuilt := Patch(view, c, rm, dd, dn)
+			if rebuilt {
+				t.Fatalf("%s edit %d: Patch rebuilt", tc.name, i)
+			}
+			sameGraph(t, got, New(c), fmt.Sprintf("%s edit %d", tc.name, i))
+			view = got
+		}
+	}
+}

@@ -6,12 +6,15 @@
 // and a versioned result cache mapping (circuit, pattern) to the captured
 // state of the last complete run.
 //
-// Edits apply to a clone of the stored circuit (the store's job), so a
-// failed validation aborts the whole edit batch with the original circuit
-// untouched, and in-flight matches against the old entry keep a consistent
-// view (snapshot isolation).  All mutators preserve the relative order of
-// surviving pins and connections — the property the incremental CSR patcher
-// (csr.Patch) and Phase II outcome replay both rely on.
+// A batch applies in place and atomically: Apply records the inverse of
+// every mutation (graph.Circuit.Record), so a failed op rolls the whole
+// batch back and leaves the circuit exactly as it was, and ApplyUndo hands
+// the rollback to a caller that must abandon a batch that did apply.  The
+// store edits its circuit in place when no reader holds it and edits a
+// clone otherwise, so in-flight matches keep a consistent view (snapshot
+// isolation).  All mutators preserve the relative order of surviving pins
+// and connections — the property the incremental CSR patcher (csr.Patch)
+// and Phase II outcome replay both rely on.
 package delta
 
 import (
@@ -54,24 +57,40 @@ type Op struct {
 	Net     string   `json:"net,omitempty"`
 }
 
-// editor accumulates the pointer snapshot and dirty marks of one Apply.
+// editor accumulates the pre-batch vertex lists and dirty marks of one
+// Apply.  oldDevs and oldNets are taken just before the batch first
+// removes a vertex of their kind: until then the batch has only appended,
+// so the circuit's first numDevs devices and numNets nets are the pre-batch
+// ones.  A batch that removes nothing copies neither list.
 type editor struct {
-	c        *graph.Circuit
-	oldDevs  []*graph.Device
-	oldNets  []*graph.Net
-	dirtyDev map[*graph.Device]bool
-	dirtyNet map[*graph.Net]bool
-	touched  map[string]bool
+	c                *graph.Circuit
+	numDevs, numNets int
+	oldDevs          []*graph.Device
+	oldNets          []*graph.Net
+	dirtyDev         map[*graph.Device]bool
+	dirtyNet         map[*graph.Net]bool
+	touched          map[string]bool
 }
 
 func newEditor(c *graph.Circuit) *editor {
 	return &editor{
 		c:        c,
-		oldDevs:  append([]*graph.Device(nil), c.Devices...),
-		oldNets:  append([]*graph.Net(nil), c.Nets...),
+		numDevs:  len(c.Devices),
+		numNets:  len(c.Nets),
 		dirtyDev: make(map[*graph.Device]bool),
 		dirtyNet: make(map[*graph.Net]bool),
 		touched:  make(map[string]bool),
+	}
+}
+
+// beforeRemoval keeps the pre-batch vertex lists a removal is about to
+// change: the nets always, the devices when devices is set.
+func (e *editor) beforeRemoval(devices bool) {
+	if devices && e.oldDevs == nil {
+		e.oldDevs = append([]*graph.Device(nil), e.c.Devices[:e.numDevs]...)
+	}
+	if e.oldNets == nil {
+		e.oldNets = append([]*graph.Net(nil), e.c.Nets[:e.numNets]...)
 	}
 }
 
@@ -143,6 +162,7 @@ func (e *editor) apply(op Op) error {
 				e.dirtyNet[p.Net] = true
 			}
 		}
+		e.beforeRemoval(true)
 		if err := e.c.RemoveDevice(op.Name); err != nil {
 			return fmt.Errorf("delta: %w", err)
 		}
@@ -174,6 +194,7 @@ func (e *editor) apply(op Op) error {
 			// is a semantic change that warrants a re-upload, not an edit.
 			return fmt.Errorf("delta: remove_net: %q is global", op.Name)
 		}
+		e.beforeRemoval(false)
 		if err := e.c.RemoveNet(op.Name); err != nil {
 			return fmt.Errorf("delta: %w", err)
 		}

@@ -39,47 +39,50 @@ type Step struct {
 }
 
 // Apply applies ops to the circuit in order and returns the Step describing
-// the batch.  On error the circuit may have absorbed a prefix of the batch,
-// so callers must apply to a discardable clone.
+// the batch.  The batch is atomic: when an op fails, or panics, the
+// circuit is rolled back to exactly its state before the batch (see
+// graph.Undo), so a caller may apply to the circuit it serves from.
 func Apply(c *graph.Circuit, version uint64, ops []Op) (*Step, error) {
+	step, _, err := ApplyUndo(c, version, ops)
+	return step, err
+}
+
+// ApplyUndo is Apply that also returns undo, which rolls an applied batch
+// back exactly, for a caller that must abandon the batch after it applied
+// (the store, when the edit-log append fails).  undo must run before
+// anything else mutates the circuit.
+func ApplyUndo(c *graph.Circuit, version uint64, ops []Op) (step *Step, undo func(), err error) {
 	if len(ops) == 0 {
-		return nil, fmt.Errorf("delta: empty edit batch")
+		return nil, nil, fmt.Errorf("delta: empty edit batch")
 	}
+	u := c.Record()
+	defer func() {
+		if step == nil {
+			u.Rollback()
+		}
+	}()
 	e := newEditor(c)
 	for i, op := range ops {
 		if err := e.apply(op); err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
+			return nil, nil, fmt.Errorf("op %d: %w", i, err)
 		}
 	}
-	return e.finish(version, ops), nil
+	u.Stop()
+	return e.finish(version, ops), u.Rollback, nil
 }
 
-// finish converts the editor's pointer snapshot into index remaps and dirty
-// lists.  A snapshot pointer survives iff it still sits in the circuit's
-// slice at its (possibly shifted) Index — the mutators keep Index fields
-// current, so one bounds-checked comparison suffices.
+// finish converts the editor's state into index remaps and dirty lists.
+// A dirty pointer survives iff it still sits in the circuit's slice at its
+// (possibly shifted) Index — the mutators keep Index fields current, so
+// one bounds-checked comparison suffices.
 func (e *editor) finish(version uint64, ops []Op) *Step {
 	st := &Step{
 		Version:    version,
 		Ops:        ops,
-		DevOld2New: make([]int32, len(e.oldDevs)),
-		NetOld2New: make([]int32, len(e.oldNets)),
+		DevOld2New: remap(e.oldDevs, e.numDevs, e.c.Devices),
+		NetOld2New: remap(e.oldNets, e.numNets, e.c.Nets),
 		NewDevs:    len(e.c.Devices),
 		NewNets:    len(e.c.Nets),
-	}
-	for i, d := range e.oldDevs {
-		if d.Index < len(e.c.Devices) && e.c.Devices[d.Index] == d {
-			st.DevOld2New[i] = int32(d.Index)
-		} else {
-			st.DevOld2New[i] = -1
-		}
-	}
-	for i, n := range e.oldNets {
-		if n.Index < len(e.c.Nets) && e.c.Nets[n.Index] == n {
-			st.NetOld2New[i] = int32(n.Index)
-		} else {
-			st.NetOld2New[i] = -1
-		}
 	}
 	for d := range e.dirtyDev {
 		if d.Index < len(e.c.Devices) && e.c.Devices[d.Index] == d {
@@ -98,6 +101,32 @@ func (e *editor) finish(version uint64, ops []Op) *Step {
 	}
 	sort.Strings(st.Touched)
 	return st
+}
+
+// remap maps each of the n pre-batch vertices of one kind to its index in
+// now, -1 when removed; old is the pre-batch list, nil when the batch
+// removed none.  The mutators keep survivors in order and append
+// additions, so now is the survivors in order followed by the added
+// vertices, and one merge walk pairs each survivor with its new index
+// without dereferencing a vertex.
+func remap[V comparable](old []V, n int, now []V) []int32 {
+	m := make([]int32, n)
+	if old == nil {
+		for i := range m {
+			m[i] = int32(i)
+		}
+		return m
+	}
+	j := 0
+	for i, v := range old {
+		if j < len(now) && now[j] == v {
+			m[i] = int32(j)
+			j++
+		} else {
+			m[i] = -1
+		}
+	}
+	return m
 }
 
 // Compose folds consecutive steps into the DirtySet that carries a matcher

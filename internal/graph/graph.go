@@ -25,10 +25,14 @@
 // only as its nets' connection lists grow.  Build, the bulk constructor the
 // netlist reader uses, carves every connection list from one exact-size
 // slab instead.  Vertex pointers stay stable for the circuit's lifetime.
+//
+// Undo: while a circuit records (Record), every mutator logs its inverse,
+// so a batch of edits made in place can be rolled back exactly (undo.go).
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -109,6 +113,9 @@ type Circuit struct {
 	netByName map[string]*Net
 	devByName map[string]*Device
 
+	// undo, when non-nil, logs the inverse of every mutation (see Record).
+	undo *Undo
+
 	// Unused tails of the current allocation blocks: AddNet and AddDevice
 	// take their values from these and allocate a fresh block only when
 	// one runs dry (see blockLen).
@@ -177,6 +184,13 @@ func (c *Circuit) AddNet(name string) *Net {
 	n.Index, n.Name = len(c.Nets), name
 	c.Nets = append(c.Nets, n)
 	c.netByName[name] = n
+	if c.undo != nil {
+		c.undo.log(func() {
+			c.Nets[n.Index] = nil
+			c.Nets = c.Nets[:n.Index]
+			delete(c.netByName, n.Name)
+		})
+	}
 	return n
 }
 
@@ -209,6 +223,17 @@ func (c *Circuit) AddDevice(name, typ string, classes []TermClass, nets []*Net) 
 	}
 	c.Devices = append(c.Devices, d)
 	c.devByName[name] = d
+	if c.undo != nil {
+		c.undo.log(func() {
+			for i := len(d.Pins) - 1; i >= 0; i-- {
+				n := d.Pins[i].Net
+				n.Conns = n.Conns[:len(n.Conns)-1]
+			}
+			c.Devices[d.Index] = nil
+			c.Devices = c.Devices[:d.Index]
+			delete(c.devByName, d.Name)
+		})
+	}
 	return d, nil
 }
 
@@ -319,6 +344,9 @@ func (c *Circuit) MarkPort(name string) error {
 	if n == nil {
 		return fmt.Errorf("graph: port %q: no such net in %s", name, c.Name)
 	}
+	if !n.Port && c.undo != nil {
+		c.undo.log(func() { n.Port = false })
+	}
 	n.Port = true
 	return nil
 }
@@ -328,6 +356,9 @@ func (c *Circuit) MarkPort(name string) error {
 // declared global.
 func (c *Circuit) MarkGlobal(name string) {
 	if n := c.netByName[name]; n != nil {
+		if !n.Global && c.undo != nil {
+			c.undo.log(func() { n.Global = false })
+		}
 		n.Global = true
 	}
 }
@@ -505,10 +536,13 @@ func (c *Circuit) Clone() *Circuit {
 // preserving the order of the remaining connections.  Order preservation is
 // what lets the incremental CSR patcher splice the rows of unedited nets
 // verbatim: an edit never reorders the connections it does not touch.
-func spliceConn(n *Net, d *Device, pi int) {
+func (c *Circuit) spliceConn(n *Net, d *Device, pi int) {
 	for i, conn := range n.Conns {
 		if conn.Dev == d && conn.Pin == pi {
 			n.Conns = append(n.Conns[:i], n.Conns[i+1:]...)
+			if c.undo != nil {
+				c.undo.log(func() { n.Conns = slices.Insert(n.Conns, i, conn) })
+			}
 			return
 		}
 	}
@@ -525,17 +559,31 @@ func (c *Circuit) RemoveDevice(name string) error {
 		return fmt.Errorf("graph: remove device %q: no such device in %s", name, c.Name)
 	}
 	for pi, p := range d.Pins {
-		spliceConn(p.Net, d, pi)
+		c.spliceConn(p.Net, d, pi)
 	}
 	delete(c.devByName, name)
-	c.Devices = append(c.Devices[:d.Index], c.Devices[d.Index+1:]...)
-	for i := d.Index; i < len(c.Devices); i++ {
+	at := d.Index
+	c.Devices = append(c.Devices[:at], c.Devices[at+1:]...)
+	for i := at; i < len(c.Devices); i++ {
 		c.Devices[i].Index = i
 	}
+	if c.undo != nil {
+		c.undo.log(func() {
+			c.Devices = slices.Insert(c.Devices, at, d)
+			for i := at; i < len(c.Devices); i++ {
+				c.Devices[i].Index = i
+			}
+			c.devByName[d.Name] = d
+		})
+	}
+	var dropped []*Net
 	keptNets := c.Nets[:0]
 	for _, n := range c.Nets {
 		if len(n.Conns) == 0 && !n.Port && !n.Global {
 			delete(c.netByName, n.Name)
+			if c.undo != nil {
+				dropped = append(dropped, n)
+			}
 			continue
 		}
 		keptNets = append(keptNets, n)
@@ -543,6 +591,9 @@ func (c *Circuit) RemoveDevice(name string) error {
 	c.Nets = keptNets
 	for i, n := range c.Nets {
 		n.Index = i
+	}
+	if len(dropped) > 0 {
+		c.undo.log(func() { c.restoreNets(dropped) })
 	}
 	return nil
 }
@@ -563,6 +614,9 @@ func (c *Circuit) RemoveNet(name string) error {
 	for i := n.Index; i < len(c.Nets); i++ {
 		c.Nets[i].Index = i
 	}
+	if c.undo != nil {
+		c.undo.log(func() { c.restoreNets([]*Net{n}) })
+	}
 	return nil
 }
 
@@ -582,6 +636,13 @@ func (c *Circuit) RenameNet(oldName, newName string) error {
 	delete(c.netByName, oldName)
 	n.Name = newName
 	c.netByName[newName] = n
+	if c.undo != nil {
+		c.undo.log(func() {
+			delete(c.netByName, newName)
+			n.Name = oldName
+			c.netByName[oldName] = n
+		})
+	}
 	return nil
 }
 
@@ -603,9 +664,15 @@ func (c *Circuit) RewirePin(devName string, pin int, target *Net) error {
 	if old == target {
 		return nil
 	}
-	spliceConn(old, d, pin)
+	c.spliceConn(old, d, pin)
 	d.Pins[pin].Net = target
 	target.Conns = append(target.Conns, Conn{Dev: d, Pin: pin})
+	if c.undo != nil {
+		c.undo.log(func() {
+			target.Conns = target.Conns[:len(target.Conns)-1]
+			d.Pins[pin].Net = old
+		})
+	}
 	return nil
 }
 
@@ -613,7 +680,12 @@ func (c *Circuit) RewirePin(devName string, pin int, target *Net) error {
 // nets left with no connections, then reindexes.  It is used by iterated
 // extraction, which consumes matched devices and replaces them with a
 // higher-level component.  Devices not present in the circuit are ignored.
+// It rebuilds every connection list, which no undo log records, so it
+// must not run while the circuit records.
 func (c *Circuit) RemoveDevices(doomed map[*Device]bool) {
+	if c.undo != nil {
+		panic("graph: RemoveDevices while recording an undo log")
+	}
 	if len(doomed) == 0 {
 		return
 	}

@@ -2,7 +2,8 @@ package server
 
 // HTTP surface of the incremental mutation engine: PATCH /v1/circuits/{name}
 // applies a batch of edit ops through store.ApplyEdits (snapshot isolation:
-// in-flight matches keep the pre-edit circuit through their handles), GET
+// in-flight matches keep the pre-edit circuit through their handles; with
+// none in flight the edit rewrites the circuit in place), GET
 // /v1/circuits/{name}/versions exposes the edit history, and the match and
 // sweep paths consult a shared delta.ResultCache so a query against a
 // slowly-changing circuit replays candidate outcomes from the last complete
@@ -18,7 +19,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"subgemini/internal/core"
 	"subgemini/internal/delta"
@@ -60,8 +60,6 @@ func (s *Server) handleCircuitPatch(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, store.ErrNotFound):
 			writeError(w, errf(http.StatusNotFound, "no circuit named %q; see GET /v1/circuits", name))
-		case strings.Contains(err.Error(), "replaced during the edit"):
-			writeError(w, errf(http.StatusConflict, "%v", err))
 		default:
 			// Validation errors (unknown device, global rename, ...) are the
 			// client's problem; nothing was modified.

@@ -4,11 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"subgemini/internal/core"
 	"subgemini/internal/delta"
 	"subgemini/internal/gen"
+	"subgemini/internal/graph"
+	"subgemini/internal/jobs"
+	"subgemini/internal/stdcell"
 	"subgemini/internal/store"
 )
 
@@ -78,7 +84,7 @@ func TestPatchAndVersionsEndpoints(t *testing.T) {
 // full run whose instances the replayed run must equal exactly.
 func TestMatchIncrementalReplay(t *testing.T) {
 	d := gen.RippleAdder(6)
-	s := mustNew(t, Config{Circuit: d.C, Globals: rails})
+	s := mustNew(t, Config{Circuit: d.C.Clone(), Globals: rails})
 
 	cold := decodeMatch(t, do(t, s, "POST", "/v1/match", MatchRequest{Pattern: "FA"}))
 	if cold.Incremental == nil || cold.Incremental.Mode != "full" {
@@ -164,7 +170,7 @@ func TestMatchIncrementalDisabled(t *testing.T) {
 // while the plain sweep job kind never consults the cache.
 func TestSweepIncrementalHTTP(t *testing.T) {
 	d := gen.RippleAdder(6)
-	s := mustNew(t, Config{Circuit: d.C, Globals: rails})
+	s := mustNew(t, Config{Circuit: d.C.Clone(), Globals: rails})
 	sweepReq := SweepRequest{Patterns: []string{"FA", "INV", "NAND2"}}
 
 	var cold, warm SweepResponse
@@ -240,7 +246,7 @@ func TestSweepIncrementalHTTP(t *testing.T) {
 // consistent circuit version and never errors.
 func TestConcurrentPatchVsMatch(t *testing.T) {
 	d := gen.NandMesh(5, 6)
-	s := mustNew(t, Config{Circuit: d.C, Globals: rails})
+	s := mustNew(t, Config{Circuit: d.C.Clone(), Globals: rails})
 	dev := d.C.Devices[0].Name
 
 	var wg sync.WaitGroup
@@ -282,5 +288,197 @@ func TestConcurrentPatchVsMatch(t *testing.T) {
 	}
 	if info.Version != 21 {
 		t.Errorf("final version = %d, want 21", info.Version)
+	}
+}
+
+// versionRefs is what a quiescent server answers at one circuit version.
+type versionRefs struct {
+	match   map[string][]InstanceJSON
+	sweep   []SweepPatternJSON
+	extract ExtractResponse
+}
+
+// editRaceScript is the PATCH script of TestEditsRaceReaders: batch k
+// renames the net on pin 0 of a transistor of an inverter and moves the
+// pin onto a fresh net, batch k+1 moves it back, removes that net and
+// restores the name, each time in a different inverter, so consecutive
+// versions match differently and the names a response renders change.
+func editRaceScript(t *testing.T, c *graph.Circuit, n int) []PatchRequest {
+	res, err := core.Find(c.Clone(), stdcell.INV.Pattern(), core.Options{Globals: rails})
+	if err != nil || len(res.Instances) < n/2 {
+		t.Fatalf("edit script: %d inverters (%v), want %d", len(res.Instances), err, n/2)
+	}
+	var out []PatchRequest
+	for k := 0; k < n; k += 2 {
+		d := c.DeviceByName(res.Instances[k/2].Devices()[0].Name)
+		eco, net := fmt.Sprintf("eco%d", k), d.Pins[0].Net.Name
+		renamed := net + "_r"
+		out = append(out,
+			PatchRequest{Ops: []delta.Op{{Op: delta.OpRenameNet, Old: net, New: renamed},
+				{Op: delta.OpRewirePin, Device: d.Name, Net: eco}}},
+			PatchRequest{Ops: []delta.Op{{Op: delta.OpRewirePin, Device: d.Name, Net: renamed},
+				{Op: delta.OpRemoveNet, Name: eco}, {Op: delta.OpRenameNet, Old: renamed, New: net}}})
+	}
+	return out[:n]
+}
+
+var (
+	raceMatch   = []string{"NAND2", "INV"}
+	raceSweep   = SweepRequest{Patterns: []string{"NAND2", "INV", "NOR2"}, IncludeInstances: true}
+	raceExtract = ExtractRequest{Cells: []string{"NAND2", "INV"}, StoreAs: "gates", IncludeNetlist: true}
+)
+
+// TestEditsRaceReaders runs matches, sweeps and extract jobs that store
+// their result (store_as) against one circuit while PATCHes land on it and
+// on the stored result; run it under -race.  Edits with no reader in flight
+// rewrite the circuit in place, so every response must still equal what a
+// quiescent server answers at the version it reports (an extract job
+// reports none: it must equal the answer at one of the versions current
+// while it ran).
+func TestEditsRaceReaders(t *testing.T) {
+	d := gen.RandomLogic(80, 10, 6)
+	script := editRaceScript(t, d.C, 24)
+
+	// References: one server, one version at a time.
+	ref := mustNew(t, Config{Circuit: d.C.Clone(), Globals: rails})
+	refs := make([]versionRefs, len(script)+2) // by version, from 1
+	for v := 1; v <= len(script)+1; v++ {
+		r := versionRefs{match: map[string][]InstanceJSON{}}
+		for _, p := range raceMatch {
+			m := decodeMatch(t, do(t, ref, "POST", "/v1/match", MatchRequest{Pattern: p}))
+			if m.Version != uint64(v) {
+				t.Fatalf("reference %s at version %d reports %d", p, v, m.Version)
+			}
+			r.match[p] = m.Instances
+		}
+		r.sweep = decodeSweep(t, do(t, ref, "POST", "/v1/sweep", raceSweep).Body.Bytes()).Results
+		job := waitJob(t, ref, submitJob(t, ref, JobRequest{Kind: jobKindExtract, Extract: &raceExtract}).ID)
+		if err := json.Unmarshal(job.Result, &r.extract); err != nil || job.State != "done" {
+			t.Fatalf("reference extract at version %d: %s %s %v", v, job.State, job.Error, err)
+		}
+		refs[v] = r
+		if v <= len(script) {
+			if rec := do(t, ref, "PATCH", "/v1/circuits/default", script[v-1]); rec.Code != http.StatusOK {
+				t.Fatalf("reference patch %d: %s", v, rec.Body.String())
+			}
+		}
+	}
+	for v := 1; v <= len(script); v++ {
+		if reflect.DeepEqual(refs[v].match, refs[v+1].match) {
+			t.Fatalf("batch %d changes no match; the references cannot tell versions apart", v)
+		}
+	}
+
+	s := mustNew(t, Config{Circuit: d.C.Clone(), Globals: rails})
+	version := func() uint64 {
+		var info CircuitInfo
+		if err := json.Unmarshal(do(t, s, "GET", "/v1/circuits/default", nil).Body.Bytes(), &info); err != nil {
+			t.Errorf("circuit info: %v", err)
+		}
+		return info.Version
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	// Readers pause between requests (all but the matches), so that some
+	// PATCHes find no handle held and edit in place.
+	reader := func(name string, pause time.Duration, one func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					if i == 0 {
+						t.Errorf("%s never ran", name)
+					}
+					return
+				case <-time.After(pause):
+				}
+				if err := one(i); err != nil {
+					t.Errorf("%s %d: %v", name, i, err)
+					return
+				}
+			}
+		}()
+	}
+	reader("match", 0, func(i int) error {
+		p := raceMatch[i%len(raceMatch)]
+		rec := do(t, s, "POST", "/v1/match", MatchRequest{Pattern: p})
+		var m MatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || rec.Code != http.StatusOK {
+			return fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		if m.Version < 1 || m.Version >= uint64(len(refs)) {
+			return fmt.Errorf("%s reports version %d", p, m.Version)
+		}
+		if !reflect.DeepEqual(m.Instances, refs[m.Version].match[p]) {
+			return fmt.Errorf("%s at version %d differs from the reference", p, m.Version)
+		}
+		return nil
+	})
+	reader("sweep", 3*time.Millisecond, func(int) error {
+		rec := do(t, s, "POST", "/v1/sweep", raceSweep)
+		var sr SweepResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusOK {
+			return fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		if sr.Version < 1 || sr.Version >= uint64(len(refs)) {
+			return fmt.Errorf("sweep reports version %d", sr.Version)
+		}
+		for k, pr := range sr.Results {
+			want := refs[sr.Version].sweep[k]
+			if pr.Count != want.Count || !reflect.DeepEqual(pr.Instances, want.Instances) {
+				return fmt.Errorf("%s at version %d differs from the reference", pr.Pattern, sr.Version)
+			}
+		}
+		return nil
+	})
+	reader("extract", 3*time.Millisecond, func(int) error {
+		lo := version()
+		rec := do(t, s, "POST", "/v1/jobs", JobRequest{Kind: jobKindExtract, Extract: &raceExtract})
+		var view jobs.View
+		if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || rec.Code != http.StatusAccepted {
+			return fmt.Errorf("submit: status %d: %s", rec.Code, rec.Body.String())
+		}
+		for !view.State.Terminal() {
+			time.Sleep(time.Millisecond)
+			if err := json.Unmarshal(do(t, s, "GET", "/v1/jobs/"+view.ID, nil).Body.Bytes(), &view); err != nil {
+				return err
+			}
+		}
+		var got ExtractResponse
+		if err := json.Unmarshal(view.Result, &got); err != nil || view.State != "done" {
+			return fmt.Errorf("job %s: %s %v", view.State, view.Error, err)
+		}
+		hi := version()
+		for v := lo; v <= hi; v++ {
+			if reflect.DeepEqual(got, refs[v].extract) {
+				return nil
+			}
+		}
+		return fmt.Errorf("extraction matches no reference between versions %d and %d", lo, hi)
+	})
+	// Edits on the stored extraction race the jobs that replace it.
+	reader("patch gates", time.Millisecond, func(i int) error {
+		rec := do(t, s, "PATCH", "/v1/circuits/gates", PatchRequest{Ops: []delta.Op{
+			{Op: delta.OpAddDevice, Name: "Rrace", Type: "res", Classes: []int{0, 0}, Nets: []string{"ra", "rb"}},
+			{Op: delta.OpRemoveDevice, Name: "Rrace"}}})
+		if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
+			return fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		return nil
+	})
+
+	for k, p := range script {
+		if rec := do(t, s, "PATCH", "/v1/circuits/default", p); rec.Code != http.StatusOK {
+			t.Errorf("patch %d: status %d: %s", k, rec.Code, rec.Body.String())
+			break
+		}
+		time.Sleep(5 * time.Millisecond) // let readers land on each version
+	}
+	close(stop)
+	wg.Wait()
+	if v := version(); v != uint64(len(script)+1) {
+		t.Errorf("final version %d, want %d", v, len(script)+1)
 	}
 }

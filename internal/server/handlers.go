@@ -214,12 +214,15 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if req.SinceVersion == 0 {
 		req.SinceVersion = sinceVersion(r)
 	}
-	resp, e := s.runMatch(r.Context(), &req)
+	resp, release, e := s.runMatch(r.Context(), &req)
 	if e != nil {
 		writeError(w, e)
 		return
 	}
-	writeMatch(w, resp)
+	defer release()
+	body := renderMatch(resp)
+	release()
+	writeRendered(w, body)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -253,11 +256,12 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool)
 	results := make([]batchItem, len(req.Requests))
 	runOne := func(i int) {
 		item := batchItem{Index: i, Pattern: req.Requests[i].Pattern}
-		resp, e := s.runMatch(ctx, &req.Requests[i])
+		resp, release, e := s.runMatch(ctx, &req.Requests[i])
 		if e != nil {
 			item.Status, item.Error = e.status, e.msg
 		} else {
-			item.Status, item.Match, item.Pattern = http.StatusOK, resp, resp.Pattern
+			defer release()
+			item.Status, item.Match, item.Pattern = http.StatusOK, renderCompact(resp), resp.Pattern
 		}
 		results[i] = item
 	}
@@ -341,17 +345,20 @@ func (s *Server) resolvePattern(req *MatchRequest) (*graph.Circuit, bool, *httpE
 
 // runMatch executes one synchronous match request end to end: validation,
 // pattern resolution, admission, circuit acquisition, and the matching run
-// under the entry read lock.
-func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (*matchResult, *httpError) {
+// under the entry read lock.  A result's instances point into the circuit,
+// which a PATCH may edit in place once no handle holds it, so runMatch
+// returns the result with its handle still held: the caller renders the
+// result and then calls release.
+func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (resp *matchResult, release func(), e *httpError) {
 	if e := validateMatch(req); e != nil {
-		return nil, e
+		return nil, nil, e
 	}
 	sc := obs.ScopeFromContext(ctx)
 	ref := sc.Begin(obs.KindCacheLookup, "pattern")
 	pat, cacheHit, e := s.resolvePattern(req)
 	sc.End(ref)
 	if e != nil {
-		return nil, e
+		return nil, nil, e
 	}
 	sc.Attr(ref, "pattern", pat.Name)
 	if cacheHit {
@@ -378,7 +385,7 @@ func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (*matchResult,
 		sc.End(qRef)
 		obs.FromContext(ctx).SetCancelled()
 		s.met.rejected.Add(1)
-		return nil, errf(http.StatusServiceUnavailable,
+		return nil, nil, errf(http.StatusServiceUnavailable,
 			"server saturated: no match slot within %v (%d concurrent)", timeout, s.cfg.MaxConcurrent)
 	}
 	s.met.inflight.Add(1)
@@ -388,16 +395,16 @@ func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (*matchResult,
 	h, e := s.acquireCircuit(req.Circuit)
 	sc.End(gRef)
 	if e != nil {
-		return nil, e
+		return nil, nil, e
 	}
-	defer h.Release()
 	sc.Attr(gRef, "circuit", h.Name())
 	resp, err := s.executeMatch(ctx, req, pat, h)
 	if err != nil {
-		return nil, s.matchError(ctx, err, timeout)
+		h.Release()
+		return nil, nil, s.matchError(ctx, err, timeout)
 	}
 	resp.CacheHit = cacheHit
-	return resp, nil
+	return resp, h.Release, nil
 }
 
 func validateMatch(req *MatchRequest) *httpError {

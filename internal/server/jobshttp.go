@@ -127,7 +127,12 @@ func (s *Server) jobRunner(req *JobRequest) (jobs.Runner, *httpError) {
 		}
 		mr := req.Match
 		return func(ctx context.Context) (any, error) {
-			return s.runMatchJob(ctx, mr)
+			resp, release, err := s.runMatchJob(ctx, mr)
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+			return renderCompact(resp), nil
 		}, nil
 	case jobKindBatch:
 		if req.Batch == nil || len(req.Batch.Requests) == 0 {
@@ -179,11 +184,13 @@ func (s *Server) jobRunner(req *JobRequest) (jobs.Runner, *httpError) {
 // runMatchJob is the asynchronous twin of runMatch: no admission
 // semaphore (the worker pool is the concurrency bound) and no default
 // deadline (escaping the request timeout envelope is the point of a job);
-// an explicit timeout_ms is honored uncapped.
-func (s *Server) runMatchJob(ctx context.Context, req *MatchRequest) (*matchResult, error) {
+// an explicit timeout_ms is honored uncapped.  Like runMatch, it returns
+// the result with its handle still held, for the caller to render before
+// it calls release: the job record outlives the handle.
+func (s *Server) runMatchJob(ctx context.Context, req *MatchRequest) (resp *matchResult, release func(), err error) {
 	pat, cacheHit, e := s.resolvePattern(req)
 	if e != nil {
-		return nil, errors.New(e.msg)
+		return nil, nil, errors.New(e.msg)
 	}
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
@@ -192,17 +199,17 @@ func (s *Server) runMatchJob(ctx context.Context, req *MatchRequest) (*matchResu
 	}
 	h, e := s.acquireCircuit(req.Circuit)
 	if e != nil {
-		return nil, errors.New(e.msg)
+		return nil, nil, errors.New(e.msg)
 	}
-	defer h.Release()
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
-	resp, err := s.executeMatch(ctx, req, pat, h)
+	resp, err = s.executeMatch(ctx, req, pat, h)
 	if err != nil {
-		return nil, err
+		h.Release()
+		return nil, nil, err
 	}
 	resp.CacheHit = cacheHit
-	return resp, nil
+	return resp, h.Release, nil
 }
 
 // runBatchJob runs a batch sequentially on the job worker; per-item
@@ -212,7 +219,7 @@ func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) batchResult
 	results := make([]batchItem, len(req.Requests))
 	for i := range req.Requests {
 		item := batchItem{Index: i, Pattern: req.Requests[i].Pattern}
-		resp, err := s.runMatchJob(ctx, &req.Requests[i])
+		resp, release, err := s.runMatchJob(ctx, &req.Requests[i])
 		if err != nil {
 			item.Status = http.StatusBadRequest
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -220,7 +227,8 @@ func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) batchResult
 			}
 			item.Error = err.Error()
 		} else {
-			item.Status, item.Match, item.Pattern = http.StatusOK, resp, resp.Pattern
+			item.Status, item.Match, item.Pattern = http.StatusOK, renderCompact(resp), resp.Pattern
+			release()
 		}
 		results[i] = item
 	}
@@ -245,16 +253,17 @@ func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest) (*Extra
 	if e != nil {
 		return nil, errors.New(e.msg)
 	}
-	defer h.Release()
 
 	// Extraction mutates its circuit in place, so it must run on a private
 	// clone; the read lock covers the clone against a concurrent global
-	// re-mark on the shared entry.
+	// re-mark on the shared entry.  Nothing after the clone reads the
+	// stored circuit, so the handle goes right away.
 	h.RLock()
 	ckt := h.Circuit().Clone()
 	h.RUnlock()
-
+	name := h.Name()
 	globals := append([]string(nil), h.Globals()...)
+	h.Release()
 	globals = append(globals, req.Globals...)
 	exts, err := extract.Specs(ckt, specs, extract.Options{
 		Globals: globals,
@@ -266,7 +275,7 @@ func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest) (*Extra
 	}
 
 	resp := &ExtractResponse{
-		Circuit:     h.Name(),
+		Circuit:     name,
 		Extractions: make([]ExtractionJSON, 0, len(exts)),
 		Devices:     ckt.NumDevices(),
 		Nets:        ckt.NumNets(),
@@ -274,18 +283,20 @@ func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest) (*Extra
 	for _, x := range exts {
 		resp.Extractions = append(resp.Extractions, ExtractionJSON{Cell: x.Cell, Count: x.Count})
 	}
-	if req.StoreAs != "" {
-		if _, err := s.store.Put(req.StoreAs, ckt); err != nil {
-			return nil, fmt.Errorf("storing extracted circuit as %q: %w", req.StoreAs, err)
-		}
-		resp.StoredAs = req.StoreAs
-	}
+	// The netlist renders before Put: the store owns ckt from then on, and
+	// a PATCH on store_as may edit it in place.
 	if req.IncludeNetlist {
 		var buf strings.Builder
 		if err := netlist.WriteCircuit(&buf, ckt); err != nil {
 			return nil, fmt.Errorf("rendering extracted netlist: %w", err)
 		}
 		resp.Netlist = buf.String()
+	}
+	if req.StoreAs != "" {
+		if _, err := s.store.Put(req.StoreAs, ckt); err != nil {
+			return nil, fmt.Errorf("storing extracted circuit as %q: %w", req.StoreAs, err)
+		}
+		resp.StoredAs = req.StoreAs
 	}
 	return resp, nil
 }

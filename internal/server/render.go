@@ -33,13 +33,14 @@ type matchResult struct {
 	Incremental *IncrementalJSON `json:"incremental,omitempty"`
 }
 
-// batchItem and batchResult mirror BatchItem and BatchResponse.
+// batchItem and batchResult mirror BatchItem and BatchResponse.  An item's
+// match is rendered while its circuit handle is held (renderCompact).
 type batchItem struct {
-	Index   int          `json:"index"`
-	Pattern string       `json:"pattern,omitempty"`
-	Status  int          `json:"status"`
-	Error   string       `json:"error,omitempty"`
-	Match   *matchResult `json:"match,omitempty"`
+	Index   int             `json:"index"`
+	Pattern string          `json:"pattern,omitempty"`
+	Status  int             `json:"status"`
+	Error   string          `json:"error,omitempty"`
+	Match   json.RawMessage `json:"match,omitempty"`
 }
 
 type batchResult struct {
@@ -47,13 +48,14 @@ type batchResult struct {
 }
 
 // sweepPatternResult and sweepResult mirror SweepPatternJSON and
-// SweepResponse.
+// SweepResponse.  A pattern's instances are rendered while the sweep's
+// circuit handle is held.
 type sweepPatternResult struct {
-	Pattern   string       `json:"pattern"`
-	Alias     string       `json:"alias,omitempty"`
-	Count     int          `json:"count"`
-	Stats     StatsJSON    `json:"stats"`
-	Instances instanceList `json:"instances,omitempty"`
+	Pattern   string          `json:"pattern"`
+	Alias     string          `json:"alias,omitempty"`
+	Count     int             `json:"count"`
+	Stats     StatsJSON       `json:"stats"`
+	Instances json.RawMessage `json:"instances,omitempty"`
 }
 
 type sweepResult struct {
@@ -72,21 +74,40 @@ type sweepResult struct {
 
 // instanceList is a match's instances on their way to the wire, each
 // rendered as InstanceJSON renders: {"devices": {...}, "nets": {...}}
-// mapping pattern names to main-graph names.
+// mapping pattern names to main-graph names.  The instances point into
+// the circuit, which a PATCH may edit in place once no handle holds it, so
+// a list is rendered while the handle it was matched under is held.
 type instanceList []*core.Instance
 
 // MarshalJSON renders the list compactly, for responses that go through
-// encoding/json (batch items, job results, sweeps), which then indents it
-// along with the rest of the response.
+// encoding/json (batch items, job results), which then indents it along
+// with the rest of the response.
 func (l instanceList) MarshalJSON() ([]byte, error) {
 	return appendInstances(nil, l, ""), nil
 }
 
-// writeMatch writes a POST /v1/match response: byte for byte what
+// renderCompact renders a match result as compact JSON, for a batch item
+// or a job result that outlives the result's circuit handle.
+func renderCompact(r *matchResult) json.RawMessage {
+	raw, err := json.Marshal(r)
+	if err != nil {
+		panic(err) // the result holds only strings, numbers and instances
+	}
+	return raw
+}
+
+// writeRendered writes a rendered JSON response body with status 200.
+func writeRendered(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// renderMatch renders a POST /v1/match response body: byte for byte what
 // writeJSON writes for the equivalent MatchResponse (two-space indent,
 // HTML-safe escaping, keys in byte order, trailing newline), with the
 // instances rendered straight into the indented output.
-func writeMatch(w http.ResponseWriter, r *matchResult) {
+func renderMatch(r *matchResult) []byte {
 	b := make([]byte, 0, 1024+len(r.Instances)*instanceSize(r.Instances))
 	b = append(b, "{\n  \"circuit\": "...)
 	b = appendString(b, r.Circuit)
@@ -108,10 +129,7 @@ func writeMatch(w http.ResponseWriter, r *matchResult) {
 		b = append(b, ",\n  \"incremental\": "...)
 		b = appendIndented(b, r.Incremental)
 	}
-	b = append(b, "\n}\n"...)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
+	return append(b, "\n}\n"...)
 }
 
 // instanceSize estimates the indented bytes of one instance of l.

@@ -47,13 +47,13 @@ func refMatchResponse(r *matchResult) *MatchResponse {
 	}
 }
 
-// checkRendered compares writeMatch's bytes with writeJSON over the
+// checkRendered compares renderMatch's bytes with writeJSON over the
 // reference conversion, and the compact list encoding with encoding/json
 // over the reference maps.
 func checkRendered(t *testing.T, what string, r *matchResult) {
 	t.Helper()
 	got, want := httptest.NewRecorder(), httptest.NewRecorder()
-	writeMatch(got, r)
+	writeRendered(got, renderMatch(r))
 	writeJSON(want, http.StatusOK, refMatchResponse(r))
 	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("%s: rendered match differs from the reference at byte %d:\n got: %q\nwant: %q",
@@ -291,7 +291,7 @@ func BenchmarkRenderMatch(b *testing.B) {
 		name   string
 		render func()
 	}{
-		{"direct", func() { writeMatch(w, r) }},
+		{"direct", func() { writeRendered(w, renderMatch(r)) }},
 		{"reference", func() { writeJSON(w, http.StatusOK, refMatchResponse(r)) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

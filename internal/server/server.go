@@ -99,7 +99,10 @@ const DefaultCircuit = "default"
 type Config struct {
 	// Circuit is the initial default circuit (stored under DefaultCircuit);
 	// nil starts the server empty.  It takes precedence over a snapshot of
-	// the default circuit reloaded from DataDir.
+	// the default circuit reloaded from DataDir.  The server takes
+	// ownership: a PATCH may edit the circuit in place (see store.Put), so
+	// the caller must not read or modify it afterwards; pass a clone to
+	// keep a copy.
 	Circuit *graph.Circuit
 
 	// Globals lists net names treated as special signals for every match

@@ -354,8 +354,9 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 			Count:   len(pr.Instances),
 			Stats:   statsJSON(&pr.Report),
 		}
-		if req.IncludeInstances {
-			jp.Instances = pr.Instances
+		if req.IncludeInstances && len(pr.Instances) > 0 {
+			// Rendered here, under the handle: the result outlives it.
+			jp.Instances = appendInstances(nil, pr.Instances, "")
 		}
 		resp.Results = append(resp.Results, jp)
 	}

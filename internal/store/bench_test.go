@@ -13,7 +13,7 @@ import (
 // rand4000 is the upload the match-rand and eco-patch workloads make: a
 // 27k-device random-logic netlist as read back from its text, so device
 // names carry their element letters and the snapshot is a .sp netlist.
-func rand4000(b *testing.B) *graph.Circuit {
+func rand4000(b testing.TB) *graph.Circuit {
 	b.Helper()
 	var buf strings.Builder
 	if err := netlist.WriteCircuit(&buf, gen.RandomLogic(4000, 4000/64+8, 1).C); err != nil {
@@ -49,8 +49,9 @@ func BenchmarkStorePut(b *testing.B) {
 }
 
 // BenchmarkApplyEdits times one small edit batch on rand4000 with a data
-// directory: clone, apply, CSR patch, fsynced log append, manifest, and a
-// compaction every compactEvery batches.  As in the eco-patch workload,
+// directory: apply in place (nothing else holds the circuit), CSR patch,
+// fsynced log append, and a compaction with its manifest rewrite every
+// compactEvery batches.  As in the eco-patch workload,
 // batches alternate between moving a pin onto a fresh net and moving it
 // back while deleting that net, so the circuit does not grow.
 func BenchmarkApplyEdits(b *testing.B) {
@@ -60,12 +61,12 @@ func BenchmarkApplyEdits(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.Put("rand4000", c); err != nil {
-		b.Fatal(err)
-	}
 	dev := c.Devices[len(c.Devices)/2]
 	apply := editOps(dev.Name, "eco")
 	revert := append(editOps(dev.Name, dev.Pins[0].Net.Name), delta.Op{Op: delta.OpRemoveNet, Name: "eco"})
+	if _, err := st.Put("rand4000", c); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,11 +15,19 @@ import (
 	"subgemini/internal/graph"
 )
 
-// Circuit edits.  Each ApplyEdits applies one batch of delta ops to a clone
-// of the entry's circuit, patches the CSR view incrementally, and installs
-// the result as a fresh entry with the next version number — in-flight
-// matches keep the old entry alive through their handles, so a PATCH never
-// disturbs a running match (snapshot isolation by construction).
+// Circuit edits.  Each ApplyEdits applies one batch of delta ops to the
+// entry's circuit, patches the CSR view incrementally, and installs the
+// result as a fresh entry with the next version number.  When the editor's
+// own handle is the only one on the entry, the batch edits the circuit in
+// place and the new entry takes it over: the entry is marked as being
+// edited in the same critical section that checks the count, so no reader
+// acquires it until the edit has installed or rolled back (Acquire waits
+// on the name lock), and a failed or interrupted edit is undone exactly
+// (delta.ApplyUndo).  When a match, sweep or job holds the entry, the
+// batch edits a clone instead, and the readers keep the old entry and its
+// circuit through their handles: a PATCH never disturbs a running match
+// (snapshot isolation).  Waiting for the readers instead of cloning would
+// let one long match stall every PATCH and, behind it, every new reader.
 //
 // Durability mirrors a write-ahead log: the batch is appended to the
 // entry's edit log, <dir>/circuits/<name>.log or a fresh <name>~N.log
@@ -58,16 +66,38 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	defer h.Release()
 	old := h.e
 
-	h.RLock()
-	clone := old.ckt.Clone()
-	h.RUnlock()
+	st.mu.Lock()
+	inPlace := old.refs == 1
+	old.editing = inPlace
+	st.mu.Unlock()
+	ckt := old.ckt
+	if !inPlace {
+		h.RLock()
+		ckt = old.ckt.Clone()
+		h.RUnlock()
+	}
+	installed := false
+	var undo func()
+	defer func() {
+		// An edit that fails or panics before it installs leaves the entry
+		// as it was: rolled back when edited in place, and readable again.
+		if installed || !inPlace {
+			return
+		}
+		if undo != nil {
+			undo()
+		}
+		st.mu.Lock()
+		old.editing = false
+		st.mu.Unlock()
+	}()
 
 	version := old.version + 1
-	step, err := delta.Apply(clone, version, ops)
+	step, undo, err := delta.ApplyUndo(ckt, version, ops)
 	if err != nil {
 		return Info{}, err
 	}
-	view, rebuilt := csr.Patch(old.view, clone,
+	view, rebuilt := csr.Patch(old.view, ckt,
 		csr.Remap{Dev: step.DevOld2New, Net: step.NetOld2New},
 		step.DirtyDevs, step.DirtyNets)
 
@@ -77,18 +107,18 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 		file:        old.file,
 		log:         old.log,
 		saved:       old.saved,
-		ckt:         clone,
+		ckt:         ckt,
 		view:        view,
 		scratch:     new(core.ScratchPool),
-		bytes:       estimateBytes(clone),
+		bytes:       estimateBytes(ckt),
 		resident:    true,
-		devices:     clone.NumDevices(),
-		nets:        clone.NumNets(),
+		devices:     ckt.NumDevices(),
+		nets:        ckt.NumNets(),
 		version:     version,
 		snapVersion: old.snapVersion,
 		logCount:    old.logCount + 1,
 	}
-	for _, n := range clone.Globals() {
+	for _, n := range ckt.Globals() {
 		e.globals = append(e.globals, n.Name)
 	}
 	e.steps = append(append([]*delta.Step(nil), old.steps...), step)
@@ -108,6 +138,8 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	// the name maps to.
 	st.mu.Lock()
 	st.dropLocked(old)
+	old.editing = false
+	installed = true
 	st.entries[name] = e
 	e.elem = st.lru.PushFront(e)
 	st.residentBytes += e.bytes
@@ -119,12 +151,18 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	info := st.infoLocked(e)
 	st.mu.Unlock()
 
+	// A plain edit changes no file name and boot takes the version from
+	// the log, so the manifest needs a rewrite only when the edit compacts
+	// or when the last manifest write failed (a failed compaction then
+	// becomes durable here).
 	if st.dir != "" && e.file != "" {
 		if e.logCount >= compactEvery && st.compactEntry(e) == nil {
 			return info, nil // compactEntry rewrote the manifest
 		}
-		if err := st.writeManifest(); err != nil {
-			return info, err
+		if st.manifestStale.Load() {
+			if err := st.writeManifest(); err != nil {
+				return info, err
+			}
 		}
 	}
 	return info, nil

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -290,37 +292,231 @@ func TestFlushSkipsCleanEntries(t *testing.T) {
 	}
 }
 
+// TestAppendLogFaultFailsEdit: an edit whose log append fails, by error or
+// by panic, fails as a whole.  With no reader the edit ran in place, so the
+// entry must serve the pre-edit circuit again, object for object and with
+// its old view, and accept the next edit.
 func TestAppendLogFaultFailsEdit(t *testing.T) {
 	defer faults.Reset()
-	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, Globals: rails})
+	for _, mode := range []string{"error", "panic"} {
+		st, err := Open(Config{Dir: t.TempDir(), Globals: rails})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := parseMain(t, nandSrc, "chip")
+		dev := c.Devices[0].Name
+		if _, err := st.Put("chip", c); err != nil {
+			t.Fatal(err)
+		}
+		before := fullFingerprint(c)
+		h, err := st.Acquire("chip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := h.CSR()
+		h.Release()
+
+		if _, err := faults.ArmString("store.append-log=" + mode + ":1"); err != nil {
+			t.Fatal(err)
+		}
+		ops := append(editOps(dev, "spare"), delta.Op{Op: delta.OpRemoveDevice, Name: "MN3"})
+		func() {
+			defer func() {
+				if r := recover(); r != nil && mode != "panic" {
+					panic(r)
+				}
+			}()
+			if _, err := st.ApplyEdits("chip", ops); err == nil {
+				t.Fatalf("%s: edit succeeded despite log append fault", mode)
+			}
+		}()
+		if st.Healthy() != (mode == "panic") {
+			t.Errorf("%s: Healthy() = %v after the failed log append", mode, st.Healthy())
+		}
+		if info, _ := st.Get("chip"); info.Version != 1 {
+			t.Errorf("%s: version advanced to %d on failed edit", mode, info.Version)
+		}
+		h, err = st.Acquire("chip")
+		if err != nil {
+			t.Fatalf("%s: acquire after the failed edit: %v", mode, err)
+		}
+		if h.Circuit() != c || h.CSR() != view || fullFingerprint(h.Circuit()) != before {
+			t.Errorf("%s: the failed edit changed the served circuit", mode)
+		}
+		if err := h.Circuit().Validate(); err != nil {
+			t.Errorf("%s: %v", mode, err)
+		}
+		h.Release()
+
+		// The next edit (fault disarmed) succeeds and restores health.
+		if info, err := st.ApplyEdits("chip", ops); err != nil || info.Version != 2 {
+			t.Fatalf("%s: next edit: version %d, %v", mode, info.Version, err)
+		}
+		if !st.Healthy() {
+			t.Errorf("%s: store unhealthy after successful edit", mode)
+		}
+		st.Close()
+	}
+}
+
+// fullFingerprint renders a circuit in order: each device with its pins'
+// classes and nets, each net with its marks and connections, so two
+// circuits print alike only when a fresh CSR build of either is the same.
+func fullFingerprint(c *graph.Circuit) string {
+	var b strings.Builder
+	for _, d := range c.Devices {
+		fmt.Fprintf(&b, "%d %s %s", d.Index, d.Name, d.Type)
+		for _, p := range d.Pins {
+			fmt.Fprintf(&b, " %d:%s", p.Class, p.Net.Name)
+		}
+		b.WriteByte('\n')
+	}
+	for _, n := range c.Nets {
+		fmt.Fprintf(&b, "%d %s port=%v global=%v", n.Index, n.Name, n.Port, n.Global)
+		for _, conn := range n.Conns {
+			fmt.Fprintf(&b, " %s/%d", conn.Dev.Name, conn.Pin)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestEditInPlaceMatchesClone runs one edit script on two stores: on one
+// nothing holds the circuit, so every batch edits in place; on the other a
+// handle is held across every batch, so every batch edits a clone.  Both
+// must reach the same circuits, views equal to csr.New and equal Steps,
+// and each held handle must keep its pre-edit circuit.
+func TestEditInPlaceMatchesClone(t *testing.T) {
+	src := gen.RandomLogic(60, 8, 5).C
+	stores := make([]*Store, 2)
+	for i := range stores {
+		st, err := Open(Config{Globals: rails})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if _, err := st.Put("rand", src.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
+	}
+	inPlace, cloning := stores[0], stores[1]
+	acquire := func(st *Store) *Handle {
+		t.Helper()
+		h, err := st.Acquire("rand")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	cur := src.Clone() // the script's copy of the circuit, to draw ops from
+	for _, g := range rails {
+		cur.MarkGlobal(g)
+	}
+	for i := 0; i < 60; i++ {
+		d := cur.Devices[rng.Intn(cur.NumDevices())]
+		n := cur.Nets[rng.Intn(cur.NumNets())]
+		var ops []delta.Op
+		switch i % 5 {
+		case 0, 1:
+			ops = editOps(d.Name, n.Name)
+			ops[0].Pin = rng.Intn(len(d.Pins))
+		case 2:
+			ops = []delta.Op{{Op: delta.OpAddDevice, Name: fmt.Sprintf("Madd%d", i), Type: "nmos",
+				Classes: []int{0, 1, 0, 2}, Nets: []string{n.Name, d.Pins[0].Net.Name, fmt.Sprintf("fresh%d", i), "GND"}}}
+		case 3:
+			ops = []delta.Op{{Op: delta.OpRemoveDevice, Name: d.Name}}
+		case 4:
+			ops = []delta.Op{{Op: delta.OpAddNet, Name: fmt.Sprintf("eco%d", i)},
+				{Op: delta.OpRewirePin, Device: d.Name, Pin: 0, Net: fmt.Sprintf("eco%d", i)},
+				{Op: delta.OpRewirePin, Device: d.Name, Pin: 0, Net: d.Pins[0].Net.Name},
+				{Op: delta.OpRemoveNet, Name: fmt.Sprintf("eco%d", i)}}
+		}
+		if _, err := delta.Apply(cur, 0, ops); err != nil {
+			t.Fatalf("batch %d %+v: %v", i, ops, err)
+		}
+
+		hp := acquire(inPlace)
+		served := hp.Circuit()
+		hp.Release()
+		held := acquire(cloning)
+		heldCkt, heldPrint := held.Circuit(), fullFingerprint(held.Circuit())
+		for _, st := range stores {
+			if _, err := st.ApplyEdits("rand", ops); err != nil {
+				t.Fatalf("batch %d %+v: %v", i, ops, err)
+			}
+		}
+		if fullFingerprint(heldCkt) != heldPrint || held.Version() != uint64(i+1) {
+			t.Fatalf("batch %d: the held handle's circuit changed under it", i)
+		}
+		held.Release()
+
+		a, b := acquire(inPlace), acquire(cloning)
+		if a.Circuit() != served {
+			t.Fatalf("batch %d: no handle was held, yet the edit did not run in place", i)
+		}
+		if b.Circuit() == heldCkt {
+			t.Fatalf("batch %d: a handle was held, yet the edit ran in place", i)
+		}
+		if fa, fb := fullFingerprint(a.Circuit()), fullFingerprint(b.Circuit()); fa != fb || fa != fullFingerprint(cur) {
+			t.Fatalf("batch %d: in-place and cloned edits disagree", i)
+		}
+		sameView(t, fmt.Sprintf("in place, batch %d", i), a.CSR(), csr.New(a.Circuit()))
+		sameView(t, fmt.Sprintf("cloned, batch %d", i), b.CSR(), csr.New(b.Circuit()))
+		a.Release()
+		b.Release()
+		sa, _, _ := inPlace.StepsSince("rand", uint64(i+1))
+		sb, _, _ := cloning.StepsSince("rand", uint64(i+1))
+		if len(sa) != 1 || !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("batch %d: in-place Steps %+v, cloned %+v", i, sa, sb)
+		}
+	}
+}
+
+// TestApplyEditsAllocatesUnderHalfAClone: an edit batch on rand4000 with
+// nothing holding the circuit must allocate less than half of what one
+// Clone of it does; an edit that cloned would allocate more than a Clone.
+func TestApplyEditsAllocatesUnderHalfAClone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rand4000 in -short mode")
+	}
+	c := rand4000(t)
+	allocated := func(f func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	clone := allocated(func() { c.Clone() })
+
+	st, err := Open(Config{Dir: t.TempDir(), Globals: rails})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	c := parseMain(t, nandSrc, "chip")
-	dev := c.Devices[0].Name
-	if _, err := st.Put("chip", c); err != nil {
+	dev := c.Devices[len(c.Devices)/2]
+	apply := editOps(dev.Name, "eco")
+	revert := append(editOps(dev.Name, dev.Pins[0].Net.Name), delta.Op{Op: delta.OpRemoveNet, Name: "eco"})
+	if _, err := st.Put("rand4000", c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faults.ArmString("store.append-log=error:1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.ApplyEdits("chip", editOps(dev, "spare")); err == nil {
-		t.Fatal("edit succeeded despite log append fault")
-	}
-	if st.Healthy() {
-		t.Error("store healthy after failed log append")
-	}
-	if info, _ := st.Get("chip"); info.Version != 1 {
-		t.Errorf("version advanced to %d on failed edit", info.Version)
-	}
-	// The next edit (fault disarmed) succeeds and restores health.
-	if _, err := st.ApplyEdits("chip", editOps(dev, "spare")); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Healthy() {
-		t.Error("store unhealthy after successful edit")
+	const batches = 8
+	edits := allocated(func() {
+		for i := 0; i < batches; i++ {
+			ops := apply
+			if i%2 == 1 {
+				ops = revert
+			}
+			if _, err := st.ApplyEdits("rand4000", ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := edits / batches; per >= clone/2 {
+		t.Errorf("ApplyEdits allocates %d bytes a batch, one Clone %d: want under half", per, clone)
 	}
 }
 
@@ -334,10 +530,10 @@ func TestConcurrentEditsAndMatches(t *testing.T) {
 	}
 	defer st.Close()
 	d := gen.NandMesh(5, 6)
+	dev := d.C.Devices[0].Name
 	if _, err := st.Put("mesh", d.C); err != nil {
 		t.Fatal(err)
 	}
-	dev := d.C.Devices[0].Name
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -426,6 +622,7 @@ func TestEditedViewMatchesFreshBuild(t *testing.T) {
 			break
 		}
 	}
+	dev7 := c.Devices[7].Name
 	if _, err := st.Put("rand", c); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +639,7 @@ func TestEditedViewMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after the rewire")
-	if _, err := st.ApplyEdits("rand", editOps(c.Devices[7].Name, "spare")); err != nil {
+	if _, err := st.ApplyEdits("rand", editOps(dev7, "spare")); err != nil {
 		t.Fatal(err)
 	}
 	check("after a second edit")

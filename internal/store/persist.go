@@ -403,6 +403,7 @@ func (st *Store) writeManifest() error {
 		})
 	}
 	st.noteIO(err)
+	st.manifestStale.Store(err != nil)
 	if err == nil && len(superseded) > 0 {
 		st.removeSuperseded(&m, superseded)
 	}

@@ -37,10 +37,12 @@
 // ref counts.  Each entry additionally carries its own RWMutex guarding
 // the monotonic global-net marks on its circuit, preserving the server's
 // invariant that a match only ever reads the shared circuit (globals are
-// pre-marked under the entry write lock before matching begins).  An entry
-// is never mutated structurally after creation — replacing a name installs
-// a fresh entry, and in-flight matches keep the old one alive through
-// their handles.
+// pre-marked under the entry write lock before matching begins).  No
+// handle ever sees its circuit change structurally: replacing a name
+// installs a fresh entry, and in-flight matches keep the old one alive
+// through their handles; an edit rewrites a circuit in place only while
+// no handle but its own exists, and holds new readers off until it is
+// done (see edits.go).
 //
 // Health: the store tracks whether its most recent persistence operation
 // (snapshot write, manifest write, snapshot reload) succeeded, exposed
@@ -130,6 +132,10 @@ type Store struct {
 	// an atomic (not st.mu state) so Healthy can be read from the /readyz
 	// path without contending with a slow reload holding the store lock.
 	unhealthy atomic.Bool
+
+	// manifestStale is set while the last manifest write failed, so the
+	// manifest on disk may lag the table; the next edit rewrites it.
+	manifestStale atomic.Bool
 }
 
 // Healthy reports whether the store's most recent persistence operation
@@ -143,8 +149,11 @@ func (st *Store) noteIO(err error) {
 }
 
 // Entry is one named circuit.  The circuit pointer, CSR view, and scratch
-// pool are fixed for the entry's lifetime while resident; only the global
-// marks on the circuit change, under markMu.
+// pool are fixed for the entry's lifetime while resident, and a handle
+// sees only the global marks on the circuit change, under markMu.  The
+// one exception has no handle to see it: an edit with no other handle on
+// the entry sets editing, rewrites the circuit in place and hands it to
+// the next version's entry (see edits.go).
 type Entry struct {
 	name    string // store key
 	display string // circuit's own name (may differ from the key)
@@ -155,6 +164,9 @@ type Entry struct {
 
 	elem *list.Element
 	refs int
+	// editing is set, under st.mu, while ApplyEdits rewrites the circuit
+	// in place; Acquire waits for the edit rather than hand out the entry.
+	editing bool
 
 	// markMu guards the monotonic global-net marks: matches hold RLock for
 	// their whole run, markers take Lock.  See Handle.RLockWithGlobals.
@@ -266,6 +278,10 @@ func estimateBytes(c *graph.Circuit) int64 {
 // directory — writing its snapshot and the updated manifest before the
 // entry becomes visible.  In-flight matches against a replaced entry keep
 // running against the old circuit through their handles.
+//
+// The store takes ownership of ckt: a later ApplyEdits may edit it in
+// place, so the caller must not read or modify it after the call; pass a
+// clone to keep a copy.
 func (st *Store) Put(name string, ckt *graph.Circuit) (Info, error) {
 	if !ValidName(name) {
 		return Info{}, fmt.Errorf("invalid circuit name %q (want 1-64 chars of [A-Za-z0-9._-], not starting with '.' or '-')", name)
@@ -336,12 +352,21 @@ func (st *Store) Put(name string, ckt *graph.Circuit) (Info, error) {
 
 // Acquire returns a ref-counted handle on the named entry, reloading a
 // demoted entry from its snapshot first.  Callers must Release the handle
-// when their match completes; the ref count pins the entry's resident
-// state against eviction.
+// once they have read everything they need from the circuit, including
+// names in rendered results; the ref count pins the entry's resident state
+// against eviction and its circuit against in-place edits.  An entry being
+// edited in place is not handed out: Acquire waits for the edit, which
+// holds the name lock, and looks the name up again.
 func (st *Store) Acquire(name string) (*Handle, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok := st.entries[name]
+	for ok && e.editing {
+		st.mu.Unlock()
+		st.lockName(name)()
+		st.mu.Lock()
+		e, ok = st.entries[name]
+	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -537,8 +562,9 @@ func (h *Handle) Scratch() *core.ScratchPool { return h.e.scratch }
 func (h *Handle) Globals() []string { return h.e.globals }
 
 // Version returns the edit version of the entry this handle leases.  It is
-// fixed for the handle's lifetime: edits install fresh entries, so a
-// concurrent PATCH never changes what an acquired handle sees.
+// fixed for the handle's lifetime: edits install fresh entries and rewrite
+// a circuit in place only while no other handle leases it, so a concurrent
+// PATCH never changes what an acquired handle sees.
 func (h *Handle) Version() uint64 { return h.e.version }
 
 // Release returns the lease.  Releasing twice is a no-op.
