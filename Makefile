@@ -26,11 +26,15 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # runs is part of the contract), under the race detector.  The server's
 # instance renderer runs against the map-building reference it replaced,
 # byte for byte, and the netlist reader and flattener against theirs
-# (parseref_test.go) over ten seconds of fuzzing.
+# (parseref_test.go) over ten seconds of fuzzing.  Ten more seconds fuzz
+# edit batches (internal/delta FuzzApply): a failed or undone batch restores
+# the circuit exactly, and Touched names every net name a batch adds or
+# drops.
 diff: diff-incremental
 	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse' ./internal/core/
 	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference' ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime 10s ./internal/delta/
 
 # Incremental differential only: FindIncremental replay after random edit
 # batches against the full-matcher oracle, bit-identical instances.  The

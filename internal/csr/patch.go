@@ -14,10 +14,20 @@ var RebuildFraction = 0.25
 // Remap describes how the vertices of an edited circuit moved: old index to
 // new index for devices and nets separately, with -1 marking a removed
 // vertex.  Edits are monotone (adds append, removes compact preserving
-// order), so a remap never reorders survivors.
+// order), so a remap never reorders survivors.  A nil slice is the
+// identity over the old view's vertices of that kind: an edit that
+// removed none of them moved none.
 type Remap struct {
 	Dev []int32 // old device index -> new device index, -1 = removed
 	Net []int32 // old net index -> new net index, -1 = removed
+}
+
+// at maps old index i through m, the identity when m is nil.
+func at(m []int32, i int) int32 {
+	if m == nil {
+		return int32(i)
+	}
+	return m[i]
 }
 
 // Patch builds the CSR view of the edited circuit c, splicing the adjacency
@@ -42,7 +52,7 @@ type Remap struct {
 // rewires and appends, or removes vertices from the end, moves none.
 func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32) (g *Graph, rebuilt bool) {
 	nd, nn := c.NumDevices(), c.NumNets()
-	if old == nil || len(rm.Dev) != old.NumDevs || len(rm.Net) != old.NumNets {
+	if old == nil || (rm.Dev != nil && len(rm.Dev) != old.NumDevs) || (rm.Net != nil && len(rm.Net) != old.NumNets) {
 		return New(c), true
 	}
 	if float64(len(dirtyDevs)+len(dirtyNets)) > RebuildFraction*float64(nd+nn) {
@@ -53,9 +63,9 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 	odn := old.NumDevs
 	newVID := func(ov int32) int32 {
 		if ov < int32(odn) {
-			return rm.Dev[ov]
+			return at(rm.Dev, int(ov))
 		}
-		if nv := rm.Net[ov-int32(odn)]; nv >= 0 {
+		if nv := at(rm.Net, int(ov)-odn); nv >= 0 {
 			return int32(nd) + nv
 		}
 		return -1
@@ -66,15 +76,15 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 	// clean[v]: new vertex v survived the edit and is not dirty, so its
 	// row, and its length in Start, is the old one.
 	clean := make([]bool, size)
-	for ov, nv := range rm.Dev {
-		if nv >= 0 {
+	for ov := range odn {
+		if nv := at(rm.Dev, ov); nv >= 0 {
 			clean[nv] = true
 			g.Start[nv+1] = old.Start[ov+1] - old.Start[ov]
 			moved = moved || nv != int32(ov)
 		}
 	}
-	for ov, nv := range rm.Net {
-		if nv >= 0 {
+	for ov := range old.NumNets {
+		if nv := at(rm.Net, ov); nv >= 0 {
 			clean[nd+int(nv)] = true
 			g.Start[nd+int(nv)+1] = old.Start[odn+ov+1] - old.Start[odn+ov]
 			moved = moved || nv != int32(ov)

@@ -38,14 +38,12 @@ func TestApplyBasicOps(t *testing.T) {
 	if st.Version != 7 || st.NewDevs != nd+1 || st.NewNets != nn+2 {
 		t.Errorf("step dims: version=%d devs=%d nets=%d", st.Version, st.NewDevs, st.NewNets)
 	}
-	if len(st.DevOld2New) != nd || len(st.NetOld2New) != nn {
-		t.Errorf("remap lengths %d/%d", len(st.DevOld2New), len(st.NetOld2New))
+	if st.OldDevs != nd || st.OldNets != nn {
+		t.Errorf("step old dims: devs=%d nets=%d", st.OldDevs, st.OldNets)
 	}
-	// No removals: remaps are identity.
-	for i, v := range st.DevOld2New {
-		if int(v) != i {
-			t.Fatalf("dev remap[%d]=%d", i, v)
-		}
+	// No removals: the remaps are the identity, left nil.
+	if st.DevOld2New != nil || st.NetOld2New != nil {
+		t.Errorf("remaps %v / %v, want nil", st.DevOld2New, st.NetOld2New)
 	}
 	wantTouched := []string{"fresh", "scratch"}
 	if !reflect.DeepEqual(st.Touched, wantTouched) {
@@ -259,5 +257,117 @@ func TestResultCache(t *testing.T) {
 	hits, misses, inv := rc.Counters()
 	if hits == 0 || misses == 0 || inv != 1 {
 		t.Errorf("counters: %d/%d/%d", hits, misses, inv)
+	}
+}
+
+// TestRemoveDeviceKeepsUnrelatedNets: remove_device drops only the nets the
+// removal itself leaves floating.  A net an earlier batch added floats but
+// is not the removed device's, so it survives and stays out of Touched;
+// the removed device's own net, once nothing else holds it, still goes and
+// is touched.  Both removals roll back exactly.
+func TestRemoveDeviceKeepsUnrelatedNets(t *testing.T) {
+	c := gen.InverterChain(4).C
+	if _, err := Apply(c, 1, []Op{{Op: OpAddNet, Name: "spare"}}); err != nil {
+		t.Fatal(err)
+	}
+	in := c.NetByName("in")
+	if in == nil || len(in.Conns) != 2 || in.Conns[0].Dev != c.Devices[0] {
+		t.Fatalf("fixture: net in should hold device 0 and one other device")
+	}
+	other := in.Conns[1].Dev.Name
+	for i, tc := range []struct {
+		dev     string
+		touched []string
+	}{
+		{c.Devices[0].Name, nil}, // in still holds the other device
+		{other, []string{"in"}},  // now in floats with the removal
+	} {
+		before := freeze(c)
+		ops := []Op{{Op: OpRemoveDevice, Name: tc.dev}}
+		_, undo, err := ApplyUndo(c, uint64(i+2), ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		undo()
+		sameAsFrozen(t, "undone remove_device "+tc.dev, c, before, nil)
+		st, err := Apply(c, uint64(i+2), ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.Touched, tc.touched) {
+			t.Errorf("remove_device %s: Touched = %v, want %v", tc.dev, st.Touched, tc.touched)
+		}
+		if c.NetByName("spare") == nil {
+			t.Fatalf("remove_device %s dropped the unrelated floating net spare", tc.dev)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.NetByName("in") != nil {
+		t.Error("net in survived the removal of its last device")
+	}
+}
+
+// TestNilRemapsMatchDense: a Step leaves a remap nil when its batch removed
+// no vertex of that kind.  Patching with the nil remaps must give the view
+// the dense remaps give (a fresh build, without a rebuild), and composing
+// the steps must give the DirtySet composing their dense forms gives.
+func TestNilRemapsMatchDense(t *testing.T) {
+	c := gen.NandMesh(4, 5).C
+	view := csr.New(c)
+	dev := c.Devices[7]
+	home := dev.Pins[0].Net.Name
+	batches := []struct {
+		ops            []Op
+		devNil, netNil bool
+	}{
+		{[]Op{{Op: OpRewirePin, Device: dev.Name, Pin: 0, Net: "eco"}}, true, true},
+		{[]Op{{Op: OpRewirePin, Device: dev.Name, Pin: 0, Net: home}, {Op: OpRemoveNet, Name: "eco"}}, true, false},
+		{[]Op{{Op: OpAddDevice, Name: "xtra", Type: "nmos", Classes: []int{1, 2, 2},
+			Nets: []string{c.Nets[1].Name, c.Nets[2].Name, "fresh"}}}, true, true},
+		{[]Op{{Op: OpRemoveDevice, Name: c.Devices[3].Name}}, false, true},
+		{[]Op{{Op: OpRemoveDevice, Name: "xtra"}}, false, false},
+	}
+	var steps, denseSteps []*Step
+	for i, b := range batches {
+		oldView := view
+		st, err := Apply(c, uint64(i+1), b.ops)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if (st.DevOld2New == nil) != b.devNil || (st.NetOld2New == nil) != b.netNil {
+			t.Errorf("batch %d: nil remaps dev=%v net=%v, want %v %v",
+				i, st.DevOld2New == nil, st.NetOld2New == nil, b.devNil, b.netNil)
+		}
+		ds := *st
+		ds.DevOld2New, ds.NetOld2New = dense(st.DevOld2New, st.OldDevs), dense(st.NetOld2New, st.OldNets)
+		var rebuilt [2]bool
+		view, rebuilt[0] = csr.Patch(oldView, c, csr.Remap{Dev: st.DevOld2New, Net: st.NetOld2New}, st.DirtyDevs, st.DirtyNets)
+		want, rb := csr.Patch(oldView, c, csr.Remap{Dev: ds.DevOld2New, Net: ds.NetOld2New}, st.DirtyDevs, st.DirtyNets)
+		rebuilt[1] = rb
+		if rebuilt != [2]bool{} {
+			t.Fatalf("batch %d: Patch rebuilt (nil remaps, dense remaps) = %v", i, rebuilt)
+		}
+		if !reflect.DeepEqual(view, want) || !reflect.DeepEqual(view, csr.New(c)) {
+			t.Fatalf("batch %d: the view patched with nil remaps differs from the dense-remap patch or a fresh build", i)
+		}
+		steps, denseSteps = append(steps, st), append(denseSteps, &ds)
+		for from := range steps {
+			got, err := Compose(steps[from:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Compose(denseSteps[from:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Compose(steps %d..%d) = %+v, want the dense composition %+v", from, i, got, want)
+			}
+			if len(got.DevOld2New) != steps[from].OldDevs || len(got.NetOld2New) != steps[from].OldNets {
+				t.Fatalf("Compose(steps %d..%d): remaps not dense", from, i)
+			}
+		}
 	}
 }

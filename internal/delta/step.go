@@ -19,12 +19,17 @@ type Step struct {
 	Ops     []Op   `json:"ops"`
 
 	// Old-index → new-index remaps; -1 marks a removed vertex.  Lengths are
-	// the pre-edit device and net counts.
+	// the pre-edit device and net counts.  A remap is nil when the batch
+	// removed no vertex of its kind, which moves none (csr.Remap reads nil
+	// as the identity): a retained Step then holds no O(|G|) array.
 	DevOld2New []int32 `json:"dev_remap"`
 	NetOld2New []int32 `json:"net_remap"`
 
-	// NewDevs and NewNets are the post-edit vertex counts, so consecutive
-	// steps can be validated and composed without the circuit at hand.
+	// OldDevs and OldNets are the pre-edit vertex counts, NewDevs and
+	// NewNets the post-edit ones, so consecutive steps can be validated
+	// and composed without the circuit at hand.
+	OldDevs int `json:"old_devs"`
+	OldNets int `json:"old_nets"`
 	NewDevs int `json:"new_devs"`
 	NewNets int `json:"new_nets"`
 
@@ -79,8 +84,10 @@ func (e *editor) finish(version uint64, ops []Op) *Step {
 	st := &Step{
 		Version:    version,
 		Ops:        ops,
-		DevOld2New: remap(e.oldDevs, e.numDevs, e.c.Devices),
-		NetOld2New: remap(e.oldNets, e.numNets, e.c.Nets),
+		DevOld2New: remap(e.oldDevs, e.c.Devices),
+		NetOld2New: remap(e.oldNets, e.c.Nets),
+		OldDevs:    e.numDevs,
+		OldNets:    e.numNets,
 		NewDevs:    len(e.c.Devices),
 		NewNets:    len(e.c.Nets),
 	}
@@ -103,20 +110,18 @@ func (e *editor) finish(version uint64, ops []Op) *Step {
 	return st
 }
 
-// remap maps each of the n pre-batch vertices of one kind to its index in
-// now, -1 when removed; old is the pre-batch list, nil when the batch
-// removed none.  The mutators keep survivors in order and append
-// additions, so now is the survivors in order followed by the added
-// vertices, and one merge walk pairs each survivor with its new index
-// without dereferencing a vertex.
-func remap[V comparable](old []V, n int, now []V) []int32 {
-	m := make([]int32, n)
+// remap maps each pre-batch vertex of one kind to its index in now, -1
+// when removed; old is the pre-batch list, nil when the batch removed none
+// (a removal may also find nothing of this kind to remove).  It returns
+// nil when no vertex was removed.  The mutators keep survivors in order
+// and append additions, so now is the survivors in order followed by the
+// added vertices, and one merge walk pairs each survivor with its new
+// index without dereferencing a vertex.
+func remap[V comparable](old, now []V) []int32 {
 	if old == nil {
-		for i := range m {
-			m[i] = int32(i)
-		}
-		return m
+		return nil
 	}
+	m := make([]int32, len(old))
 	j := 0
 	for i, v := range old {
 		if j < len(now) && now[j] == v {
@@ -126,15 +131,32 @@ func remap[V comparable](old []V, n int, now []V) []int32 {
 			m[i] = -1
 		}
 	}
+	if j == len(old) {
+		return nil
+	}
 	return m
+}
+
+// dense returns remap m over n vertices as a fresh slice, materializing
+// the identity when m is nil.
+func dense(m []int32, n int) []int32 {
+	if m != nil {
+		return append([]int32(nil), m...)
+	}
+	d := make([]int32, n)
+	for i := range d {
+		d[i] = int32(i)
+	}
+	return d
 }
 
 // Compose folds consecutive steps into the DirtySet that carries a matcher
 // state captured before steps[0] forward to the circuit after the last
 // step.  Remaps chain (a vertex removed at any step stays removed), dirty
 // vertices from every step are mapped forward to final index space, and
-// Touched names accumulate.  Steps must be consecutive versions with
-// matching dimensions.
+// Touched names accumulate.  The DirtySet's remaps are dense even where
+// every step's is nil.  Steps must be consecutive versions with matching
+// dimensions.
 func Compose(steps []*Step) (*core.DirtySet, error) {
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("delta: no steps to compose")
@@ -144,15 +166,15 @@ func Compose(steps []*Step) (*core.DirtySet, error) {
 		if next.Version != prev.Version+1 {
 			return nil, fmt.Errorf("delta: non-consecutive steps: version %d follows %d", next.Version, prev.Version)
 		}
-		if len(next.DevOld2New) != prev.NewDevs || len(next.NetOld2New) != prev.NewNets {
+		if next.OldDevs != prev.NewDevs || next.OldNets != prev.NewNets {
 			return nil, fmt.Errorf("delta: step %d dimensions %dx%d do not match prior step's %dx%d",
-				next.Version, len(next.DevOld2New), len(next.NetOld2New), prev.NewDevs, prev.NewNets)
+				next.Version, next.OldDevs, next.OldNets, prev.NewDevs, prev.NewNets)
 		}
 	}
 
 	ds := &core.DirtySet{
-		DevOld2New: append([]int32(nil), steps[0].DevOld2New...),
-		NetOld2New: append([]int32(nil), steps[0].NetOld2New...),
+		DevOld2New: dense(steps[0].DevOld2New, steps[0].OldDevs),
+		NetOld2New: dense(steps[0].NetOld2New, steps[0].OldNets),
 	}
 	dirtyDev := make(map[int32]bool)
 	dirtyNet := make(map[int32]bool)
@@ -169,6 +191,9 @@ func Compose(steps []*Step) (*core.DirtySet, error) {
 	}
 	for _, st := range steps[1:] {
 		forward := func(remap []int32, m map[int32]bool, base []int32) {
+			if remap == nil {
+				return // the step moved no vertex of this kind
+			}
 			for i, v := range base {
 				if v >= 0 {
 					base[i] = remap[v]

@@ -550,9 +550,10 @@ func (c *Circuit) spliceConn(n *Net, d *Device, pi int) {
 
 // RemoveDevice deletes the named device, splicing its back-references out
 // of the attached nets (preserving the order of every other connection) and
-// dropping any net left with no connections unless it is a port or global.
-// Surviving devices and nets keep their relative order and are reindexed.
-// It returns an error when the device does not exist.
+// dropping each of those nets the removal leaves with no connections,
+// unless it is a port or global.  Other nets are untouched, floating or
+// not.  Surviving devices and nets keep their relative order and are
+// reindexed.  It returns an error when the device does not exist.
 func (c *Circuit) RemoveDevice(name string) error {
 	d := c.devByName[name]
 	if d == nil {
@@ -577,22 +578,31 @@ func (c *Circuit) RemoveDevice(name string) error {
 		})
 	}
 	var dropped []*Net
-	keptNets := c.Nets[:0]
-	for _, n := range c.Nets {
-		if len(n.Conns) == 0 && !n.Port && !n.Global {
+	for _, p := range d.Pins {
+		// The name check skips a net already dropped through another pin.
+		if n := p.Net; len(n.Conns) == 0 && !n.Port && !n.Global && c.netByName[n.Name] == n {
 			delete(c.netByName, n.Name)
-			if c.undo != nil {
-				dropped = append(dropped, n)
-			}
+			dropped = append(dropped, n)
+		}
+	}
+	if len(dropped) == 0 {
+		return nil
+	}
+	slices.SortFunc(dropped, func(a, b *Net) int { return a.Index - b.Index })
+	first := dropped[0].Index
+	kept, k := c.Nets[:first], 0
+	for _, n := range c.Nets[first:] {
+		if k < len(dropped) && n == dropped[k] {
+			k++
 			continue
 		}
-		keptNets = append(keptNets, n)
+		kept = append(kept, n)
 	}
-	c.Nets = keptNets
-	for i, n := range c.Nets {
-		n.Index = i
+	c.Nets = kept
+	for i := first; i < len(c.Nets); i++ {
+		c.Nets[i].Index = i
 	}
-	if len(dropped) > 0 {
+	if c.undo != nil {
 		c.undo.log(func() { c.restoreNets(dropped) })
 	}
 	return nil

@@ -14,8 +14,11 @@
 // including inside a single Phase II candidate's solve recursion — so the
 // worker frees promptly even mid-way through a pathological match.
 //
-// Durability: with a directory configured, every state transition rewrites
-// the job's record (<dir>/<id>.json, temp file + fsync + rename).  Record
+// Durability: with a directory configured, submission and every terminal
+// state rewrite the job's record (<dir>/<id>.json, temp file + fsync +
+// rename).  Entering running does not: boot fails a queued and a running
+// record alike, so that write would buy nothing for its fsync; the record
+// of a job a crash interrupted therefore lacks started_unix_ms.  Record
 // writes retry a bounded number of times with a short backoff before
 // giving up — transient store I/O errors (a full page cache flush, an
 // interrupted syscall) must not silently drop a transition — and the
@@ -318,7 +321,6 @@ func (e *Engine) run(j *job) {
 	j.cancel = cancel
 	j.view.State = Running
 	j.view.StartedMS = nowMS()
-	e.persist(j)
 	fn := j.fn
 	e.mu.Unlock()
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -531,40 +532,47 @@ func (s *Server) cancelHook(ctx context.Context) func() error {
 	}
 }
 
-// parseCircuitBody reads and flattens a netlist request body, under a
-// parse span and then a flatten span.
-func (s *Server) parseCircuitBody(r *http.Request, name string) (*graph.Circuit, *httpError) {
-	src, err := io.ReadAll(r.Body)
-	if err != nil {
+// parseCircuitBody reads a netlist request body and flattens it, under a
+// parse span and then a flatten span, returning the circuit and the
+// source text it was parsed from (which store.PutSource snapshots).  The
+// body is read straight into one string, presized from Content-Length up
+// to the body limit, and the circuit's names are substrings of it.
+func (s *Server) parseCircuitBody(r *http.Request, name string) (*graph.Circuit, string, *httpError) {
+	var body strings.Builder
+	if n := r.ContentLength; n > 0 {
+		body.Grow(int(min(n, s.cfg.MaxBodyBytes)))
+	}
+	if _, err := io.Copy(&body, r.Body); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, errf(http.StatusRequestEntityTooLarge, "netlist exceeds %d bytes", tooBig.Limit)
+			return nil, "", errf(http.StatusRequestEntityTooLarge, "netlist exceeds %d bytes", tooBig.Limit)
 		}
-		return nil, errf(http.StatusBadRequest, "reading body: %v", err)
+		return nil, "", errf(http.StatusBadRequest, "reading body: %v", err)
 	}
+	src := body.String()
 	sc := obs.ScopeFromContext(r.Context())
 	ref := sc.Begin(obs.KindParse, name)
 	sc.AttrInt(ref, "bytes", int64(len(src)))
-	f, err := netlist.ParseString(string(src), name)
+	f, err := netlist.ParseString(src, name)
 	sc.End(ref)
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "parsing netlist: %v", err)
+		return nil, "", errf(http.StatusBadRequest, "parsing netlist: %v", err)
 	}
 	ref = sc.Begin(obs.KindFlatten, name)
 	ckt, err := f.MainCircuit(name)
 	sc.End(ref)
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "building circuit: %v", err)
+		return nil, "", errf(http.StatusBadRequest, "building circuit: %v", err)
 	}
-	return ckt, nil
+	return ckt, src, nil
 }
 
-// putCircuit stores a parsed circuit under key, snapshotting it when a
-// data directory is configured.
-func (s *Server) putCircuit(ctx context.Context, key string, ckt *graph.Circuit) (store.Info, *httpError) {
+// putCircuit stores an uploaded circuit under key, with the source text
+// it was parsed from as its snapshot when a data directory is configured.
+func (s *Server) putCircuit(ctx context.Context, key string, ckt *graph.Circuit, src string) (store.Info, *httpError) {
 	sc := obs.ScopeFromContext(ctx)
 	ref := sc.Begin(obs.KindPersist, key)
-	info, err := s.store.Put(key, ckt)
+	info, err := s.store.PutSource(key, ckt, src)
 	sc.AttrInt(ref, "devices", int64(ckt.NumDevices()))
 	sc.End(ref)
 	if err != nil {
@@ -593,12 +601,12 @@ func (s *Server) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
 	if display == "" {
 		display = key
 	}
-	ckt, e := s.parseCircuitBody(r, display)
+	ckt, src, e := s.parseCircuitBody(r, display)
 	if e != nil {
 		writeError(w, e)
 		return
 	}
-	info, e := s.putCircuit(r.Context(), key, ckt)
+	info, e := s.putCircuit(r.Context(), key, ckt, src)
 	if e != nil {
 		writeError(w, e)
 		return
@@ -648,12 +656,12 @@ func (s *Server) handleLegacyCircuitUpload(w http.ResponseWriter, r *http.Reques
 	if display == "" {
 		display = "circuit"
 	}
-	ckt, e := s.parseCircuitBody(r, display)
+	ckt, src, e := s.parseCircuitBody(r, display)
 	if e != nil {
 		writeError(w, e)
 		return
 	}
-	info, e := s.putCircuit(r.Context(), DefaultCircuit, ckt)
+	info, e := s.putCircuit(r.Context(), DefaultCircuit, ckt, src)
 	if e != nil {
 		writeError(w, e)
 		return

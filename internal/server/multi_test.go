@@ -335,7 +335,8 @@ func TestRestartAfterKillRecoversStoreAndFailsInterruptedJob(t *testing.T) {
 		t.Fatalf("put beta: status %d", rec.Code)
 	}
 
-	// Block the job mid-run so its record is on disk in the running state.
+	// Block the job mid-run; its record on disk still reads queued, since
+	// entering running writes none.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once

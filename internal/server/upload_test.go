@@ -1,0 +1,172 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"subgemini/internal/graph"
+)
+
+// hierNetlist is a hierarchical upload: two inverters instantiated from
+// one .SUBCKT beside a flat device.
+const hierNetlist = `* two inverters and a pull-down
+.GLOBAL VDD GND
+.SUBCKT INV A Y
+MP1 Y A VDD pmos
+MN1 Y A GND nmos
+.ENDS
+X1 a b INV
+X2 b c INV
+MN9 c a GND nmos
+.END
+`
+
+// clkNetlist declares a global of its own, CLK, beside the daemon's rails.
+const clkNetlist = `.GLOBAL VDD GND CLK
+MP1 q CLK VDD pmos
+MN1 q d GND nmos
+R1 q out
+C1 out GND
+.END
+`
+
+// circuitDump renders everything of a circuit a match can see: its name,
+// its devices in order with type and each pin's class and net, and its
+// nets in order with their Port and Global marks.
+func circuitDump(c *graph.Circuit) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "circuit %s\n", c.Name)
+	for i, d := range c.Devices {
+		fmt.Fprintf(&b, "dev %d %s %s", i, d.Name, d.Type)
+		for _, p := range d.Pins {
+			fmt.Fprintf(&b, " %d:%s", p.Class, p.Net.Name)
+		}
+		b.WriteByte('\n')
+	}
+	for i, n := range c.Nets {
+		fmt.Fprintf(&b, "net %d %s port=%v global=%v conns=%d\n", i, n.Name, n.Port, n.Global, len(n.Conns))
+	}
+	return b.String()
+}
+
+func storedDump(t *testing.T, s *Server, key string) string {
+	t.Helper()
+	h, err := s.store.Acquire(key)
+	if err != nil {
+		t.Fatalf("acquire %s: %v", key, err)
+	}
+	defer h.Release()
+	h.RLock()
+	defer h.RUnlock()
+	return circuitDump(h.Circuit())
+}
+
+// circuitFiles lists the files under a data directory's circuits/.
+func circuitFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(filepath.Join(dir, "circuits"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	return names
+}
+
+// TestUploadsReloadIdentically: an upload's snapshot is its body, byte for
+// byte, and a daemon rebooted over the data directory serves exactly the
+// circuit the first one served, device and net order included, for a
+// flat, a hierarchical, a .GLOBAL-declaring and a display-named upload and
+// for the legacy single-circuit endpoint.
+func TestUploadsReloadIdentically(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Globals: rails, DataDir: dir}
+	uploads := []struct{ method, path, key, body string }{
+		{"PUT", "/v1/circuits/flat", "flat", nandNetlist},
+		{"PUT", "/v1/circuits/hier", "hier", hierNetlist},
+		{"PUT", "/v1/circuits/clk", "clk", clkNetlist},
+		{"PUT", "/v1/circuits/named?name=chip_v2", "named", invPairNetlist},
+		{"POST", "/v1/circuit?name=legacy", DefaultCircuit, hierNetlist},
+	}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, u := range uploads {
+		if rec := do(t, s1, u.method, u.path, u.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", u.method, u.path, rec.Code, rec.Body.String())
+		}
+		want[u.key] = storedDump(t, s1, u.key)
+		raw, err := os.ReadFile(filepath.Join(dir, "circuits", u.key+".sp"))
+		if err != nil || string(raw) != u.body {
+			t.Errorf("%s: snapshot is not the upload's body (%v):\n%s", u.key, err, raw)
+		}
+	}
+	if !strings.Contains(want["hier"], "X1/MP1") || !strings.Contains(want["clk"], "CLK port=false global=true") ||
+		!strings.Contains(want["named"], "circuit chip_v2") || !strings.Contains(want[DefaultCircuit], "circuit legacy") {
+		t.Fatalf("fixtures did not upload as intended:\n%s%s%s%s", want["hier"], want["clk"], want["named"], want[DefaultCircuit])
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range circuitFiles(t, dir) {
+		if strings.HasSuffix(f, ".json") {
+			t.Errorf("an upload snapshotted as graph JSON: %s", f)
+		}
+	}
+
+	s2 := mustNew(t, cfg)
+	for _, u := range uploads {
+		if got := storedDump(t, s2, u.key); got != want[u.key] {
+			t.Errorf("%s after reboot:\n%s\nwant the circuit served before it:\n%s", u.key, got, want[u.key])
+		}
+	}
+}
+
+// TestFailedUploadWritesNoSnapshot: an upload that fails to parse or to
+// flatten leaves no file under circuits/, not even a temp file, and a
+// failed replacement leaves the stored circuit and its snapshot as they
+// were.
+func TestFailedUploadWritesNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, Config{Globals: rails, DataDir: dir})
+	bad := []string{
+		".SUBCKT INV A Y\nMP1 Y A VDD pmos\n", // parse: .SUBCKT without .ENDS
+		"MP1 y a VDD pmos\nX1 a b MISSING\n",  // flatten: unknown subcircuit
+		"* only a comment\n",                  // no top-level cards
+	}
+	for _, body := range bad {
+		if rec := do(t, s, "PUT", "/v1/circuits/chip", body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("PUT %q: status %d, want 400: %s", body, rec.Code, rec.Body.String())
+		}
+		if files := circuitFiles(t, dir); len(files) != 0 {
+			t.Fatalf("PUT %q failed but left %v under circuits/", body, files)
+		}
+	}
+	if rec := do(t, s, "PUT", "/v1/circuits/chip", nandNetlist); rec.Code != http.StatusOK {
+		t.Fatalf("PUT chip: status %d: %s", rec.Code, rec.Body.String())
+	}
+	before := storedDump(t, s, "chip")
+	for _, body := range bad {
+		if rec := do(t, s, "PUT", "/v1/circuits/chip", body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("replacing PUT %q: status %d, want 400", body, rec.Code)
+		}
+	}
+	if files := circuitFiles(t, dir); len(files) != 1 || files[0] != "chip.sp" {
+		t.Errorf("failed replacements left circuits/ holding %v, want [chip.sp]", files)
+	}
+	if got := storedDump(t, s, "chip"); got != before {
+		t.Errorf("failed replacements changed the stored circuit:\n%s\nwant:\n%s", got, before)
+	}
+}

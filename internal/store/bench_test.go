@@ -15,11 +15,19 @@ import (
 // names carry their element letters and the snapshot is a .sp netlist.
 func rand4000(b testing.TB) *graph.Circuit {
 	b.Helper()
+	c, _ := rand4000Source(b)
+	return c
+}
+
+// rand4000Source is rand4000 and the netlist text it was parsed from.
+func rand4000Source(b testing.TB) (*graph.Circuit, string) {
+	b.Helper()
 	var buf strings.Builder
 	if err := netlist.WriteCircuit(&buf, gen.RandomLogic(4000, 4000/64+8, 1).C); err != nil {
 		b.Fatal(err)
 	}
-	f, err := netlist.ParseString(buf.String(), "rand4000.sp")
+	src := buf.String()
+	f, err := netlist.ParseString(src, "rand4000.sp")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,24 +35,36 @@ func rand4000(b testing.TB) *graph.Circuit {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c
+	return c, src
 }
 
-// BenchmarkStorePut times one Put of rand4000 on a data directory: CSR
-// build, fsynced snapshot and manifest.
+// BenchmarkStorePut times one store of rand4000 on a data directory: CSR
+// build, fsynced snapshot and manifest.  "put" is Put, which checks that
+// the circuit round-trips and re-serializes it; "source" is PutSource, an
+// upload's path, which writes the text the circuit was parsed from.
 func BenchmarkStorePut(b *testing.B) {
-	c := rand4000(b)
-	st, err := Open(Config{Dir: b.TempDir(), Globals: rails})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Put("rand4000", c); err != nil {
-			b.Fatal(err)
-		}
+	c, src := rand4000Source(b)
+	for _, bc := range []struct {
+		name string
+		put  func(st *Store) (Info, error)
+	}{
+		{"put", func(st *Store) (Info, error) { return st.Put("rand4000", c) }},
+		{"source", func(st *Store) (Info, error) { return st.PutSource("rand4000", c, src) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st, err := Open(Config{Dir: b.TempDir(), Globals: rails})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.put(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

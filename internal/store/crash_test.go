@@ -92,6 +92,29 @@ var crashOps = []crashOp{
 		},
 	},
 	{
+		// A replacement the way an upload makes it: the hierarchical source
+		// text is the snapshot (PutSource).  Its MP1 has pin 0 on y, where
+		// the old lineage's edits moved it to spare, so the old log
+		// replayed onto it would show.
+		name: "source-put",
+		setup: func(t *testing.T, st *Store) {
+			for range 3 {
+				if _, err := st.ApplyEdits("chip", editOps("MP1", "spare")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		run: func(st *Store) error {
+			src := strings.Replace(hierSrc, "X1 a b INV", "MP1 y a VDD pmos\nX1 a b INV", 1)
+			c, err := parseMainErr(src, "chip")
+			if err != nil {
+				return err
+			}
+			_, err = st.PutSource("chip", c, src)
+			return err
+		},
+	},
+	{
 		// The edit that reaches compactEvery log records compacts.
 		name: "compacting-edit",
 		setup: func(t *testing.T, st *Store) {

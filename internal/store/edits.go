@@ -276,7 +276,7 @@ func (st *Store) Flush() error {
 // durable.
 func (st *Store) compactEntry(e *Entry) error {
 	e.markMu.RLock()
-	file, err := st.writeSnapshot(e.name, e.ckt, e.file, e.log)
+	file, err := st.writeSnapshot(e.name, e.ckt, nil, e.file, e.log)
 	e.markMu.RUnlock()
 	if err != nil {
 		st.log.Warn("circuit compaction failed", "circuit", e.name, "err", err)

@@ -26,15 +26,17 @@ func init() {
 }
 
 // Data-directory layout.  The manifest is the index; a circuit snapshot
-// is a plain netlist when netlist.RoundTrips says the netlist reader gives
-// back exactly the stored circuit, so a user can inspect (or seed) the
-// data directory with ordinary tools.  Every other circuit — gate-level
-// results of extraction, flattened hierarchies whose device names lack
-// their element letter, edited circuits with devices the reader would
-// re-class — snapshots in the graph JSON interchange format instead; the
-// file extension selects the parser on reload.  The manifest names each
-// circuit's snapshot and edit log; both are created under fresh names (see
-// freshName), so no write ever lands on a file the manifest names.
+// is a plain netlist, so a user can inspect (or seed) the data directory
+// with ordinary tools, when the netlist reader gives back exactly the
+// stored circuit: an upload's own source text, or the netlist writer's
+// output when netlist.RoundTrips says so.  Every other circuit —
+// gate-level results of extraction, compacted edits of flattened
+// hierarchies whose device names lack their element letter, edited
+// circuits with devices the reader would re-class — snapshots in the graph
+// JSON interchange format instead; the file extension selects the parser
+// on reload.  The manifest names each circuit's snapshot and edit log;
+// both are created under fresh names (see freshName), so no write ever
+// lands on a file the manifest names.
 const (
 	manifestName = "manifest.json"
 	circuitsDir  = "circuits"
@@ -273,12 +275,19 @@ func (st *Store) loadPatternRec(rec patternRec) (*graph.Circuit, error) {
 }
 
 // writeSnapshot writes one circuit snapshot under a fresh name (see
-// freshName) and returns the filename: a .sp netlist when the netlist
-// round-trips exactly, graph JSON otherwise.
-func (st *Store) writeSnapshot(name string, ckt *graph.Circuit, taken ...string) (string, error) {
+// freshName) and returns the filename: the source text ckt was parsed
+// from when src is non-nil (see PutSource), else a .sp netlist when the
+// netlist round-trips exactly and graph JSON otherwise.
+func (st *Store) writeSnapshot(name string, ckt *graph.Circuit, src *string, taken ...string) (string, error) {
 	ext := ".sp"
 	write := func(w io.Writer) error { return netlist.WriteCircuit(w, ckt) }
-	if !netlist.RoundTrips(ckt) {
+	switch {
+	case src != nil:
+		write = func(w io.Writer) error {
+			_, err := io.WriteString(w, *src)
+			return err
+		}
+	case !netlist.RoundTrips(ckt):
 		ext = ".json"
 		write = func(w io.Writer) error { return graph.EncodeJSON(w, ckt) }
 	}

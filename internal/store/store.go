@@ -13,20 +13,23 @@
 //
 // Durability: with a data directory configured, every Put writes a
 // snapshot of the circuit (temp file + rename, so a crash never leaves a
-// torn snapshot) and then rewrites <dir>/manifest.json the same way.  The
-// snapshot is a netlist, <dir>/circuits/<name>.sp, when
-// internal/netlist.RoundTrips guarantees the reader rebuilds exactly the
-// stored circuit: primitive devices named with their element letter and
-// carrying the reader's terminal classes, names free of whitespace and
-// ';', no unconnected or port nets.  Every other circuit (extracted gate
-// levels, flattened hierarchies such as X1/MP1, edits that add devices
-// the reader would re-class) snapshots as graph JSON,
-// <dir>/circuits/<name>.json.  A snapshot or edit log never overwrites a
-// file the durable manifest names: each write takes a fresh name (the first
-// free of <name>.sp, <name>~1.sp, <name>~2.sp, ..., and likewise for .json
-// and the .log edit log), and the files a replacement, deletion or
-// compaction supersedes are removed only after a manifest that no longer
-// needs them is durable.  A crash at any point therefore boots the state
+// torn snapshot) and then rewrites <dir>/manifest.json the same way.  An
+// upload's snapshot is the netlist text it arrived as (PutSource), stored
+// verbatim as <dir>/circuits/<name>.sp: boot rebuilds it with the same
+// reader, so the reloaded circuit is the one served, net order included.
+// A circuit without source text (Put) snapshots as a netlist written by
+// internal/netlist.WriteCircuit when netlist.RoundTrips guarantees the
+// reader rebuilds exactly the stored circuit: primitive devices named with
+// their element letter and carrying the reader's terminal classes, names
+// free of whitespace and ';', no unconnected or port nets.  Every other
+// such circuit (extracted gate levels, compacted edits of flattened
+// hierarchies such as X1/MP1, edits that add devices the reader would
+// re-class) snapshots as graph JSON, <dir>/circuits/<name>.json.  A
+// snapshot or edit log never overwrites a file the durable manifest
+// names: each write takes a fresh name (the first free of <name>.sp,
+// <name>~1.sp, <name>~2.sp, ..., and likewise for .json and the .log edit
+// log), and the files a replacement, deletion or compaction supersedes
+// are removed only after a manifest that no longer needs them is durable.  A crash at any point therefore boots the state
 // before or after the interrupted operation; boot removes the files the
 // manifest does not name.  On boot, Open replays the manifest, reloading
 // every snapshotted circuit and re-marking its globals.  Uploaded pattern
@@ -283,6 +286,22 @@ func estimateBytes(c *graph.Circuit) int64 {
 // place, so the caller must not read or modify it after the call; pass a
 // clone to keep a copy.
 func (st *Store) Put(name string, ckt *graph.Circuit) (Info, error) {
+	return st.put(name, ckt, nil)
+}
+
+// PutSource is Put for a circuit the caller built from netlist source text
+// src with netlist.ParseString and MainCircuit(ckt.Name): the snapshot is
+// src itself, written verbatim as a .sp, instead of a re-serialization of
+// the circuit.  Boot rebuilds a .sp with the same reader and the same
+// MainCircuit name and re-marks the same globals, so a reloaded circuit
+// is exactly the one served, net order included, and a hierarchical
+// source stays as small as it arrived.
+func (st *Store) PutSource(name string, ckt *graph.Circuit, src string) (Info, error) {
+	return st.put(name, ckt, &src)
+}
+
+// put is Put and PutSource: src, when non-nil, is the snapshot text.
+func (st *Store) put(name string, ckt *graph.Circuit, src *string) (Info, error) {
 	if !ValidName(name) {
 		return Info{}, fmt.Errorf("invalid circuit name %q (want 1-64 chars of [A-Za-z0-9._-], not starting with '.' or '-')", name)
 	}
@@ -314,7 +333,7 @@ func (st *Store) Put(name string, ckt *graph.Circuit) (Info, error) {
 			taken = []string{old.file, old.log}
 		}
 		st.mu.Unlock()
-		file, err := st.writeSnapshot(name, ckt, taken...)
+		file, err := st.writeSnapshot(name, ckt, src, taken...)
 		if err != nil {
 			return Info{}, err
 		}

@@ -151,7 +151,8 @@ func killMidJob(bin, dataDir string) error {
 		return err
 	}
 	// No timeout_ms: left alone, this symmetric-ring job would run for
-	// minutes.  The kill lands while its record is persisted as running.
+	// minutes.  The kill lands while it runs; its record on disk still
+	// reads queued, since entering running writes none.
 	jobID, err := d.submitMatchJob("ring", ringPattern(1500), "ringpat", 0)
 	if err != nil {
 		return err
