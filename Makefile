@@ -29,10 +29,20 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # (parseref_test.go) over ten seconds of fuzzing.  Ten more seconds fuzz
 # edit batches (internal/delta FuzzApply): a failed or undone batch restores
 # the circuit exactly, and Touched names every net name a batch adds or
-# drops.
+# drops.  Answers depend only on the circuit and the request: a run's
+# globals leave both circuits' marks as they were, in the library
+# (TestRunGlobalsLeaveCircuitsUnmarked) and in the daemon, before and after
+# a restart (TestRequestGlobalsLeaveStoredCircuit); extraction output stays
+# byte-identical (TestExtractedNetlistGolden, and the extract job's netlist,
+# TestExtractJobNetlistMatchesLibrary); and TestDaemonHistory checks a
+# seeded history of uploads, PATCHes, matches, sweeps, extract jobs and
+# restarts against an oracle that rebuilds each circuit from its upload
+# text and edit ops (go test -run TestDaemonHistory ./internal/server/
+# -history.time 10m runs more seeds).
 diff: diff-incremental
-	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse' ./internal/core/
-	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference' ./internal/server/
+	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse|TestRunGlobalsLeaveCircuitsUnmarked' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference|TestRequestGlobalsLeaveStoredCircuit|TestExtractJobNetlistMatchesLibrary|TestDaemonHistory' ./internal/server/
+	$(GO) test -race -count=2 -run 'TestExtractedNetlistGolden' ./internal/extract/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime 10s ./internal/delta/
 

@@ -28,9 +28,7 @@ MN2 n1 b GND nmos
 .END
 `
 
-// build parses a fresh copy of the circuit.  Marking nets global mutates a
-// circuit in place, so each run below gets its own copy.
-func build() *subgemini.Circuit {
+func main() {
 	file, err := subgemini.ParseNetlist(src, "driver.sp")
 	if err != nil {
 		log.Fatal(err)
@@ -39,11 +37,6 @@ func build() *subgemini.Circuit {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return ckt
-}
-
-func main() {
-	ckt := build()
 	fmt.Println("circuit:", ckt)
 
 	// The rule library is data: each rule is itself a pattern circuit, so
@@ -62,7 +55,7 @@ func main() {
 
 	// Fig. 7: the inverter pattern inside the NAND gate.
 	inv := subgemini.Cell("INV")
-	res, err := subgemini.Find(build(), inv.Pattern(), subgemini.Options{})
+	res, err := subgemini.Find(ckt, inv.Pattern(), subgemini.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +67,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	res, err = subgemini.Find(build(), inv.Pattern(), subgemini.Options{Globals: []string{"VDD", "GND"}})
+	res, err = subgemini.Find(ckt, inv.Pattern(), subgemini.Options{Globals: []string{"VDD", "GND"}})
 	if err != nil {
 		log.Fatal(err)
 	}

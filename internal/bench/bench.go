@@ -409,58 +409,6 @@ func Ablation() ([]AblationRow, error) {
 		Note: "includes Fig. 7 false inverters inside gates",
 	})
 
-	// Design ablations (DESIGN.md §4): the Phase II match-time degree
-	// check, measured where it matters most (false candidates in a
-	// degree-uniform pass-transistor fabric) ...
-	sg := gen.SwitchGrid(12, 12)
-	pass := gen.PassChainPattern(12)
-	res, err = core.Find(sg.C.Clone(), pass, core.Options{Globals: Rails})
-	if err != nil {
-		return rows, err
-	}
-	rows = append(rows, AblationRow{
-		Case: "passchain12/switchgrid12 degree check on", CVSize: res.Report.CVSize,
-		Instances: len(res.Instances), Total: res.Report.Total(),
-		Note: fmt.Sprintf("%d guesses, %d backtracks", res.Report.Guesses, res.Report.Backtracks),
-	})
-	res, err = core.Find(sg.C.Clone(), pass, core.Options{Globals: Rails, AblateDegreeCheck: true})
-	if err != nil {
-		return rows, err
-	}
-	rows = append(rows, AblationRow{
-		Case: "passchain12/switchgrid12 degree check off", CVSize: res.Report.CVSize,
-		Instances: len(res.Instances), Total: res.Report.Total(),
-		Note: fmt.Sprintf("%d guesses, %d backtracks", res.Report.Guesses, res.Report.Backtracks),
-	})
-
-	// ... and the global-fold of Phase I initial device labels, measured on
-	// a rail-anchored single-transistor rule pattern with two planted
-	// violations in a large adder.
-	big := gen.RippleAdder(256)
-	mosCls := []graph.TermClass{graph.ClassDS, graph.ClassGate, graph.ClassDS}
-	vddNet := big.C.NetByName("VDD")
-	big.C.MustAddDevice("bad1", "nmos", mosCls, []*graph.Net{vddNet, big.C.AddNet("en1"), big.C.AddNet("x1")})
-	big.C.MustAddDevice("bad2", "nmos", mosCls, []*graph.Net{vddNet, big.C.AddNet("en2"), big.C.AddNet("x2")})
-	pullup := extract.StandardRules()[0].Pattern
-	res, err = core.Find(big.C.Clone(), pullup.Clone(), core.Options{Globals: Rails})
-	if err != nil {
-		return rows, err
-	}
-	rows = append(rows, AblationRow{
-		Case: "nmos-pullup/adder256 global fold on", CVSize: res.Report.CVSize,
-		Instances: len(res.Instances), Total: res.Report.Total(),
-		Note: "rail pins folded into initial device labels",
-	})
-	res, err = core.Find(big.C.Clone(), pullup.Clone(), core.Options{Globals: Rails, AblateGlobalFold: true})
-	if err != nil {
-		return rows, err
-	}
-	rows = append(rows, AblationRow{
-		Case: "nmos-pullup/adder256 global fold off", CVSize: res.Report.CVSize,
-		Instances: len(res.Instances), Total: res.Report.Total(),
-		Note: "type-only initial device labels",
-	})
-
 	// E8: impossible pattern — Phase I must abort without Phase II work.
 	a := gen.RippleAdder(256)
 	res, err = core.Find(a.C, stdcell.SRAM6T.Pattern(), core.Options{Globals: Rails})

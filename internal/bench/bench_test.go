@@ -80,21 +80,6 @@ func TestAblationShape(t *testing.T) {
 		t.Errorf("rails-ordinary found %d instances, special %d: expected more false hits without specials",
 			ordinary.Instances, special.Instances)
 	}
-	// The degree check never changes counts, only effort.
-	on := get("passchain12/switchgrid12 degree check on")
-	off := get("passchain12/switchgrid12 degree check off")
-	if on.Instances != off.Instances {
-		t.Errorf("degree-check ablation changed the result: %d vs %d", on.Instances, off.Instances)
-	}
-	// The global fold shrinks the candidate vector dramatically.
-	foldOn := get("nmos-pullup/adder256 global fold on")
-	foldOff := get("nmos-pullup/adder256 global fold off")
-	if foldOn.Instances != foldOff.Instances {
-		t.Errorf("global-fold ablation changed the result: %d vs %d", foldOn.Instances, foldOff.Instances)
-	}
-	if foldOn.CVSize >= foldOff.CVSize {
-		t.Errorf("global fold did not shrink CV: %d vs %d", foldOn.CVSize, foldOff.CVSize)
-	}
 	// E8: early abort examines nothing.
 	abort := get("SRAM6T/adder256 (absent)")
 	if abort.Instances != 0 || abort.CVSize != 0 {

@@ -53,7 +53,9 @@ const (
 type Options struct {
 	// Globals lists net names treated as special signals in both circuits
 	// (paper §V.A).  A pattern net with one of these names only matches the
-	// identically named main-graph net.
+	// identically named main-graph net.  They apply to the run only: the
+	// matcher never marks them on either circuit (see Matcher.Find for the
+	// full set a run uses).
 	Globals []string
 
 	// Bind constrains pattern ports to specific main-graph nets by name:
@@ -95,9 +97,8 @@ type Options struct {
 	// labeling of the main circuit (see NewInitLabels), letting a library
 	// sweep label the main graph once and share the result read-only
 	// across its per-pattern matchers.  It must describe the same circuit
-	// with the same global marks (both are checked; a mismatch falls back
-	// to computing the labeling as usual), and it is ignored under
-	// AblateGlobalFold, whose device labels differ from the shared ones.
+	// under the run's global set (both are checked; a mismatch falls back
+	// to computing the labeling as usual).
 	InitLabels *InitLabels
 
 	// Cancel, when non-nil, is polled at bounded intervals throughout the
@@ -152,21 +153,22 @@ type Options struct {
 	// candidate's ball that Phase II labeled.  Verbose; intended for small
 	// runs.  Like Tracer, it sends FindParallel to the sequential matcher.
 	TraceTable io.Writer
+}
 
-	// The Ablate* options disable individual design decisions so the
-	// benchmark harness can measure their contribution (DESIGN.md §4).
-	// They never change which instances are found, only how fast.
-
-	// AblateDegreeCheck disables the Phase II match-time degree
+// Design-choice ablations (DESIGN.md §4).  Only tests switch them on
+// (export_test.go), to measure what each decision buys; neither changes
+// which instances are found, only how fast.
+var (
+	// ablateDegreeCheck disables the Phase II match-time degree
 	// feasibility check; false candidates in degree-uniform fabrics are
 	// then refuted only by the final verification.
-	AblateDegreeCheck bool
+	ablateDegreeCheck bool
 
-	// AblateGlobalFold disables folding global-net pins into the Phase I
+	// ablateGlobalFold disables folding global-net pins into the Phase I
 	// initial device labels; rail-anchored patterns then start from
 	// type-only partitions.
-	AblateGlobalFold bool
-}
+	ablateGlobalFold bool
+)
 
 // cancelled polls the Cancel hook; nil means "keep going".
 func (o *Options) cancelled() error {
@@ -281,8 +283,8 @@ type Matcher struct {
 
 	// gCSR caches the flat CSR view of the main graph, the representation
 	// both phases read: adjacency, terminal-class multipliers, and per-device
-	// type labels.  It captures structure only, so it survives global
-	// re-marking.
+	// type labels.  It captures structure only, so it serves every run's
+	// global set.
 	gCSR *csr.Graph
 }
 
@@ -329,8 +331,8 @@ func (m *Matcher) typeLabel(typ string) label.Value {
 	return v
 }
 
-// NewMatcher prepares a matcher for the main circuit g.  The circuit's nets
-// named in opts.Globals are marked global.
+// NewMatcher prepares a matcher for the main circuit g.  The matcher only
+// reads g.
 func NewMatcher(g *graph.Circuit, opts Options) (*Matcher, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil main circuit")
@@ -340,9 +342,6 @@ func NewMatcher(g *graph.Circuit, opts Options) (*Matcher, error) {
 			return nil, fmt.Errorf("core: main circuit %s contains a wildcard device (%s); wildcards are for patterns only", g.Name, d.Name)
 		}
 	}
-	for _, name := range opts.Globals {
-		g.MarkGlobal(name)
-	}
 	return &Matcher{
 		g:        g,
 		opts:     opts,
@@ -350,15 +349,6 @@ func NewMatcher(g *graph.Circuit, opts Options) (*Matcher, error) {
 		consumed: make([]bool, g.NumDevices()),
 		typeLab:  make(map[string]label.Value),
 	}, nil
-}
-
-// markGlobal marks a main-graph net global by name.  It writes only a net
-// not yet marked, so matchers sharing a circuit whose globals are already
-// marked (the daemon's, a sweep's) only read it.
-func (m *Matcher) markGlobal(name string) {
-	if n := m.g.NetByName(name); n != nil && !n.Global {
-		n.Global = true
-	}
 }
 
 // ResetConsumed forgets which devices previous NonOverlapping runs claimed.
@@ -374,7 +364,9 @@ func (m *Matcher) ResetConsumed() {
 // the nets already marked global in either circuit (e.g. by a .GLOBAL
 // netlist directive); the union is applied to both circuits by name, so a
 // library pattern matched against a netlist with declared globals gets the
-// consistent Fig. 7 semantics without repeating the names in Options.
+// consistent Fig. 7 semantics without repeating the names in Options.  The
+// union holds for this run only: neither circuit is modified, so a later
+// run without those globals sees the circuits as they were.
 func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 	pat, err := m.prepare(s)
 	if err != nil {
@@ -384,19 +376,14 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 	return res, m.match(pat, res, nil, nil)
 }
 
-// prepare applies the global union to both circuits and builds the
-// pattern; every entry point starts here.
+// prepare resolves the run's global union and builds the pattern; every
+// entry point starts here.
 func (m *Matcher) prepare(s *graph.Circuit) (*pattern, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil pattern")
 	}
-	for _, n := range s.Globals() {
-		m.markGlobal(n.Name)
-	}
-	for _, n := range m.g.Globals() {
-		s.MarkGlobal(n.Name)
-	}
-	return newPattern(s, &m.opts)
+	set, gGlobals := globalSet(m.g, s, m.opts.Globals)
+	return newPattern(s, &m.opts, set, gGlobals)
 }
 
 // runPhase1 chooses the key vertex and candidate vector under the phase1

@@ -38,6 +38,16 @@ func SetGuessDepthForTest(n int) (restore func()) {
 	return func() { guessDepthLimit = old }
 }
 
+// AblateForTest switches the design-choice ablations (core.go) and returns
+// a restore func, so tests can measure what the Phase II match-time degree
+// check and the Phase I global fold buy.  Tests that use it must not run in
+// parallel with other matching tests.
+func AblateForTest(degreeCheck, globalFold bool) (restore func()) {
+	oldDeg, oldFold := ablateDegreeCheck, ablateGlobalFold
+	ablateDegreeCheck, ablateGlobalFold = degreeCheck, globalFold
+	return func() { ablateDegreeCheck, ablateGlobalFold = oldDeg, oldFold }
+}
+
 // FindPhase2RefForTest is m.Find with Phase II on the whole-graph reference
 // (phase2ref_test.go), which the region engine must match instance for
 // instance and in order.  The reference never polls Options.Cancel.
@@ -99,8 +109,8 @@ func AdmitAuditForTest(m *Matcher, s *graph.Circuit) (*Result, int, error) {
 	return res, rejected, err
 }
 
-// RunPhase1ForTest runs candidate generation alone, mirroring Find's
-// global cross-marking, and returns the key vertex, candidate vector, and
+// RunPhase1ForTest runs candidate generation alone, under Find's global
+// set, and returns the key vertex, candidate vector, and
 // the report counters Phase I filled in.
 func RunPhase1ForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, stats.Report, error) {
 	pat, err := m.prepare(s)
@@ -126,7 +136,7 @@ func RunPhase1RefForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, 
 
 // InitialMainLabelsForTest returns the main-graph labels and global flags
 // a run of m against s starts Phase I from (newPhase1's flat pass over the
-// CSR view), after Find's global cross-marking.
+// CSR view), under Find's global set.
 func InitialMainLabelsForTest(m *Matcher, s *graph.Circuit) ([]label.Value, []bool, error) {
 	pat, err := m.prepare(s)
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"subgemini/internal/csr"
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
@@ -69,15 +71,19 @@ type candOutcome struct {
 }
 
 // IncrementalState is the capture of one matching run against one circuit
-// version, keyed externally by (circuit, version, pattern): the vertex and
-// global counts it was taken at, the key vertex, and every candidate's
-// Phase II outcome.  It holds no per-vertex state.  It is immutable after
-// FindIncremental returns it and safe to share.
+// version, keyed externally by (circuit, version, pattern): the vertex
+// counts and the global set it was taken at, the key vertex, and every
+// candidate's Phase II outcome.  It holds no per-vertex state.  It is
+// immutable after FindIncremental returns it and safe to share.
 type IncrementalState struct {
 	numDevs, numNets int
-	globals          int       // global net count at capture time (marks are monotone)
-	keyVID           label.VID // -1 when the run had no key (empty CV)
-	outcomes         map[int32]*candOutcome
+	// globals names each pattern net in the run's global set, by pattern
+	// net index ("" for the others).  Phase I always runs in full, so
+	// Phase II sees the set only through these nets and their same-named
+	// pre-matched images.
+	globals  []string
+	keyVID   label.VID // -1 when the run had no key (empty CV)
+	outcomes map[int32]*candOutcome
 }
 
 // FindIncremental locates instances of pattern s like Find, reusing the
@@ -98,17 +104,16 @@ func (m *Matcher) FindIncremental(s *graph.Circuit, prev *IncrementalState, ds *
 		}
 		return res, nil, err
 	}
-	// The global marking comes before compatibility is judged: the global
-	// count compared there must reflect this run's marks.
 	pat, err := m.prepare(s)
 	if err != nil {
 		return nil, nil, err
 	}
 	nd, nn := m.g.NumDevices(), m.g.NumNets()
-	st := &IncrementalState{numDevs: nd, numNets: nn, keyVID: -1}
-	for _, n := range m.g.Nets {
-		if n.Global {
-			st.globals++
+	st := &IncrementalState{numDevs: nd, numNets: nn, keyVID: -1,
+		globals: make([]string, len(pat.s.Nets))}
+	for i, n := range pat.s.Nets {
+		if pat.global[i] {
+			st.globals[i] = n.Name
 		}
 	}
 	res := &Result{}
@@ -127,19 +132,18 @@ func (m *Matcher) FindIncremental(s *graph.Circuit, prev *IncrementalState, ds *
 }
 
 // replayCompatible decides whether prev/ds support the replay path; any
-// mismatch falls back to a full run with capture.  globals is the main
-// graph's global net count for this run.
-func (m *Matcher) replayCompatible(pat *pattern, prev *IncrementalState, ds *DirtySet, globals int) bool {
+// mismatch falls back to a full run with capture.  globals is this run's
+// global set as IncrementalState records it.
+func (m *Matcher) replayCompatible(pat *pattern, prev *IncrementalState, ds *DirtySet, globals []string) bool {
 	if prev == nil || ds == nil || prev.keyVID < 0 {
 		return false
 	}
 	if prev.numDevs != len(ds.DevOld2New) || prev.numNets != len(ds.NetOld2New) {
 		return false
 	}
-	// Global marks are monotone and globals cannot be removed or renamed
-	// (delta refuses both), so an equal count means the identical set; a
-	// changed count means labels shifted in ways the capture cannot cover.
-	if globals != prev.globals {
+	// A pattern net that joined or left the global set, or a global that
+	// names another image, changes the pre-matched seeds of every ball.
+	if !slices.Equal(globals, prev.globals) {
 		return false
 	}
 	if len(ds.Touched) > 0 || len(pat.bind) > 0 {
@@ -149,8 +153,8 @@ func (m *Matcher) replayCompatible(pat *pattern, prev *IncrementalState, ds *Dir
 		}
 		// Pattern globals and bind targets are matched by name; an identity
 		// change of such a name invalidates name-derived labels.
-		for _, n := range pat.s.Nets {
-			if n.Global && touched[n.Name] {
+		for _, name := range globals {
+			if name != "" && touched[name] {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"subgemini/internal/core"
@@ -12,7 +13,7 @@ import (
 // TestInitMainLabelsMatchesNewInitLabels pins the flat initial-label pass
 // a run computes over the CSR view to the pointer-walking NewInitLabels,
 // label for label, on random circuits with and without global rails and
-// under AblateGlobalFold (device labels then drop the rail fold).  The
+// with the global fold ablated (device labels then drop the rail fold).  The
 // Phase I differential cannot catch a slip here: its reference starts from
 // the same initial labels.
 func TestInitMainLabelsMatchesNewInitLabels(t *testing.T) {
@@ -27,7 +28,7 @@ func TestInitMainLabelsMatchesNewInitLabels(t *testing.T) {
 			{"rails-ablated", rails, true},
 		} {
 			g := gen.RandomLogic(20+int(seed)*15, 6, seed).C.Clone()
-			m, err := core.NewMatcher(g, core.Options{Globals: tc.globals, AblateGlobalFold: tc.ablate})
+			m, err := core.NewMatcher(g, core.Options{Globals: tc.globals})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,11 +39,13 @@ func TestInitMainLabelsMatchesNewInitLabels(t *testing.T) {
 					n.Global = false
 				}
 			}
+			restore := core.AblateForTest(false, tc.ablate)
 			got, global, err := core.InitialMainLabelsForTest(m, pat)
+			restore()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := core.NewInitLabels(g).LabelsForTest()
+			want := core.NewInitLabels(g, tc.globals...).LabelsForTest()
 			if len(got) != len(want) {
 				t.Fatalf("seed %d %s: %d labels, want %d", seed, tc.name, len(got), len(want))
 			}
@@ -56,7 +59,7 @@ func TestInitMainLabelsMatchesNewInitLabels(t *testing.T) {
 				if got[v] != w {
 					t.Fatalf("seed %d %s: label of vertex %d = %#x, want %#x", seed, tc.name, v, got[v], w)
 				}
-				if v >= nd && global[v] != g.Nets[v-nd].Global {
+				if v >= nd && global[v] != slices.Contains(tc.globals, g.Nets[v-nd].Name) {
 					t.Fatalf("seed %d %s: net %s global flag %v, want %v", seed, tc.name, g.Nets[v-nd].Name, global[v], !global[v])
 				}
 				if global[v] {

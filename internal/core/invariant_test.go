@@ -37,7 +37,7 @@ func TestPhase1LabelInvariant(t *testing.T) {
 	}
 	s.MarkGlobal("VDD")
 	s.MarkGlobal("GND")
-	pat, err := newPattern(s, &m.opts)
+	pat, err := m.prepare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPhase1PrunesNonImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, err := newPattern(s, &m.opts)
+	pat, err := m.prepare(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestPaperExamplePhase1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, err := newPattern(s, &m.opts)
+	pat, err := m.prepare(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,24 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
 )
 
 // pattern wraps a validated subcircuit with its vertex space and the
-// precomputed sets Phase I/II need.
+// precomputed sets Phase I/II need for one run.
 type pattern struct {
 	s     *graph.Circuit
 	space *label.Space
+
+	// The run's special-signal set (see Matcher.prepare): global marks the
+	// pattern nets in it, by net index, and gGlobals lists the main-graph
+	// nets in it, ascending.  Neither circuit's Net.Global flags are read
+	// past prepare.
+	global   []bool
+	gGlobals []int32
 
 	// bind maps each bound pattern port to the name of its required image
 	// (from Options.Bind), resolved and validated.
@@ -32,38 +40,65 @@ type pattern struct {
 // fixed reports whether a pattern net is pre-matched (global or bound) and
 // therefore outside the labeling machinery.
 func (p *pattern) fixed(n *graph.Net) bool {
-	if n.Global {
+	if p.global[n.Index] {
 		return true
 	}
 	_, ok := p.bind[n]
 	return ok
 }
 
-// newPattern validates the subcircuit:
+// globalSet resolves a run's special-signal set (paper §V.A): names plus
+// the nets marked global on g or on s (s may be nil), applied to both
+// circuits by name.  It returns the set and the main-graph nets in it,
+// ascending.
+func globalSet(g, s *graph.Circuit, names []string) (map[string]bool, []int32) {
+	set := make(map[string]bool, len(names)+2)
+	for _, name := range names {
+		set[name] = true
+	}
+	for _, c := range []*graph.Circuit{g, s} {
+		if c == nil {
+			continue
+		}
+		for _, n := range c.Nets {
+			if n.Global {
+				set[n.Name] = true
+			}
+		}
+	}
+	var gGlobals []int32
+	for name := range set {
+		if n := g.NetByName(name); n != nil {
+			gGlobals = append(gGlobals, int32(n.Index))
+		}
+	}
+	slices.Sort(gGlobals)
+	return set, gGlobals
+}
+
+// newPattern validates the subcircuit under the run's special-signal set
+// (see globalSet):
 //
 //   - it must contain at least one device;
-//   - nets named in opts.Globals are marked global;
 //   - every net with zero connections is rejected (it could never be
 //     matched by structure);
 //   - the pattern must be connected once global nets are removed, because
 //     Phase II spreads labels only through non-global nets — a pattern whose
 //     components touch only at Vdd/GND would stall with unlabeled vertices.
-func newPattern(s *graph.Circuit, opts *Options) (*pattern, error) {
-	if s == nil {
-		return nil, fmt.Errorf("core: nil pattern")
-	}
+func newPattern(s *graph.Circuit, opts *Options, globals map[string]bool, gGlobals []int32) (*pattern, error) {
 	if s.NumDevices() == 0 {
 		return nil, fmt.Errorf("core: pattern %s has no devices", s.Name)
-	}
-	for _, name := range opts.Globals {
-		s.MarkGlobal(name)
 	}
 	for _, n := range s.Nets {
 		if n.Degree() == 0 {
 			return nil, fmt.Errorf("core: pattern %s: net %s has no connections", s.Name, n.Name)
 		}
 	}
-	p := &pattern{s: s, space: label.NewSpace(s), bind: make(map[*graph.Net]string)}
+	p := &pattern{s: s, space: label.NewSpace(s), bind: make(map[*graph.Net]string),
+		global: make([]bool, len(s.Nets)), gGlobals: gGlobals}
+	for i, n := range s.Nets {
+		p.global[i] = globals[n.Name]
+	}
 	for _, d := range s.Devices {
 		if d.Type == graph.WildcardType {
 			p.wildcards = true
@@ -80,7 +115,7 @@ func newPattern(s *graph.Circuit, opts *Options) (*pattern, error) {
 		if !n.Port {
 			return nil, fmt.Errorf("core: pattern %s: bound net %q is not a port", s.Name, portName)
 		}
-		if n.Global {
+		if p.global[n.Index] {
 			return nil, fmt.Errorf("core: pattern %s: net %q is global and cannot also be bound", s.Name, portName)
 		}
 		p.bind[n] = target

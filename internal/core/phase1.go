@@ -99,12 +99,12 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 			p.sState[v] = p1Corrupt
 			continue
 		}
-		p.sLab[v] = initialDeviceLabel(m, d)
+		p.sLab[v] = initialDeviceLabel(m, pat, d)
 	}
 	for _, n := range pat.s.Nets {
 		v := p.sSpace.NetVID(n)
 		switch {
-		case n.Global:
+		case pat.global[n.Index]:
 			p.sLab[v] = label.GlobalLabel(n.Name)
 			p.sState[v] = p1Global
 		case pat.bind[n] != "":
@@ -123,17 +123,15 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 		}
 	}
 	p.gCSR = m.csrView()
-	if il := m.opts.InitLabels; !m.opts.AblateGlobalFold && il.Fits(m.g) {
+	if il := m.opts.InitLabels; !ablateGlobalFold && il.Fits(m.g, pat.gGlobals) {
 		// A precomputed labeling was supplied (library sweep): copy the
 		// shared slice instead of recomputing it.
 		copy(p.gLab, il.lab)
-		for i, n := range m.g.Nets {
-			if n.Global {
-				p.gState[p.gCSR.NumDevs+i] = g1Global
-			}
+		for _, i := range pat.gGlobals {
+			p.gState[p.gCSR.NumDevs+int(i)] = g1Global
 		}
 	} else {
-		initMainLabels(p.gCSR, m.g, p.gLab, p.gState, !m.opts.AblateGlobalFold)
+		initMainLabels(p.gCSR, m.g, p.gLab, p.gState, !ablateGlobalFold, pat.gGlobals)
 	}
 	// Bind targets get the same fixed labels as their pattern ports,
 	// overriding the initial label for this run only.
@@ -155,11 +153,11 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 // partitioning (a transistor sourcing from VDD never shares a partition
 // with one buried in a stack), which is what makes rail-anchored patterns
 // cheap to locate.
-func initialDeviceLabel(m *Matcher, d *graph.Device) label.Value {
-	if m.opts.AblateGlobalFold {
+func initialDeviceLabel(m *Matcher, pat *pattern, d *graph.Device) label.Value {
+	if ablateGlobalFold {
 		return m.typeLabel(d.Type)
 	}
-	return foldedDeviceLabel(m.typeLabel, d)
+	return foldedDeviceLabel(m.typeLabel, d, pat.global)
 }
 
 // run executes the optimized Phase I algorithm (paper §III) and returns the

@@ -137,13 +137,10 @@ func (p *phase2) initPrematch() error {
 	}
 	for _, n := range pat.s.Nets {
 		switch {
-		case n.Global:
+		case pat.global[n.Index]:
 			gn := m.g.NetByName(n.Name)
 			if gn == nil {
 				return fmt.Errorf("core: pattern global net %q absent from circuit %s", n.Name, m.g.Name)
-			}
-			if !gn.Global {
-				return fmt.Errorf("core: net %q is global in the pattern but not in circuit %s", n.Name, m.g.Name)
 			}
 			if err := prematch(n, gn, label.GlobalLabel(n.Name)); err != nil {
 				return err
@@ -495,7 +492,7 @@ func (p *phase2) compatible(sv, gv label.VID) bool {
 		}
 		return sd.Type == gd.Type || sd.Type == graph.WildcardType
 	}
-	if p.m.opts.AblateDegreeCheck {
+	if ablateDegreeCheck {
 		return true
 	}
 	sn, gn := p.sSpace.Net(sv), p.gSpace.Net(gv)
@@ -647,8 +644,8 @@ func (p *phase2) verifyMapping() bool {
 	for _, n := range p.pat.s.Nets {
 		gnet := p.gSpace.Net(p.sMatch[p.sSpace.NetVID(n)])
 		switch {
-		case n.Global:
-			if !gnet.Global || gnet.Name != n.Name {
+		case p.pat.global[n.Index]:
+			if gnet.Name != n.Name {
 				return false
 			}
 		case n.Port:

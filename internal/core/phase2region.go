@@ -50,7 +50,6 @@ type p2region struct {
 	sPins, sNetDeg []int32
 	sWild, sPort   []bool
 	sDevLab        []label.Value
-	ablateDeg      bool
 
 	// Pattern-side state: match entries hold region-local ids (unmatchedL
 	// when unmatched).
@@ -211,7 +210,6 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 	for i := range p.sInitMatch {
 		p.sInitMatch[i] = unmatchedL
 	}
-	p.ablateDeg = m.opts.AblateDegreeCheck
 	p.sPins = make([]int32, sn)
 	p.sNetDeg = make([]int32, sn)
 	p.sWild = make([]bool, sn)
@@ -339,13 +337,12 @@ func (p *p2region) initPrematch() error {
 	}
 	for _, n := range pat.s.Nets {
 		switch {
-		case n.Global:
+		case pat.global[n.Index]:
+			// The run's global set is applied by name to both circuits, so
+			// a same-named main net is in it too.
 			gn := m.g.NetByName(n.Name)
 			if gn == nil {
 				return fmt.Errorf("core: pattern global net %q absent from circuit %s", n.Name, m.g.Name)
-			}
-			if !gn.Global {
-				return fmt.Errorf("core: net %q is global in the pattern but not in circuit %s", n.Name, m.g.Name)
 			}
 			if err := prematch(n, gn, label.GlobalLabel(n.Name)); err != nil {
 				return err
@@ -1072,7 +1069,7 @@ func (p *p2region) compatible(sv, gv label.VID) bool {
 		}
 		return p.sWild[sv] || p.sDevLab[sv] == g.DevType[gv]
 	}
-	if p.ablateDeg {
+	if ablateDegreeCheck {
 		return true
 	}
 	if p.sPort[sv] {
@@ -1197,7 +1194,8 @@ func (p *p2region) restore(sn *rsnapshot) {
 //   - every internal pattern net maps to a net of equal degree (induced
 //     subgraph: internal nets may not connect outside the instance);
 //   - every port maps to a net of at least its degree;
-//   - every global maps to the identically named global.
+//   - every global maps to the identically named net, which the run's
+//     global set holds by construction (Matcher.prepare).
 func (p *p2region) verifyMapping() bool {
 	// Injectivity over local ids (each local id names one main-graph
 	// vertex, so local injectivity is global injectivity), tracked with
@@ -1236,8 +1234,8 @@ func (p *p2region) verifyMapping() bool {
 	for _, n := range p.pat.s.Nets {
 		gnet := p.gSpace.Net(label.VID(p.ball[p.sMatch[p.sSpace.NetVID(n)]]))
 		switch {
-		case n.Global:
-			if !gnet.Global || gnet.Name != n.Name {
+		case p.pat.global[n.Index]:
+			if gnet.Name != n.Name {
 				return false
 			}
 		case n.Port:

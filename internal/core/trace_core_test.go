@@ -131,7 +131,7 @@ func TestNopTracerNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, err := newPattern(s, &m.opts)
+	pat, err := m.prepare(s)
 	if err != nil {
 		t.Fatal(err)
 	}

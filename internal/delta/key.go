@@ -50,8 +50,6 @@ func PatternKey(pat *graph.Circuit, opts core.Options) string {
 	}
 	globals := append([]string(nil), opts.Globals...)
 	sort.Strings(globals)
-	fmt.Fprintf(&b, "o globals=%q seed=%d policy=%d ablate=%v,%v\n",
-		globals, opts.Seed, opts.Policy,
-		opts.AblateDegreeCheck, opts.AblateGlobalFold)
+	fmt.Fprintf(&b, "o globals=%q seed=%d policy=%d\n", globals, opts.Seed, opts.Policy)
 	return b.String()
 }

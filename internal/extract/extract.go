@@ -115,8 +115,9 @@ func SpecsFromNetlist(f *netlist.File) ([]Spec, error) {
 // transistor-count order (ties broken by name for determinism), replacing
 // each found instance's devices with a single device whose type is the cell
 // name and whose pins are the images of the cell's ports.  The circuit is
-// modified in place.  It returns the per-cell extraction counts in the
-// order processed.
+// modified in place, and its nets named in opts.Globals are marked global,
+// so a netlist written from it declares them.  It returns the per-cell
+// extraction counts in the order processed.
 func Cells(c *graph.Circuit, cells []*stdcell.CellDef, opts Options) ([]Extraction, error) {
 	specs := make([]Spec, len(cells))
 	for i, cell := range cells {
@@ -146,6 +147,7 @@ func Specs(c *graph.Circuit, specs []Spec, opts Options) ([]Extraction, error) {
 		}
 		return ordered[i].Name < ordered[j].Name
 	})
+	markGlobals(c, &opts)
 	var result []Extraction
 	serial := 0
 	scratch := &core.ScratchPool{}
@@ -171,6 +173,15 @@ func Specs(c *graph.Circuit, specs []Spec, opts Options) ([]Extraction, error) {
 	return result, nil
 }
 
+// markGlobals marks opts.Globals on the circuit an extraction rewrites: the
+// matcher applies them to its runs only, and the gate-level netlist keeps
+// declaring them.
+func markGlobals(c *graph.Circuit, opts *Options) {
+	for _, name := range opts.Globals {
+		c.MarkGlobal(name)
+	}
+}
+
 // extractMatcher builds the NonOverlapping matcher one() drives.
 func extractMatcher(c *graph.Circuit, opts *Options, scratch *core.ScratchPool) (*core.Matcher, error) {
 	return core.NewMatcher(c, core.Options{
@@ -182,9 +193,11 @@ func extractMatcher(c *graph.Circuit, opts *Options, scratch *core.ScratchPool) 
 	})
 }
 
-// One extracts a single cell from the circuit in place and returns how many
-// instances were replaced.
+// One extracts a single cell from the circuit in place, marking
+// opts.Globals on it as Cells does, and returns how many instances were
+// replaced.
 func One(c *graph.Circuit, cell *stdcell.CellDef, opts Options) (int, error) {
+	markGlobals(c, &opts)
 	serial := 0
 	m, err := extractMatcher(c, &opts, nil)
 	if err != nil {
@@ -195,6 +208,12 @@ func One(c *graph.Circuit, cell *stdcell.CellDef, opts Options) (int, error) {
 
 func one(c *graph.Circuit, cell Spec, opts *Options, serial *int, m *core.Matcher) (int, error) {
 	pat := cell.Pattern
+	// The circuit also keeps the special signals a pattern declares, so
+	// later rounds match under them too and the written netlist declares
+	// every special signal the extraction used.
+	for _, n := range pat.Globals() {
+		c.MarkGlobal(n.Name)
+	}
 	res, err := m.Find(pat)
 	if err != nil {
 		return 0, err

@@ -63,18 +63,30 @@ func WriteSubckt(w io.Writer, c *graph.Circuit) error {
 // RoundTrips reports whether WriteCircuit's output for c parses back
 // (Parse, then MainCircuit) to the same circuit: the same devices in the
 // same order with the same names, types, terminal classes and nets, and
-// the same nets with the same global marks.  That holds when there is at
-// least one device (MainCircuit refuses an empty netlist); every device
-// has a primitive type, the reader's terminal count and classes for its
-// card, and a name that already starts with its element letter (so the
-// writer does not rename it); no name contains whitespace or ';' and the
-// circuit name, written into the header comment, no line break; and every
-// net has a connection and is not a port, since the writer emits nets
-// only through device cards and .GLOBAL.  Net order may still differ: the
-// reader numbers nets by first appearance.
+// the same nets in the same order with the same global marks.  That holds
+// when there is at least one device (MainCircuit refuses an empty netlist);
+// every device has a primitive type, the reader's terminal count and
+// classes for its card, and a name that already starts with its element
+// letter (so the writer does not rename it); no name contains whitespace
+// or ';' and the circuit name, written into the header comment, no line
+// break; every net has a connection and is not a port, since the writer
+// emits nets only through device cards and .GLOBAL; and the nets are
+// numbered by first appearance on the device cards, as the reader numbers
+// them (an edit that moves a pin onto a later net breaks that order).
 func RoundTrips(c *graph.Circuit) bool {
 	if len(c.Devices) == 0 || strings.ContainsRune(c.Name, '\n') {
 		return false
+	}
+	next := 0 // the net index the reader would give the next new net
+	for _, d := range c.Devices {
+		for _, p := range d.Pins {
+			switch i := p.Net.Index; {
+			case i == next:
+				next++
+			case i > next:
+				return false
+			}
+		}
 	}
 	for _, d := range c.Devices {
 		kind, _ := cardKind(d.Type)

@@ -188,10 +188,10 @@ func sameCircuit(a, b *graph.Circuit) string {
 			}
 		}
 	}
-	for _, n := range a.Nets {
-		m := b.NetByName(n.Name)
-		if m == nil || m.Port != n.Port || m.Global != n.Global || m.Degree() != n.Degree() {
-			return fmt.Sprintf("net %s differs", n.Name)
+	for i, n := range a.Nets {
+		m := b.Nets[i]
+		if m.Name != n.Name || m.Port != n.Port || m.Global != n.Global || m.Degree() != n.Degree() {
+			return fmt.Sprintf("net %d: %s differs from %s", i, n.Name, m.Name)
 		}
 	}
 	return ""
@@ -284,6 +284,12 @@ func TestRoundTripsIsExact(t *testing.T) {
 			if err := c.MarkPort("a"); err != nil {
 				t.Fatal(err)
 			}
+			return c
+		},
+		"nets out of first-appearance order": func() *graph.Circuit {
+			c := graph.New("c")
+			b, a := c.AddNet("b"), c.AddNet("a")
+			c.MustAddDevice("R1", "res", []graph.TermClass{0, 0}, []*graph.Net{a, b})
 			return c
 		},
 		"no devices": func() *graph.Circuit { return graph.New("empty") },

@@ -25,9 +25,8 @@ const defaultMaxPatterns = 256
 
 // patternCache holds compiled pattern graphs keyed by name, so a pattern is
 // parsed and built once and served from memory afterwards.  Entries hold an
-// immutable template circuit; every use clones it, because matching marks
-// global nets on the pattern and concurrent requests must not share that
-// state.
+// immutable template circuit that every use shares: matching, sweeps and
+// extraction only read patterns, so concurrent requests need no copy.
 //
 // The cache is bounded: at most cap entries, evicted least-recently-used.
 // Eviction is safe for both sources — built-in cells recompile on demand
@@ -84,10 +83,10 @@ func (pc *patternCache) insertLocked(e *patternEntry) {
 	}
 }
 
-// resolve returns a private clone of the named pattern, compiling it on
-// first use: a cached entry is a hit; a built-in cell compiled on demand is
-// a miss; an unknown name is an error.  count=false (preloading) records
-// neither hits nor misses.
+// resolve returns the named pattern's template, compiling it on first use:
+// a cached entry is a hit; a built-in cell compiled on demand is a miss; an
+// unknown name is an error.  count=false (preloading) records neither hits
+// nor misses.  Callers must not mutate the template.
 func (pc *patternCache) resolve(name string, count bool) (*graph.Circuit, bool, error) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -98,7 +97,7 @@ func (pc *patternCache) resolve(name string, count bool) (*graph.Circuit, bool, 
 		}
 		e.uses++
 		pc.touchLocked(el)
-		return e.template.Clone(), true, nil
+		return e.template, true, nil
 	}
 	def := stdcell.Get(name)
 	if def == nil {
@@ -112,7 +111,7 @@ func (pc *patternCache) resolve(name string, count bool) (*graph.Circuit, bool, 
 		e.uses = 0
 	}
 	pc.insertLocked(e)
-	return e.template.Clone(), false, nil
+	return e.template, false, nil
 }
 
 // put stores a compiled uploaded pattern, replacing any same-named entry,
@@ -131,7 +130,7 @@ func (pc *patternCache) put(name string, template *graph.Circuit, count bool) {
 }
 
 // template returns the cached immutable template for name, if present.
-// Callers must not mutate it (clone first).
+// Callers must not mutate it.
 func (pc *patternCache) template(name string) (*graph.Circuit, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -144,7 +143,7 @@ func (pc *patternCache) template(name string) (*graph.Circuit, bool) {
 // compileNetlist parses inline pattern netlist source and compiles the
 // selected .SUBCKT (subckt may be empty when the source defines exactly
 // one).  The compiled pattern is cached under its subcircuit name, so later
-// requests can refer to it by name alone.
+// requests can refer to it by name alone, and returned as that template.
 func (pc *patternCache) compileNetlist(src, subckt string, count bool) (*graph.Circuit, error) {
 	f, err := netlist.ParseString(src, "pattern")
 	if err != nil {
@@ -163,7 +162,7 @@ func (pc *patternCache) compileNetlist(src, subckt string, count bool) (*graph.C
 		return nil, err
 	}
 	pc.put(subckt, template, count)
-	return template.Clone(), nil
+	return template, nil
 }
 
 // cellInfo is one row of the /v1/cells listing.

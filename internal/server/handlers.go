@@ -316,10 +316,10 @@ func (s *Server) acquireCircuit(name string) (*store.Handle, *httpError) {
 	return nil, errf(http.StatusInternalServerError, "acquiring circuit %q: %v", name, err)
 }
 
-// resolvePattern turns a request's pattern selection into a private clone
-// (the matcher marks globals on it, so cached templates are never handed
-// out directly).  Inline patterns are compiled into the cache and — when a
-// data directory is configured — persisted so they survive restarts.
+// resolvePattern turns a request's pattern selection into its cached
+// template, which matching only reads.  Inline patterns are compiled into
+// the cache and — when a data directory is configured — persisted so they
+// survive restarts.
 func (s *Server) resolvePattern(req *MatchRequest) (*graph.Circuit, bool, *httpError) {
 	switch {
 	case req.Netlist != "":
@@ -327,10 +327,8 @@ func (s *Server) resolvePattern(req *MatchRequest) (*graph.Circuit, bool, *httpE
 		if err != nil {
 			return nil, false, errf(http.StatusBadRequest, "pattern netlist: %v", err)
 		}
-		if tpl, ok := s.cache.template(pat.Name); ok {
-			if err := s.store.SavePattern(pat.Name, tpl); err != nil {
-				s.log.Warn("persisting pattern failed", "pattern", pat.Name, "err", err)
-			}
+		if err := s.store.SavePattern(pat.Name, pat); err != nil {
+			s.log.Warn("persisting pattern failed", "pattern", pat.Name, "err", err)
 		}
 		return pat, false, nil
 	case req.Pattern != "":
@@ -436,22 +434,13 @@ func (s *Server) matchError(ctx context.Context, err error, timeout time.Duratio
 }
 
 // executeMatch runs the match itself against an acquired circuit handle:
-// global pre-marking under the entry lock, matcher construction sharing
-// the entry's CSR view and scratch pool, and result conversion.  Both the
-// synchronous path and job runners land here.
+// matcher construction sharing the entry's CSR view and scratch pool, and
+// result conversion.  Both the synchronous path and job runners land here.
+// The request's globals apply to this run only; the matcher reads the
+// shared circuit and the cached pattern and writes neither.
 func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph.Circuit, h *store.Handle) (*matchResult, error) {
-	// Request-level globals are marked on the private pattern clone; the
-	// shared circuit gets its marks during lock acquisition below, so the
-	// match itself never writes to shared state.
-	for _, name := range req.Globals {
-		pat.MarkGlobal(name)
-	}
-	names := append([]string(nil), req.Globals...)
-	for _, n := range pat.Globals() {
-		names = append(names, n.Name)
-	}
-
 	opts := core.Options{
+		Globals:      req.Globals,
 		Bind:         req.Bind,
 		MaxInstances: req.Max,
 		Cancel:       s.cancelHook(ctx),
@@ -467,7 +456,6 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 		workers = s.cfg.MaxWorkers
 	}
 
-	h.RLockWithGlobals(names)
 	m, err := core.NewMatcher(h.Circuit(), opts)
 	var res *core.Result
 	var inc *IncrementalJSON
@@ -503,7 +491,6 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 			res, err = m.Find(pat)
 		}
 	}
-	h.RUnlock()
 	if err != nil {
 		return nil, err
 	}

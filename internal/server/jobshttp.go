@@ -235,10 +235,9 @@ func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) batchResult
 	return batchResult{Results: results}
 }
 
-// runExtractJob clones the selected circuit under its read lock and
-// extracts the requested cells from the clone, largest first.  The stored
-// original is untouched; store_as saves the gate-level result as a new
-// circuit.
+// runExtractJob clones the selected circuit and extracts the requested
+// cells from the clone, largest first.  The stored original is untouched;
+// store_as saves the gate-level result as a new circuit.
 func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest) (*ExtractResponse, error) {
 	specs, err := s.extractSpecs(req)
 	if err != nil {
@@ -255,18 +254,13 @@ func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest) (*Extra
 	}
 
 	// Extraction mutates its circuit in place, so it must run on a private
-	// clone; the read lock covers the clone against a concurrent global
-	// re-mark on the shared entry.  Nothing after the clone reads the
-	// stored circuit, so the handle goes right away.
-	h.RLock()
+	// clone, which keeps the stored circuit's global marks.  Nothing after
+	// the clone reads the stored circuit, so the handle goes right away.
 	ckt := h.Circuit().Clone()
-	h.RUnlock()
 	name := h.Name()
-	globals := append([]string(nil), h.Globals()...)
 	h.Release()
-	globals = append(globals, req.Globals...)
 	exts, err := extract.Specs(ckt, specs, extract.Options{
-		Globals: globals,
+		Globals: req.Globals,
 		Prefix:  req.Prefix,
 		Cancel:  ctx.Err,
 	})
@@ -333,9 +327,9 @@ func (s *Server) extractSpecs(req *ExtractRequest) ([]extract.Spec, error) {
 // cachedSpec builds an extraction spec for a built-in cell through the
 // compiled-pattern cache, so repeated extract jobs reuse one compiled
 // template (and its hit shows up in the cache counters) instead of
-// rebuilding the cell's pattern per job.  Port order is read from the
-// clone: pattern construction adds ports first, so index order is
-// declaration order.
+// rebuilding the cell's pattern per job; extraction only reads it.  Port
+// order is read from the template: pattern construction adds ports first,
+// so index order is declaration order.
 func (s *Server) cachedSpec(name string) extract.Spec {
 	pat, _, err := s.cache.resolve(name, true)
 	if err != nil {

@@ -41,17 +41,17 @@
 // queue and worker pool whose records survive restarts (interrupted jobs
 // are reported failed, not lost).
 //
-// Concurrency model: each stored circuit is shared by all in-flight
-// matches against it under the entry's read lock.  The matcher only ever
-// mutates the main circuit to mark global nets, so the server pre-marks
-// every global a request needs (config globals, request globals, and the
-// pattern's own declared globals) under the entry write lock before
-// matching begins; the match itself then only reads the circuit.
-// Replacing a name installs a fresh entry — in-flight matches keep the old
-// circuit alive through their ref-counted handles, so uploads never block
-// behind long matches.  Global marks are monotonic and circuit-wide,
-// matching the CLI semantics where .GLOBAL directives and -globals apply
-// to the whole run.
+// Concurrency model: each stored circuit, and each cached pattern, is
+// shared by all in-flight matches against it without a lock, because
+// matches, sweeps and extract jobs only read them.  A request's globals
+// are an input of that request's run (core.Options.Globals): the matcher
+// takes the union of them, the pattern's declared globals and the
+// circuit's own marks (config globals and the upload's .GLOBAL nets) for
+// the run and writes none of it back, so no request changes another's
+// answer.  Replacing a name installs a fresh entry — in-flight matches
+// keep the old circuit alive through their ref-counted handles, so uploads
+// never block behind long matches — and a PATCH edits in place only while
+// no other handle holds the circuit.
 //
 // Under overload the daemon sheds by priority rather than degrading
 // uniformly: when the configured inflight or heap budget is exceeded
@@ -107,7 +107,7 @@ type Config struct {
 
 	// Globals lists net names treated as special signals for every match
 	// (the daemon-level analogue of the CLI's -globals flag).  They are
-	// marked on every stored circuit at Put time.
+	// marked on every stored circuit (see store.Config.Globals).
 	Globals []string
 
 	// DataDir, when non-empty, makes circuits and jobs durable: circuit

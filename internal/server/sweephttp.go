@@ -215,7 +215,7 @@ func validateSweep(req *SweepRequest) *httpError {
 }
 
 // resolveSweepLibrary turns the request's selection into named pattern
-// clones, ready to hand to sweep.Run.
+// templates, ready to hand to sweep.Run.
 func (s *Server) resolveSweepLibrary(req *SweepRequest) ([]sweep.Pattern, *httpError) {
 	names := req.Patterns
 	if req.Library != "" {
@@ -292,29 +292,19 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*sweepResult,
 	return resp, nil
 }
 
-// executeSweep runs the sweep against an acquired circuit handle: global
-// pre-marking under the entry lock, then sweep.Run sharing the entry's CSR
-// view and scratch pool.  Both the synchronous path and the job runners
-// land here; incremental selects whether per-pattern runs consult the
-// versioned result cache (results are identical either way).
+// executeSweep runs the sweep against an acquired circuit handle, sharing
+// the entry's CSR view and scratch pool.  Both the synchronous path and the
+// job runners land here; incremental selects whether per-pattern runs
+// consult the versioned result cache (results are identical either way).
+// The request's globals apply to this sweep only.
 func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []sweep.Pattern, h *store.Handle, incremental bool) (*sweepResult, error) {
-	// Every global the sweep would mark on the shared circuit must be
-	// pre-marked under the entry write lock: request globals plus each
-	// pattern's declared globals (the circuit's own are already marked).
-	names := append([]string(nil), req.Globals...)
-	for _, p := range lib {
-		for _, n := range p.Template.Globals() {
-			names = append(names, n.Name)
-		}
-	}
-
 	workers := req.Workers
 	if workers > s.cfg.MaxWorkers {
 		workers = s.cfg.MaxWorkers
 	}
 
 	sopts := sweep.Options{
-		Globals:      names,
+		Globals:      req.Globals,
 		Workers:      workers,
 		MaxInstances: req.Max,
 		Cancel:       s.cancelHook(ctx),
@@ -325,9 +315,7 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 	if incremental {
 		sopts.Incremental = &sweepIncHook{s: s, h: h, minBase: req.SinceVersion}
 	}
-	h.RLockWithGlobals(names)
 	rep, err := sweep.Run(h.Circuit(), lib, sopts)
-	h.RUnlock()
 	if err != nil {
 		return nil, err
 	}

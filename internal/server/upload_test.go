@@ -62,8 +62,6 @@ func storedDump(t *testing.T, s *Server, key string) string {
 		t.Fatalf("acquire %s: %v", key, err)
 	}
 	defer h.Release()
-	h.RLock()
-	defer h.RUnlock()
 	return circuitDump(h.Circuit())
 }
 

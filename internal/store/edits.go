@@ -72,9 +72,7 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	st.mu.Unlock()
 	ckt := old.ckt
 	if !inPlace {
-		h.RLock()
 		ckt = old.ckt.Clone()
-		h.RUnlock()
 	}
 	installed := false
 	var undo func()
@@ -93,9 +91,18 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	}()
 
 	version := old.version + 1
-	step, undo, err := delta.ApplyUndo(ckt, version, ops)
+	step, undoBatch, err := delta.ApplyUndo(ckt, version, ops)
 	if err != nil {
 		return Info{}, err
+	}
+	// A net the batch created or renamed takes the store-level globals'
+	// marks, as boot would give it; the undo clears them too.
+	marks := ckt.Record()
+	st.markGlobals(ckt)
+	marks.Stop()
+	undo = func() {
+		marks.Rollback()
+		undoBatch()
 	}
 	view, rebuilt := csr.Patch(old.view, ckt,
 		csr.Remap{Dev: step.DevOld2New, Net: step.NetOld2New},
@@ -275,9 +282,7 @@ func (st *Store) Flush() error {
 // and the next manifest write (the next edit's) makes the compaction
 // durable.
 func (st *Store) compactEntry(e *Entry) error {
-	e.markMu.RLock()
 	file, err := st.writeSnapshot(e.name, e.ckt, nil, e.file, e.log)
-	e.markMu.RUnlock()
 	if err != nil {
 		st.log.Warn("circuit compaction failed", "circuit", e.name, "err", err)
 		return err
@@ -375,6 +380,7 @@ func (st *Store) replayEditLog(name, log string, ckt *graph.Circuit, snapVersion
 		if aerr != nil {
 			return 0, nil, 0, fmt.Errorf("replaying edit log version %d: %w", rec.Version, aerr)
 		}
+		st.markGlobals(ckt)
 		steps = append(steps, step)
 		version = rec.Version
 	}

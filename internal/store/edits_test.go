@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -684,4 +685,69 @@ func TestEditedViewMatchesFreshBuild(t *testing.T) {
 		}
 		check(fmt.Sprintf("after scripted batch %d", i))
 	}
+}
+
+// TestEditsMarkStoreGlobals: the store-level globals hold for every stored
+// circuit, nets an edit brings in included.  A batch that gives a circuit
+// its first VDD net marks it at once, as the edit-log replay of a killed
+// store and the compacted snapshot of a closed one do, so a restart does
+// not change the circuit's globals; and a failed in-place edit that renamed
+// a net to VDD rolls back the mark with the rename.
+func TestEditsMarkStoreGlobals(t *testing.T) {
+	defer faults.Reset()
+	cfg := Config{Dir: t.TempDir(), Globals: rails}
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := parseMain(t, "MN1 y a n1 nmos\nMN2 n1 b GND nmos\n.END\n", "chip")
+	if _, err := st.Put("chip", c); err != nil {
+		t.Fatal(err)
+	}
+
+	before := fullFingerprint(c)
+	if _, err := faults.ArmString("store.append-log=error:1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ApplyEdits("chip", []delta.Op{{Op: delta.OpRenameNet, Old: "a", New: "VDD"}}); err == nil {
+		t.Fatal("edit succeeded despite the log append fault")
+	}
+	if got := fullFingerprint(c); got != before {
+		t.Errorf("the failed edit left the circuit changed:\n%s\nwant\n%s", got, before)
+	}
+
+	add := []delta.Op{{Op: delta.OpAddDevice, Name: "MP1", Type: "pmos", Classes: []int{0, 1, 0}, Nets: []string{"y", "a", "VDD"}}}
+	if _, err := st.ApplyEdits("chip", add); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, st *Store) {
+		t.Helper()
+		info, _ := st.Get("chip")
+		got := slices.Clone(info.Globals)
+		slices.Sort(got)
+		h, err := st.Acquire("chip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vdd := h.Circuit().NetByName("VDD")
+		h.Release()
+		if want := []string{"GND", "VDD"}; !slices.Equal(got, want) || vdd == nil || !vdd.Global {
+			t.Errorf("%s: globals %v (VDD net %v), want %v with VDD marked", what, got, vdd, want)
+		}
+	}
+	check("after the edit", st)
+	replayed, err := Open(cfg) // st not closed: boot replays the edit log
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after replaying the edit log", replayed)
+	if err := st.Close(); err != nil { // compacts the log into a snapshot
+		t.Fatal(err)
+	}
+	compacted, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after reloading the compacted snapshot", compacted)
+	compacted.Close()
 }

@@ -32,8 +32,9 @@ func init() {
 // output when netlist.RoundTrips says so.  Every other circuit —
 // gate-level results of extraction, compacted edits of flattened
 // hierarchies whose device names lack their element letter, edited
-// circuits with devices the reader would re-class — snapshots in the graph
-// JSON interchange format instead; the file extension selects the parser
+// circuits with devices the reader would re-class or nets the reader would
+// number in another order — snapshots in the graph JSON interchange format
+// instead; the file extension selects the parser
 // on reload.  The manifest names each circuit's snapshot and edit log;
 // both are created under fresh names (see freshName), so no write ever
 // lands on a file the manifest names.
@@ -253,9 +254,7 @@ func (st *Store) parseSnapshot(file, display string, globals []string) (*graph.C
 	for _, g := range globals {
 		ckt.MarkGlobal(g)
 	}
-	for _, g := range st.globals {
-		ckt.MarkGlobal(g)
-	}
+	st.markGlobals(ckt)
 	return ckt, nil
 }
 

@@ -37,15 +37,16 @@
 // daemon keeps its compiled pattern library warm.
 //
 // Concurrency: the store has one mutex for the name table, LRU list, and
-// ref counts.  Each entry additionally carries its own RWMutex guarding
-// the monotonic global-net marks on its circuit, preserving the server's
-// invariant that a match only ever reads the shared circuit (globals are
-// pre-marked under the entry write lock before matching begins).  No
-// handle ever sees its circuit change structurally: replacing a name
-// installs a fresh entry, and in-flight matches keep the old one alive
-// through their handles; an edit rewrites a circuit in place only while
-// no handle but its own exists, and holds new readers off until it is
-// done (see edits.go).
+// ref counts.  A stored circuit never changes under a handle: matches,
+// sweeps and jobs only read it (a request's special signals apply to that
+// run, not to the circuit), replacing a name installs a fresh entry while
+// in-flight matches keep the old one alive through their handles, and an
+// edit rewrites a circuit in place only while no handle but its own
+// exists, holding new readers off until it is done (see edits.go).  The
+// global marks a circuit carries are its own, the same before and after a
+// restart: the store-level globals (on every net of those names, nets an
+// edit brings in included), its netlist's .GLOBAL nets, and nets an edit
+// adds as global.
 //
 // Health: the store tracks whether its most recent persistence operation
 // (snapshot write, manifest write, snapshot reload) succeeded, exposed
@@ -91,7 +92,8 @@ type Config struct {
 	MaxBytes int64
 
 	// Globals lists net names marked global on every stored circuit (the
-	// daemon-level special signals).
+	// daemon-level special signals), at Put, after each edit batch and at
+	// boot.
 	Globals []string
 
 	// Log, when non-nil, receives one structured record per eviction,
@@ -152,11 +154,11 @@ func (st *Store) noteIO(err error) {
 }
 
 // Entry is one named circuit.  The circuit pointer, CSR view, and scratch
-// pool are fixed for the entry's lifetime while resident, and a handle
-// sees only the global marks on the circuit change, under markMu.  The
-// one exception has no handle to see it: an edit with no other handle on
-// the entry sets editing, rewrites the circuit in place and hands it to
-// the next version's entry (see edits.go).
+// pool are fixed for the entry's lifetime while resident, and the circuit
+// does not change under a handle.  The one exception has no handle to see
+// it: an edit with no other handle on the entry sets editing, rewrites the
+// circuit in place and hands it to the next version's entry (see
+// edits.go).
 type Entry struct {
 	name    string // store key
 	display string // circuit's own name (may differ from the key)
@@ -171,11 +173,8 @@ type Entry struct {
 	// in place; Acquire waits for the edit rather than hand out the entry.
 	editing bool
 
-	// markMu guards the monotonic global-net marks: matches hold RLock for
-	// their whole run, markers take Lock.  See Handle.RLockWithGlobals.
-	markMu sync.RWMutex
-	ckt    *graph.Circuit
-	view   *core.CSR
+	ckt  *graph.Circuit
+	view *core.CSR
 	// scratch is allocated apart from the entry: the runtime keeps a used
 	// sync.Pool reachable until the second GC after its last use, and an
 	// embedded pool would keep the entry, its circuit and its view alive
@@ -305,9 +304,7 @@ func (st *Store) put(name string, ckt *graph.Circuit, src *string) (Info, error)
 	if !ValidName(name) {
 		return Info{}, fmt.Errorf("invalid circuit name %q (want 1-64 chars of [A-Za-z0-9._-], not starting with '.' or '-')", name)
 	}
-	for _, g := range st.globals {
-		ckt.MarkGlobal(g)
-	}
+	st.markGlobals(ckt)
 	e := &Entry{
 		name:        name,
 		display:     ckt.Name,
@@ -531,6 +528,15 @@ func (st *Store) evictLocked() {
 	}
 }
 
+// markGlobals marks the store-level globals on ckt; names it lacks are
+// skipped.  Every stored circuit carries them: Put, each edit batch (whose
+// new nets may take such a name) and boot all mark them.
+func (st *Store) markGlobals(ckt *graph.Circuit) {
+	for _, g := range st.globals {
+		ckt.MarkGlobal(g)
+	}
+}
+
 // lockName serializes the operations that replace, delete or edit the
 // named circuit (Put, Delete, ApplyEdits and compaction), so each sees the
 // entry and files the previous one left; different circuits proceed in
@@ -556,7 +562,7 @@ func (st *Store) release(e *Entry) {
 }
 
 // Handle is a ref-counted lease on an entry.  It exposes the shared
-// circuit state a match needs and the entry-level lock protocol.
+// circuit state a match needs.
 type Handle struct {
 	st       *Store
 	e        *Entry
@@ -566,8 +572,9 @@ type Handle struct {
 // Name returns the store key.
 func (h *Handle) Name() string { return h.e.name }
 
-// Circuit returns the shared circuit.  Callers must follow the lock
-// protocol: hold RLockWithGlobals (or RLock) while reading it.
+// Circuit returns the shared circuit.  Callers only read it: it does not
+// change while the handle is held, and any number of handles read it
+// concurrently.
 func (h *Handle) Circuit() *graph.Circuit { return h.e.ckt }
 
 // CSR returns the entry's prebuilt flat view, shareable across matchers.
@@ -575,10 +582,6 @@ func (h *Handle) CSR() *core.CSR { return h.e.view }
 
 // Scratch returns the entry's Phase II scratch pool.
 func (h *Handle) Scratch() *core.ScratchPool { return h.e.scratch }
-
-// Globals returns the names marked global on the entry's circuit at Put
-// time (store-level globals plus the netlist's own .GLOBAL nets).
-func (h *Handle) Globals() []string { return h.e.globals }
 
 // Version returns the edit version of the entry this handle leases.  It is
 // fixed for the handle's lifetime: edits install fresh entries and rewrite
@@ -593,40 +596,4 @@ func (h *Handle) Release() {
 	}
 	h.released = true
 	h.st.release(h.e)
-}
-
-// RLock takes the entry read lock without marking anything; use it for
-// read-only access (cloning, shape queries) that tolerates current marks.
-func (h *Handle) RLock() { h.e.markMu.RLock() }
-
-// RUnlock releases the entry read lock.
-func (h *Handle) RUnlock() { h.e.markMu.RUnlock() }
-
-// RLockWithGlobals acquires the entry read lock with every given net name
-// already marked global on the circuit.  Marking needs the write lock, so
-// the fast path checks under RLock and upgrades only when a mark is
-// missing; marks are monotonic and the entry's circuit pointer never
-// changes, so one upgrade round suffices.  Once this returns, the
-// matcher's own global marking finds every mark already set and the match
-// reads the shared circuit strictly read-only.
-func (h *Handle) RLockWithGlobals(names []string) {
-	e := h.e
-	e.markMu.RLock()
-	missing := false
-	for _, name := range names {
-		if n := e.ckt.NetByName(name); n != nil && !n.Global {
-			missing = true
-			break
-		}
-	}
-	if !missing {
-		return
-	}
-	e.markMu.RUnlock()
-	e.markMu.Lock()
-	for _, name := range names {
-		e.ckt.MarkGlobal(name)
-	}
-	e.markMu.Unlock()
-	e.markMu.RLock()
 }

@@ -44,16 +44,13 @@ func parseMainErr(src, name string) (*graph.Circuit, error) {
 }
 
 // match runs one FA (or given cell) match through a handle the way the
-// server does: globals pre-marked via the entry lock, shared CSR and
-// scratch pool.
+// server does: rails as globals, shared CSR and scratch pool.
 func match(t *testing.T, h *Handle, cell string) int {
 	t.Helper()
 	pat := stdcell.Get(cell).Pattern()
 	for _, g := range rails {
 		pat.MarkGlobal(g)
 	}
-	h.RLockWithGlobals(rails)
-	defer h.RUnlock()
 	m, err := core.NewMatcher(h.Circuit(), core.Options{CSR: h.CSR(), Scratch: h.Scratch()})
 	if err != nil {
 		t.Fatal(err)

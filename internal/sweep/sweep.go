@@ -51,9 +51,9 @@ func init() {
 	faults.Register("sweep.worker", "per-pattern match inside a sweep worker (error fails that pattern and the sweep)")
 }
 
-// Pattern names one library entry.  Template is never mutated: Run clones
-// it, so a shared template (e.g. from a compiled-pattern cache) may back
-// any number of concurrent sweeps.
+// Pattern names one library entry.  Run only reads Template, so a shared
+// template (e.g. from a compiled-pattern cache) may back any number of
+// concurrent sweeps.
 type Pattern struct {
 	Name     string
 	Template *graph.Circuit
@@ -64,7 +64,8 @@ type Options struct {
 	// Globals lists net names treated as special signals (paper §V.A).
 	// The effective set is the union of this list, the main circuit's
 	// marked globals, and every pattern's marked globals, applied to all
-	// circuits by name before any matching starts.
+	// circuits by name for this sweep only: every per-pattern run gets the
+	// union as its core.Options.Globals, and no circuit is modified.
 	Globals []string
 
 	// Workers bounds how many patterns are matched concurrently
@@ -107,8 +108,9 @@ type Options struct {
 }
 
 // Incremental supplies and collects per-pattern incremental match state.
-// Lookup is called once per executed run with the pattern clone (global
-// marks applied) and the exact core options of the run; it returns the
+// Lookup is called once per executed run with the pattern template and the
+// exact core options of the run (their Globals carry the sweep's union); it
+// returns the
 // capture from a previous run of an equivalent pattern plus the dirty set
 // leading from that capture's circuit version to the current one, or
 // ok=false to force a full (but still capturing) run.  Store is called
@@ -136,7 +138,7 @@ type PatternResult struct {
 	Alias string
 
 	// Instances are the verified embeddings, keyed by the devices and
-	// nets of the input Template (not of Run's internal clone).
+	// nets of the input Template.
 	Instances []*core.Instance
 
 	// Report carries the run's Phase I / Phase II statistics.
@@ -175,13 +177,12 @@ func (r *Report) Instances() int {
 
 // Run sweeps the pattern library over g and returns the merged report.
 // The patterns' matched instances are identical to what a sequential
-// per-pattern core.Find loop with the same options would produce.
+// per-pattern core.Find loop with the same options would produce, with
+// Options.Globals widened to the sweep's union (see Options.Globals).
 //
-// Run marks the union of special signals on g by name before matching
-// (nets already marked are left untouched), and from then on only reads
-// g — the same discipline core.Find follows, so a long-lived caller can
-// serialize the marking and run sweeps concurrently with other matches
-// over the same resident circuit.
+// Run only reads g and the pattern templates, so a long-lived caller can
+// run sweeps concurrently with other matches over the same resident
+// circuit.
 func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	start := time.Now()
 	if g == nil {
@@ -190,17 +191,14 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("sweep: empty pattern library")
 	}
-	clones := make([]*graph.Circuit, len(patterns))
 	for i := range patterns {
 		if patterns[i].Template == nil {
 			return nil, fmt.Errorf("sweep: pattern %d (%s): nil template", i, patterns[i].Name)
 		}
-		clones[i] = patterns[i].Template.Clone()
 	}
 
-	// Apply the union of special signals to every circuit by name (the
-	// Fig. 7 semantics core.Find applies pairwise), so all per-pattern
-	// runs agree on the set and no matcher ever writes to shared state.
+	// The union of special signals (the Fig. 7 semantics core.Find applies
+	// pairwise), so all per-pattern runs agree on the set.
 	union := map[string]bool{}
 	for _, name := range opts.Globals {
 		union[name] = true
@@ -208,37 +206,28 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	for _, n := range g.Globals() {
 		union[n.Name] = true
 	}
-	for _, c := range clones {
-		for _, n := range c.Globals() {
+	for _, p := range patterns {
+		for _, n := range p.Template.Globals() {
 			union[n.Name] = true
 		}
 	}
-	names := make([]string, 0, len(union))
+	globals := make([]string, 0, len(union))
 	for name := range union {
-		names = append(names, name)
+		globals = append(globals, name)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		// Check-first on the main graph: marks are monotonic, and writing
-		// an already-set flag would race with concurrent readers.
-		if n := g.NetByName(name); n != nil && !n.Global {
-			n.Global = true
-		}
-		for _, c := range clones {
-			c.MarkGlobal(name)
-		}
-	}
+	sort.Strings(globals)
 
 	// Deduplicate structurally identical patterns: the first of each
-	// equivalence class runs, later twins reuse its result.  The key is
-	// computed after global marking — a mark changes matching semantics,
-	// so two copies may only collapse when their marks agree too.
+	// equivalence class runs, later twins reuse its result.  The key
+	// covers which nets the union makes global — a mark changes matching
+	// semantics, so two copies may only collapse when their marks agree
+	// too.
 	rep := make([]int, len(patterns))
 	byKey := map[string]int{}
 	var order []int // representative indices, input order
 	deduped := 0
-	for i, c := range clones {
-		k := structKey(c)
+	for i := range patterns {
+		k := structKey(patterns[i].Template, union)
 		if j, ok := byKey[k]; ok {
 			rep[i] = j
 			deduped++
@@ -258,7 +247,7 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	if scratch == nil {
 		scratch = &core.ScratchPool{}
 	}
-	init := core.NewInitLabels(g)
+	init := core.NewInitLabels(g, globals...)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -276,7 +265,7 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i], errs[i] = runOne(g, clones[i], view, scratch, init, &opts)
+				results[i], errs[i] = runOne(g, patterns[i].Template, view, scratch, init, globals, &opts)
 			}
 		}()
 	}
@@ -306,23 +295,25 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 		if r != i {
 			pr.Alias = patterns[r].Name
 		}
-		// Twins are index-identical by construction of structKey, so the
-		// representative's instances translate by position — and instances
-		// over the caller's own template translate from the clone the same
-		// way (Clone preserves indices).
-		pr.Instances = remap(results[r].Instances, patterns[i].Template)
+		pr.Instances = results[r].Instances
+		if r != i {
+			// Twins are index-identical by construction of structKey, so
+			// the representative's instances translate by position.
+			pr.Instances = remap(results[r].Instances, patterns[i].Template)
+		}
 		out.Results[i] = pr
 	}
 	out.Duration = time.Since(start)
 	return out, nil
 }
 
-// runOne matches a single pattern clone using the sweep's shared state.
-func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, init *core.InitLabels, opts *Options) (*core.Result, error) {
+// runOne matches a single pattern using the sweep's shared state.
+func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, init *core.InitLabels, globals []string, opts *Options) (*core.Result, error) {
 	if err := faults.Fire("sweep.worker"); err != nil {
 		return nil, err
 	}
 	copts := core.Options{
+		Globals:      globals,
 		Policy:       core.MatchAll,
 		MaxInstances: opts.MaxInstances,
 		Seed:         opts.Seed,
@@ -351,9 +342,8 @@ func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, in
 	return res, nil
 }
 
-// remap rekeys instances from Run's internal clone onto the circuit the
-// caller knows (the input template, or an alias's template), using the
-// index correspondence.  Image devices and nets are main-graph objects and
+// remap rekeys a representative's instances onto a twin's template, using
+// the index correspondence.  Image devices and nets are main-graph objects and
 // pass through unchanged.
 func remap(insts []*core.Instance, to *graph.Circuit) []*core.Instance {
 	out := make([]*core.Instance, len(insts))
@@ -375,13 +365,14 @@ func remap(insts []*core.Instance, to *graph.Circuit) []*core.Instance {
 
 // structKey canonically encodes a pattern's matching-relevant structure:
 // device types, terminal classes and connectivity in index order, plus
-// each net's port flag and (name-keyed) global mark.  Two patterns with
+// each net's port flag and, for the nets the sweep's global union names,
+// the name.  Two patterns with
 // equal keys are indistinguishable to the matcher except for vertex names,
 // which never enter Phase I labels or Phase II verification — so they
 // produce bit-identical instance lists and either can answer for both.
 // Isomorphic patterns whose vertex orders differ hash apart and simply
 // run separately; dedup is an optimization, never a requirement.
-func structKey(c *graph.Circuit) string {
+func structKey(c *graph.Circuit, globals map[string]bool) string {
 	var b strings.Builder
 	b.Grow(16 * (len(c.Devices) + len(c.Nets)))
 	for _, d := range c.Devices {
@@ -400,7 +391,7 @@ func structKey(c *graph.Circuit) string {
 		if n.Port {
 			b.WriteString(" port")
 		}
-		if n.Global {
+		if globals[n.Name] {
 			b.WriteString(" global ")
 			b.WriteString(n.Name)
 		}
