@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-sweep bench-e2e bench-harness smoke-daemon chaos-smoke bench-compare docs docs-check size clean
+.PHONY: all tier1 build test vet fmt-check lint-logs race diff diff-phase2 diff-incremental bench bench-smoke bench-e2e bench-harness smoke-daemon chaos-smoke bench-compare docs docs-check size clean
 
 all: tier1
 
@@ -38,9 +38,14 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # seeded history of uploads, PATCHes, matches, sweeps, extract jobs and
 # restarts against an oracle that rebuilds each circuit from its upload
 # text and edit ops (go test -run TestDaemonHistory ./internal/server/
-# -history.time 10m runs more seeds).
+# -history.time 10m runs more seeds).  Request timelines stay coarse:
+# Find, FindIncremental, FindParallel and a sweep under a request timeline
+# (not a trace) record only the span kinds /metrics knows, as many on a
+# circuit with hundreds of candidates as on one with two
+# (TestRequestTimelineStaysCoarse in core and sweep).
 diff: diff-incremental
-	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse|TestRunGlobalsLeaveCircuitsUnmarked' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse|TestRunGlobalsLeaveCircuitsUnmarked|TestRequestTimelineStaysCoarse' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestRequestTimelineStaysCoarse' ./internal/sweep/
 	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference|TestRequestGlobalsLeaveStoredCircuit|TestExtractJobNetlistMatchesLibrary|TestDaemonHistory' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestExtractedNetlistGolden' ./internal/extract/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
@@ -81,11 +86,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkClone' -benchmem -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkParseFlatten' -benchmem -benchtime 1x ./internal/netlist/
 	$(GO) test -run '^$$' -bench 'BenchmarkStorePut|BenchmarkApplyEdits' -benchmem -benchtime 1x ./internal/store/
-
-# Library-sweep table only: sweep vs sequential-loop timings across circuit
-# sizes and worker counts, archived as BENCH_sweep.json.
-bench-sweep:
-	$(GO) run ./cmd/benchtab -table sweep -json BENCH_sweep.json
 
 # End-to-end daemon benchmark (BENCHMARK.json's command): boots the real
 # subgeminid and drives the four closed-loop workloads, one row each.  See
@@ -162,7 +162,7 @@ bench-compare:
 	else echo "(benchstat not installed; raw runs above)"; fi; \
 	rm -rf $$tmp
 
-# Rebuild the generated documentation sections (cmd/docgen): the tracer
+# Rebuild the generated documentation sections (cmd/docgen): the trace
 # tables in ALGORITHM.md from the paper's Fig. 1 example, and the metrics
 # reference + fault-point tables in OPERATIONS.md from the server and
 # faults registries; docs-check fails when either is stale.

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtab [-table results|scaling|baseline|ablation|coverage|phase1|sweep|all] [-quick] [-json out.json]
+//	benchtab [-table results|scaling|baseline|ablation|coverage|all] [-quick] [-json out.json]
 //
 // Absolute times are machine-dependent; the shapes the paper claims —
 // instance counts, tight candidate vectors, flat time-per-matched-device,
@@ -39,12 +39,10 @@ type jsonOutput struct {
 	Baseline      []bench.BaselineRow `json:"baseline,omitempty"`
 	Ablation      []bench.AblationRow `json:"ablation,omitempty"`
 	Coverage      []bench.CoverageRow `json:"coverage,omitempty"`
-	Phase1        []bench.Phase1Row   `json:"phase1,omitempty"`
-	Sweep         []bench.SweepRow    `json:"sweep,omitempty"`
 }
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: results, scaling, baseline, ablation, coverage, phase1, sweep, all")
+	table := flag.String("table", "all", "which table to regenerate: results, scaling, baseline, ablation, coverage, all")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
 	jsonPath := flag.String("json", "", "also write the selected tables to this file as JSON")
 	flag.Parse()
@@ -81,16 +79,6 @@ func main() {
 	run("coverage", func() error {
 		rows, err := coverage()
 		out.Coverage = rows
-		return err
-	})
-	run("phase1", func() error {
-		rows, err := phase1(*quick)
-		out.Phase1 = rows
-		return err
-	})
-	run("sweep", func() error {
-		rows, err := sweepTable(*quick)
-		out.Sweep = rows
 		return err
 	})
 
@@ -226,49 +214,6 @@ func ablation() ([]bench.AblationRow, error) {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%v\t%s\n", r.Case, r.CVSize, r.Instances, round(r.Total), r.Note)
 	}
 	w.Flush()
-	fmt.Println()
-	return rows, nil
-}
-
-func phase1(quick bool) ([]bench.Phase1Row, error) {
-	rows, err := bench.Phase1Scaling(quick)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== Phase I across circuit sizes ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tpattern\tpasses\tpruned\t|CV|\tfound\tphase1 (min)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%v\n",
-			r.Circuit, r.Devices, r.Pattern, r.Passes, r.Pruned, r.CVSize, r.Found, round(r.P1))
-	}
-	w.Flush()
-	fmt.Println()
-	return rows, nil
-}
-
-func sweepTable(quick bool) ([]bench.SweepRow, error) {
-	rows, err := bench.SweepScaling(quick)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== Library sweep: one amortized run vs a sequential matcher loop ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tpatterns\tworkers\tinstances\tdeduped\tsequential\tsweep\tspeedup")
-	last := ""
-	for _, r := range rows {
-		if r.Circuit != last {
-			if last != "" {
-				fmt.Fprintln(w, "\t\t\t\t\t\t\t\t")
-			}
-			last = r.Circuit
-		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%v\t%v\t%.2fx\n",
-			r.Circuit, r.Devices, r.Patterns, r.Workers, r.Instances, r.Deduped,
-			round(r.Sequential), round(r.Sweep), r.Speedup)
-	}
-	w.Flush()
-	fmt.Println("(per-pattern instance counts are checked against the sequential loop; worker rows need real cores to win)")
 	fmt.Println()
 	return rows, nil
 }

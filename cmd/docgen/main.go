@@ -1,9 +1,9 @@
 // Docgen regenerates the generated sections of the repository's living
 // documents, so they cannot drift from what the code actually does:
 //
-//   - ALGORITHM.md: the tracer-produced tables of the paper's Fig. 1
-//     worked example (internal/gen/paperex), rendered from one run of the
-//     real matcher with both trace sinks installed.
+//   - ALGORITHM.md: the trace tables of the paper's Fig. 1 worked example
+//     (internal/gen/paperex), rendered from one run of the real matcher
+//     under a trace (obs.NewTrace) with Options.TraceTable installed.
 //   - OPERATIONS.md: the subgeminid metrics reference, generated from the
 //     server's metric registry (server.MetricsReference), and the
 //     fault-injection point table, generated from the faults registry
@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"subgemini/internal/core"
@@ -35,9 +36,9 @@ import (
 	"subgemini/internal/faults"
 	"subgemini/internal/gen"
 	"subgemini/internal/gen/paperex"
+	"subgemini/internal/obs"
 	"subgemini/internal/server"
 	"subgemini/internal/stdcell"
-	"subgemini/internal/trace"
 
 	// The fault-point table must see every registration; the server import
 	// above pulls in jobs, store, and sweep transitively, but keep the
@@ -101,15 +102,15 @@ func blocksFor(path string) (map[string]string, error) {
 	}
 }
 
-// algorithmBlocks runs the Fig. 1 example once, with both trace sinks
-// installed, and returns the generated trace blocks.
+// algorithmBlocks runs the Fig. 1 example once, under a trace and with a
+// TraceTable installed, and returns the generated trace blocks.
 func algorithmBlocks() (map[string]string, error) {
 	g := paperex.PaperMain()
 	var table bytes.Buffer
-	col := trace.NewCollector(0)
+	tl := obs.NewTrace("paper-example")
 	res, err := core.Find(g, paperex.PaperPattern(), core.Options{
 		TraceTable: &table,
-		Tracer:     col,
+		Observe:    tl.Scope(obs.NoSpan),
 	})
 	if err != nil {
 		return nil, err
@@ -117,16 +118,14 @@ func algorithmBlocks() (map[string]string, error) {
 	if len(res.Instances) != 1 {
 		return nil, fmt.Errorf("paper example found %d instances, want 1 — the worked example is broken", len(res.Instances))
 	}
-	events := col.Events()
+	js := tl.JSON()
 	// Wall-clock durations are the one nondeterministic field; zero them so
-	// Render prints "-" and the generated document is byte-stable.
-	for i := range events {
-		events[i].DurationNS = 0
+	// RenderTrace prints "-" and the generated document is byte-stable.
+	for i := range js.Spans {
+		js.Spans[i].DurUS = 0
 	}
 	var run bytes.Buffer
-	if err := trace.Render(&run, events); err != nil {
-		return nil, err
-	}
+	obs.RenderTrace(&run, js)
 	blast, err := incrementalBlastRadiusBlock()
 	if err != nil {
 		return nil, err
@@ -134,7 +133,7 @@ func algorithmBlocks() (map[string]string, error) {
 	return map[string]string{
 		"paper-example-trace":      fence(run.String()),
 		"paper-example-table1":     fence(table.String()),
-		"phase2-regions":           phase2RegionsBlock(res, events, g.NumDevices()+g.NumNets()),
+		"phase2-regions":           phase2RegionsBlock(res, js.Spans, g.NumDevices()+g.NumNets()),
 		"incremental-blast-radius": blast,
 	}, nil
 }
@@ -201,24 +200,25 @@ func incrementalBlastRadiusBlock() (string, error) {
 }
 
 // phase2RegionsBlock renders the per-candidate region table of a run from
-// the ball sizes its phase2_candidate events report; vertices is the size
-// of the run's main graph.
-func phase2RegionsBlock(res *core.Result, events []trace.Event, vertices int) string {
+// the ball sizes its candidate spans report; vertices is the size of the
+// run's main graph.
+func phase2RegionsBlock(res *core.Result, spans []obs.SpanJSON, vertices int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Key vertex radius %d (pattern eccentricity); G has %d vertices.\n\n",
 		res.Report.RegionRadius, vertices)
 	b.WriteString("| candidate | ball vertices | share of G | passes | outcome |\n")
 	b.WriteString("|---|---|---|---|---|\n")
-	for _, e := range events {
-		if e.Kind != trace.KindPhase2Candidate {
+	for _, sp := range spans {
+		if sp.Kind != obs.KindCandidate {
 			continue
 		}
 		outcome := "refuted"
-		if e.Matched {
+		if sp.Attrs["matched"] == "true" {
 			outcome = "match"
 		}
-		fmt.Fprintf(&b, "| %s | %d | %.0f%% | %d | %s |\n",
-			e.Candidate, e.BallSize, 100*float64(e.BallSize)/float64(vertices), e.Passes, outcome)
+		ball, _ := strconv.Atoi(sp.Attrs["ball"])
+		fmt.Fprintf(&b, "| %s | %d | %.0f%% | %s | %s |\n",
+			sp.Name, ball, 100*float64(ball)/float64(vertices), sp.Attrs["passes"], outcome)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

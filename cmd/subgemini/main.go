@@ -32,8 +32,9 @@
 //	                   the candidate vector and one row per Phase II
 //	                   candidate (the tables tracefmt renders)
 //	-tracetable        print Table-1-style per-pass label tables
-//	-trace FILE        write a subgemini-trace/v1 JSONL event stream
-//	                   ("-" = stdout; render it with tracefmt)
+//	-trace FILE        write the run's trace as timeline JSON, the format
+//	                   /debug/requests/{id} serves ("-" = stdout; render
+//	                   it with tracefmt)
 //	-q                 print only the instance count
 package main
 
@@ -77,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers     = flag.Int("workers", 0, "verify Phase II candidates over N workers, 0 = sequential (-1 = all CPUs; incompatible with -nonoverlap and -max)")
 		verbose     = flag.Bool("v", false, "print the Phase I pass and Phase II candidate tables to stderr")
 		traceTable  = flag.Bool("tracetable", false, "print a Table-1-style per-pass label table for every Phase II candidate")
-		tracePath   = flag.String("trace", "", `write a subgemini-trace/v1 JSONL event stream to this file ("-" = stdout; render with tracefmt)`)
+		tracePath   = flag.String("trace", "", `write the run's trace as timeline JSON to this file ("-" = stdout; render with tracefmt)`)
 		quiet       = flag.Bool("q", false, "print only the instance count")
 		asJSON      = flag.Bool("json", false, "print instances as JSON (pattern name -> image name maps)")
 	)
@@ -143,24 +144,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *traceTable {
 		opts.TraceTable = stdout
 	}
-	var traceSink *subgemini.JSONLTracer
+	var traceOut io.Writer
 	if *tracePath != "" {
-		out := io.Writer(stdout)
+		traceOut = stdout
 		if *tracePath != "-" {
 			f, err := os.Create(*tracePath)
 			if err != nil {
 				return err
 			}
 			defer f.Close()
-			out = f
+			traceOut = f
 		}
-		traceSink = subgemini.NewJSONLTracer(out)
-		opts.Tracer = traceSink
 	}
-	var verboseLog *eventLog
-	if *verbose {
-		verboseLog = &eventLog{next: opts.Tracer}
-		opts.Tracer = verboseLog
+	if traceOut != nil || *verbose {
+		opts.Observe = subgemini.NewTrace(pattern.Name)
 	}
 
 	var res *subgemini.Result
@@ -180,14 +177,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else {
 		res, err = subgemini.Find(circuit, pattern, opts)
 	}
-	// Emit traces even when the match failed: a partial trace of an
+	// Emit the trace even when the match failed: a partial trace of an
 	// aborted run is exactly what post-mortem debugging wants.
-	if verboseLog != nil {
-		subgemini.RenderTrace(stderr, verboseLog.events)
-	}
-	if traceSink != nil {
-		if ferr := traceSink.Flush(); ferr != nil && err == nil {
-			return fmt.Errorf("writing trace: %w", ferr)
+	if opts.Observe != nil {
+		tl := opts.Observe.Timeline()
+		tl.Finish(0)
+		js := tl.JSON()
+		if *verbose {
+			subgemini.RenderTrace(stderr, js)
+		}
+		if traceOut != nil {
+			enc := json.NewEncoder(traceOut)
+			enc.SetIndent("", "  ")
+			if werr := enc.Encode(js); werr != nil && err == nil {
+				return fmt.Errorf("writing trace: %w", werr)
+			}
 		}
 	}
 	if err != nil {
@@ -212,21 +216,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "stats:", res.Report.String())
 	return nil
-}
-
-// eventLog keeps every trace event of a run for -v, forwarding each to next
-// (the -trace sink) when one is set.  A traced run is sequential, so the
-// log needs no locking.
-type eventLog struct {
-	events []subgemini.TraceEvent
-	next   subgemini.Tracer
-}
-
-func (l *eventLog) Event(e subgemini.TraceEvent) {
-	l.events = append(l.events, e)
-	if l.next != nil {
-		l.next.Event(e)
-	}
 }
 
 // sweepFlags carries the subset of CLI options the -library mode honors.

@@ -95,9 +95,9 @@ func TestCLITraceTable(t *testing.T) {
 // tracefmt tables, and still feeds a -trace file when both are given.
 func TestCLIVerbose(t *testing.T) {
 	ckt := writeTemp(t, "c.sp", circuitSrc)
-	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
+	tracePath := filepath.Join(t.TempDir(), "run.json")
 	var out, errOut strings.Builder
-	if err := run([]string{"-circuit", ckt, "-cell", "NAND2", "-v", "-trace", jsonl}, &out, &errOut); err != nil {
+	if err := run([]string{"-circuit", ckt, "-cell", "NAND2", "-v", "-trace", tracePath}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"run: pattern NAND2", "Phase I relabeling:", "phase1: key vertex",
@@ -109,12 +109,12 @@ func TestCLIVerbose(t *testing.T) {
 	if !strings.Contains(out.String(), "1 instance(s)") {
 		t.Errorf("-v changed stdout:\n%s", out.String())
 	}
-	data, err := os.ReadFile(jsonl)
+	data, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"kind":"phase2_candidate"`) {
-		t.Errorf("-trace file lost its events under -v:\n%s", data)
+	if !strings.Contains(string(data), `"kind": "candidate"`) {
+		t.Errorf("-trace file lost its candidate spans under -v:\n%s", data)
 	}
 }
 

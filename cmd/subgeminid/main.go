@@ -48,15 +48,11 @@
 //	-max-circuit-bytes N resident-circuit memory budget; over it, idle
 //	                     snapshotted circuits are demoted to disk and
 //	                     reloaded on demand (0 = unbounded)
-//	-max-patterns N      compiled-pattern cache capacity (LRU; 0 = 256)
 //	-job-workers N       async job worker pool size (0 = 2)
 //	-job-queue N         async job queue depth (0 = 64)
 //	-job-retention D     how long finished job records are kept (0 = 1h)
 //	-timeout 30s         default per-request match deadline
-//	-max-timeout 5m      upper bound on client-requested deadlines
 //	-max-concurrent N    match slots (admission control; 0 = GOMAXPROCS)
-//	-max-workers N       cap on per-request "workers" fan-out
-//	-max-body N          request body limit in bytes
 //	-shed-inflight N     shed batch/sweep/job submissions (429+Retry-After)
 //	                     while N matches are in flight; single matches
 //	                     stay live (0 = off)
@@ -65,13 +61,11 @@
 //	-faults SPEC         arm fault-injection points (testing only); also
 //	                     settable via $SUBGEMINID_FAULTS
 //	-log-format text     daemon log encoding: "text" or "json"
-//	-log-level info      minimum log level: debug, info, warn, error
 //	-slow-request D      requests over D log a slow-request line and are
 //	                     always kept by the flight recorder (0 = 1s)
 //	-flight-recorder N   flight-recorder ring capacity in timelines (0 = 256)
 //	-flight-sample N     tail-sampling rate for unremarkable requests:
 //	                     keep 1 in N (0 = 16; 1 keeps everything)
-//	-no-preload          skip compiling the built-in library at startup
 //	-noincremental       disable the incremental matcher and its versioned
 //	                     result cache; every match and sweep runs the full
 //	                     algorithm (results are bit-identical either way,
@@ -79,6 +73,11 @@
 //	-result-cache N      versioned result-cache capacity in (circuit,
 //	                     pattern) entries (0 = 256)
 //	-drain D             graceful-shutdown drain period
+//
+// The limits without a flag keep their server defaults: client deadlines
+// are capped at 5m, per-request fan-out at GOMAXPROCS, request bodies at
+// 16 MiB and the compiled-pattern cache at 256 entries; the built-in
+// library is compiled at startup, and the log level is info.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: /readyz flips to
 // not-ready, the listener stops accepting, in-flight requests get a drain
@@ -130,17 +129,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		patternPath = flags.String("patterns", "", "netlist file whose .SUBCKTs preload the pattern cache")
 		globalsCSV  = flags.String("globals", "", "comma-separated special-signal nets applied to every match")
 		timeout     = flags.Duration("timeout", 30*time.Second, "default per-request match deadline")
-		maxTimeout  = flags.Duration("max-timeout", 5*time.Minute, "upper bound on client-requested deadlines")
 		maxConc     = flags.Int("max-concurrent", 0, "concurrent match slots (0 = GOMAXPROCS)")
-		maxWorkers  = flags.Int("max-workers", 0, "cap on per-request workers fan-out (0 = GOMAXPROCS)")
-		maxBody     = flags.Int64("max-body", 16<<20, "request body limit in bytes")
-		noPreload   = flags.Bool("no-preload", false, "skip compiling the built-in cell library at startup")
 		noInc       = flags.Bool("noincremental", false, "disable incremental matching and the versioned result cache (differential/debug switch; results are identical)")
 		resultCache = flags.Int("result-cache", 0, "versioned result-cache capacity in (circuit, pattern) entries (0 = 256)")
 		drain       = flags.Duration("drain", 10*time.Second, "graceful-shutdown drain period")
 		dataDir     = flags.String("data-dir", "", "directory for durable state: circuit snapshots, uploaded patterns, job records (empty = memory only)")
 		maxCktBytes = flags.Int64("max-circuit-bytes", 0, "resident-circuit memory budget in bytes; idle snapshotted circuits past it are demoted to disk (0 = unbounded)")
-		maxPatterns = flags.Int("max-patterns", 0, "compiled-pattern cache capacity, LRU-evicted (0 = 256)")
 		jobWorkers  = flags.Int("job-workers", 0, "async job worker pool size (0 = 2)")
 		jobQueue    = flags.Int("job-queue", 0, "async job queue depth (0 = 64)")
 		jobKeep     = flags.Duration("job-retention", 0, "how long finished job records are retained (0 = 1h)")
@@ -149,7 +143,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		retryAfter  = flags.Duration("retry-after", 0, "Retry-After hint on shed responses, rounded to whole seconds (0 = 2s)")
 		faultSpec   = flags.String("faults", "", "arm fault-injection points, e.g. 'store.reload=error:1,jobs.run=panic' (testing only; overrides $SUBGEMINID_FAULTS)")
 		logFormat   = flags.String("log-format", "text", `log encoding: "text" or "json"`)
-		logLevel    = flags.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		slowReq     = flags.Duration("slow-request", 0, "requests over this duration log a slow-request line and are always kept by the flight recorder (0 = 1s)")
 		flightSize  = flags.Int("flight-recorder", 0, "flight-recorder ring capacity in timelines (0 = 256)")
 		flightN     = flags.Int("flight-sample", 0, "tail-sampling rate for unremarkable requests, keep 1 in N (0 = 16; 1 keeps everything)")
@@ -159,9 +152,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *logFormat != "text" && *logFormat != "json" {
 		return fmt.Errorf(`-log-format %q: want "text" or "json"`, *logFormat)
-	}
-	if !obs.ParseLevelOK(*logLevel) {
-		return fmt.Errorf("-log-level %q: want debug, info, warn, or error", *logLevel)
 	}
 	if spec := *faultSpec; spec != "" || os.Getenv("SUBGEMINID_FAULTS") != "" {
 		if spec == "" {
@@ -176,23 +166,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	cfg := subgemini.ServerConfig{
 		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
 		MaxConcurrent:      *maxConc,
 		ShedInflight:       *shedIn,
 		ShedMemoryBytes:    *shedMem,
 		RetryAfter:         *retryAfter,
-		MaxWorkers:         *maxWorkers,
-		MaxBodyBytes:       *maxBody,
-		PreloadBuiltins:    !*noPreload,
+		PreloadBuiltins:    true,
 		DisableIncremental: *noInc,
 		ResultCacheSize:    *resultCache,
 		DataDir:            *dataDir,
 		MaxStoreBytes:      *maxCktBytes,
-		MaxPatterns:        *maxPatterns,
 		JobWorkers:         *jobWorkers,
 		JobQueue:           *jobQueue,
 		JobRetention:       *jobKeep,
-		Log:                obs.NewLogger(stderr, *logFormat, *logLevel),
+		Log:                obs.NewLogger(stderr, *logFormat, "info"),
 		SlowRequest:        *slowReq,
 		FlightRecorderSize: *flightSize,
 		FlightSampleN:      *flightN,

@@ -1,33 +1,28 @@
-// Tracefmt renders subgemini-trace/v1 JSONL event streams (written by
-// subgemini -trace or any Options.Tracer sink) as human-readable tables:
-// one Phase I relabeling table and one Phase II candidate table per run.
-//
-// It also renders subgeminid request-timeline JSON — the body of
-// GET /debug/requests/{id} (or a single timeline object from the list
-// endpoint) — as an indented span table, so forensics on a captured
-// request is one pipe away:
+// Tracefmt renders timeline JSON as human-readable text.  A trace — the
+// file `subgemini -trace` writes, a timeline whose creator asked for
+// algorithm detail — renders as one Phase I relabeling table and one
+// Phase II candidate table per run.  A subgeminid request timeline — the
+// body of GET /debug/requests/{id}, or a single timeline object from the
+// list endpoint — renders as an indented span table, so forensics on a
+// captured request is one pipe away:
 //
 //	curl -s localhost:8080/debug/requests/r-ab12-000003 | tracefmt
 //
 // Usage:
 //
-//	tracefmt run.jsonl
-//	subgemini -circuit chip.sp -cell NAND2 -trace - | tracefmt
+//	subgemini -circuit chip.sp -cell NAND2 -trace run.json
+//	tracefmt run.json
 //
-// With no argument (or "-") the stream is read from stdin.  The input
-// format is detected from the payload itself: a JSON object with
-// "timelines" or "spans" is a timeline; anything else is a trace stream.
+// With no argument (or "-") the timeline is read from stdin.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"os"
 
-	"subgemini"
 	"subgemini/internal/obs"
 )
 
@@ -43,7 +38,7 @@ func main() {
 // drive it without spawning a process.
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(args) > 1 {
-		return fmt.Errorf("usage: tracefmt [trace.jsonl | timeline.json]")
+		return fmt.Errorf("usage: tracefmt [timeline.json]")
 	}
 	in := stdin
 	if len(args) == 1 && args[0] != "-" {
@@ -58,42 +53,42 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if tls, ok := parseTimelines(src); ok {
-		for i, tl := range tls {
-			if i > 0 {
-				fmt.Fprintln(stdout)
-			}
-			obs.RenderTimeline(stdout, tl)
-		}
-		return nil
-	}
-	events, err := subgemini.ReadTraceJSONL(bytes.NewReader(src))
+	tls, err := parseTimelines(src)
 	if err != nil {
 		return err
 	}
-	return subgemini.RenderTrace(stdout, events)
+	for i, tl := range tls {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		if tl.Scope == obs.ScopeTrace {
+			obs.RenderTrace(stdout, tl)
+		} else {
+			obs.RenderTimeline(stdout, tl)
+		}
+	}
+	return nil
 }
 
-// parseTimelines recognizes the two timeline shapes the daemon serves: the
-// GET /debug/requests/{id} envelope ({"request_id":..., "timelines":[...]})
-// and a bare timeline object ({"request_id":..., "spans":[...]}).
-func parseTimelines(src []byte) ([]obs.TimelineJSON, bool) {
+// parseTimelines reads the two timeline shapes: the GET
+// /debug/requests/{id} envelope ({"request_id":..., "timelines":[...]})
+// and a bare timeline object ({"request_id":..., "spans":[...]}), which is
+// also what `subgemini -trace` writes.
+func parseTimelines(src []byte) ([]obs.TimelineJSON, error) {
 	var probe struct {
 		Timelines []obs.TimelineJSON `json:"timelines"`
 		Spans     []obs.SpanJSON     `json:"spans"`
 	}
-	if err := json.Unmarshal(src, &probe); err != nil {
-		return nil, false
-	}
-	if len(probe.Timelines) > 0 {
-		return probe.Timelines, true
-	}
-	if probe.Spans != nil {
+	err := json.Unmarshal(src, &probe)
+	switch {
+	case err == nil && len(probe.Timelines) > 0:
+		return probe.Timelines, nil
+	case err == nil && probe.Spans != nil:
 		var tl obs.TimelineJSON
 		if err := json.Unmarshal(src, &tl); err != nil {
-			return nil, false
+			return nil, err
 		}
-		return []obs.TimelineJSON{tl}, true
+		return []obs.TimelineJSON{tl}, nil
 	}
-	return nil, false
+	return nil, fmt.Errorf(`input is not timeline JSON: want one timeline object {"request_id":..., "spans":[...]} (as subgemini -trace writes) or a /debug/requests/{id} envelope {"timelines":[...]}`)
 }

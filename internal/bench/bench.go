@@ -426,58 +426,3 @@ func Ablation() ([]AblationRow, error) {
 	})
 	return rows, nil
 }
-
-// Phase1Row is one line of the Phase I table: one workload, keeping the
-// fastest Phase I time of several iterations (candidate generation is
-// deterministic, so min is the noise-robust statistic).
-type Phase1Row struct {
-	Circuit string
-	Devices int
-	Pattern string
-	Passes  int
-	Pruned  int
-	CVSize  int
-	Found   int
-	P1      time.Duration
-}
-
-// Phase1Scaling measures Phase I across random-logic circuit sizes.  quick
-// truncates to the smallest circuit and a single iteration.
-func Phase1Scaling(quick bool) ([]Phase1Row, error) {
-	sizes := []int{250, 1000, 4000}
-	iters := 5
-	if quick {
-		sizes = sizes[:1]
-		iters = 1
-	}
-	var rows []Phase1Row
-	for _, n := range sizes {
-		d := gen.RandomLogic(n, 32, 11)
-		m, err := core.NewMatcher(d.C, core.Options{Globals: Rails})
-		if err != nil {
-			return rows, err
-		}
-		row := Phase1Row{
-			Circuit: fmt.Sprintf("rand%d", n),
-			Devices: d.C.NumDevices(),
-			Pattern: stdcell.NAND2.Name,
-		}
-		for it := 0; it < iters; it++ {
-			res, err := m.Find(stdcell.NAND2.Pattern())
-			if err != nil {
-				return rows, err
-			}
-			if it == 0 {
-				row.Passes = res.Report.Phase1Passes
-				row.Pruned = res.Report.Phase1Pruned
-				row.CVSize = res.Report.CVSize
-				row.Found = len(res.Instances)
-				row.P1 = res.Report.Phase1Duration
-			} else if res.Report.Phase1Duration < row.P1 {
-				row.P1 = res.Report.Phase1Duration
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}

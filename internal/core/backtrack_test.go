@@ -6,7 +6,7 @@ import (
 
 	"subgemini/internal/core"
 	"subgemini/internal/gen"
-	"subgemini/internal/trace"
+	"subgemini/internal/obs"
 )
 
 // TestBacktracking: the pass-transistor fabric forces wrong guesses that
@@ -29,7 +29,7 @@ func TestBacktracking(t *testing.T) {
 // makes symmetric searches fail soundly (no extra instances, no error, no
 // hang), and every guess refused at the bound is counted — in the report,
 // summed across FindParallel's workers, and flagged on the candidate's
-// trace event.
+// trace span.
 func TestMaxGuessDepth(t *testing.T) {
 	d := gen.SwitchGrid(6, 8)
 	deep, err := core.Find(d.C.Clone(), gen.PassChainPattern(8), core.Options{})
@@ -44,8 +44,8 @@ func TestMaxGuessDepth(t *testing.T) {
 	}
 
 	defer core.SetGuessDepthForTest(0)()
-	col := trace.NewCollector(0)
-	shallow, err := core.Find(d.C.Clone(), gen.PassChainPattern(8), core.Options{Tracer: col})
+	tl := obs.NewTrace("shallow")
+	shallow, err := core.Find(d.C.Clone(), gen.PassChainPattern(8), core.Options{Observe: tl.Scope(obs.NoSpan)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestMaxGuessDepth(t *testing.T) {
 		t.Errorf("report %q does not show the guess-limit hits", shallow.Report.String())
 	}
 	limited := 0
-	for _, e := range col.Events() {
-		if e.Kind == trace.KindPhase2Candidate && e.GuessLimited {
+	for _, sp := range tl.JSON().Spans {
+		if sp.Kind == obs.KindCandidate && sp.Attrs["guess_limited"] == "true" {
 			limited++
 		}
 	}
 	if limited == 0 {
-		t.Error("no phase2_candidate event is flagged guess_limited")
+		t.Error("no candidate span is flagged guess_limited")
 	}
 
 	m, err := core.NewMatcher(d.C.Clone(), core.Options{})

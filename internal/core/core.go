@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"subgemini/internal/csr"
@@ -32,7 +33,6 @@ import (
 	"subgemini/internal/label"
 	"subgemini/internal/obs"
 	"subgemini/internal/stats"
-	"subgemini/internal/trace"
 )
 
 // OverlapPolicy controls how instances sharing devices are reported.
@@ -127,6 +127,13 @@ type Options struct {
 	//
 	//	opts.Observe = obs.ScopeFromContext(ctx)
 	//
+	// When the timeline is a trace (obs.NewTrace), the run also records
+	// algorithm detail: circuit, devices, nets, key and key_is_device on
+	// the phase1 span, one obs.KindPass span per Phase I half-pass under
+	// it, and one obs.KindCandidate span per examined Phase II candidate
+	// under the phase2 span.  A traced FindParallel or FindIncremental
+	// runs as Find, so the candidate spans keep Find's order.
+	//
 	// Like Cancel, the hook must be safe for concurrent use: FindParallel
 	// workers and sweep workers emit spans from several goroutines (the
 	// Timeline behind a Scope is mutex-protected).  A nil Observe costs
@@ -135,15 +142,6 @@ type Options struct {
 	// so delta.PatternKey deliberately excludes it.
 	Observe *obs.Scope
 
-	// Tracer, when non-nil, receives one structured event per Phase I
-	// relabeling pass, one for the candidate-vector selection, and one per
-	// Phase II candidate examined (see internal/trace for the event
-	// schema and the provided sinks).  A nil Tracer costs nothing; the
-	// no-op sink costs no allocations.  FindParallel with a Tracer falls
-	// back to the sequential matcher so the event stream keeps the
-	// deterministic candidate order the sinks and docgen rely on.
-	Tracer trace.Tracer
-
 	// TraceTable, when non-nil, receives the Fig. 2/4-style Phase I table
 	// and a Table-1-style rendering of every Phase II candidate
 	// verification: one row per vertex, one column per relabeling pass,
@@ -151,7 +149,7 @@ type Options struct {
 	// brackets for matched ones — the presentation the paper uses to walk
 	// through its example.  Main-graph rows cover the vertices of the
 	// candidate's ball that Phase II labeled.  Verbose; intended for small
-	// runs.  Like Tracer, it sends FindParallel to the sequential matcher.
+	// runs.  Like a trace, it sends FindParallel to the sequential matcher.
 	TraceTable io.Writer
 }
 
@@ -393,19 +391,34 @@ func (m *Matcher) prepare(s *graph.Circuit) (*pattern, error) {
 // partial report, so callers can see where the run was cut.
 func (m *Matcher) runPhase1(pat *pattern, res *Result) (label.VID, []label.VID, error) {
 	t0 := time.Now()
+	o := m.opts.Observe
 	p1Ref := obs.NoSpan
-	if o := m.opts.Observe; o != nil {
+	if o != nil {
 		p1Ref = o.Begin(obs.KindPhase1, pat.s.Name)
 		if mode := res.Report.IncrementalMode; mode != "" {
 			o.Attr(p1Ref, "mode", mode)
 		}
 	}
 	p1 := newPhase1(m, pat, &res.Report)
+	if o.Detail() {
+		o.Attr(p1Ref, "circuit", m.g.Name)
+		o.AttrInt(p1Ref, "devices", int64(m.g.NumDevices()))
+		o.AttrInt(p1Ref, "nets", int64(m.g.NumNets()))
+		p1.trace = o.Timeline().Scope(p1Ref)
+	}
 	key, cv, err := p1.run()
 	res.Report.Phase1Duration = time.Since(t0)
-	if o := m.opts.Observe; o != nil {
+	if len(cv) > 0 {
+		res.Report.KeyVertex = pat.space.Name(key)
+		res.Report.KeyIsDevice = pat.space.IsDevice(key)
+	}
+	if o != nil {
 		o.AttrInt(p1Ref, "passes", int64(res.Report.Phase1Passes))
 		o.AttrInt(p1Ref, "cv_size", int64(len(cv)))
+		if err == nil && p1.trace != nil {
+			o.Attr(p1Ref, "key", res.Report.KeyVertex)
+			o.Attr(p1Ref, "key_is_device", strconv.FormatBool(res.Report.KeyIsDevice))
+		}
 		o.End(p1Ref)
 	}
 	if err != nil {
@@ -416,17 +429,9 @@ func (m *Matcher) runPhase1(pat *pattern, res *Result) (label.VID, []label.VID, 
 	if p1.tracer != nil {
 		keyName := "(none)"
 		if len(cv) > 0 {
-			keyName = pat.space.Name(key)
+			keyName = res.Report.KeyVertex
 		}
 		p1.tracer.render(m.opts.TraceTable, keyName, len(cv))
-	}
-	if len(cv) > 0 {
-		res.Report.KeyVertex = pat.space.Name(key)
-		res.Report.KeyIsDevice = pat.space.IsDevice(key)
-	}
-	if tr := m.opts.Tracer; tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindCandidateVector, CVSize: len(cv),
-			KeyVertex: res.Report.KeyVertex, KeyIsDevice: res.Report.KeyIsDevice})
 	}
 	return key, cv, nil
 }
@@ -439,20 +444,9 @@ func (m *Matcher) runPhase1(pat *pattern, res *Result) (label.VID, []label.VID, 
 // Options.Cancel fired; res then holds the partial report and st is
 // incomplete.
 func (m *Matcher) match(pat *pattern, res *Result, rc *replayCtx, st *IncrementalState) error {
-	tr := m.opts.Tracer
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindRunStart, Circuit: m.g.Name, Pattern: pat.s.Name,
-			Devices: m.g.NumDevices(), Nets: m.g.NumNets()})
-	}
 	key, cv, err := m.runPhase1(pat, res)
-	if err != nil {
+	if err != nil || len(cv) == 0 {
 		return err
-	}
-	if len(cv) == 0 {
-		if tr != nil {
-			tr.Event(trace.Event{Kind: trace.KindRunEnd})
-		}
-		return nil
 	}
 	if st != nil {
 		st.keyVID = key
@@ -473,12 +467,12 @@ func (m *Matcher) match(pat *pattern, res *Result, rc *replayCtx, st *Incrementa
 		if o := m.opts.Observe; o != nil {
 			o.End(p2Ref)
 		}
-		if tr != nil {
-			tr.Event(trace.Event{Kind: trace.KindRunEnd})
-		}
 		return nil
 	}
 	defer p2.close()
+	if o := m.opts.Observe; o.Detail() {
+		p2.trace = o.Timeline().Scope(p2Ref)
+	}
 	if rc != nil && !rc.arm(p2, key) {
 		rc = nil
 	}
@@ -560,10 +554,6 @@ func (m *Matcher) match(pat *pattern, res *Result, rc *replayCtx, st *Incrementa
 		}
 		o.AttrInt(p2Ref, "instances", int64(res.Report.Instances))
 		o.End(p2Ref)
-	}
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindRunEnd,
-			Instances: len(res.Instances), Candidates: res.Report.Candidates})
 	}
 	return nil
 }

@@ -90,14 +90,14 @@ type IncrementalState struct {
 // previous capture prev and the dirty set ds when both are usable.  It
 // returns the result plus a fresh capture for the next edit; the capture is
 // nil when the run was cancelled or when options incompatible with capture
-// were set (tracing, NonOverlapping).
+// were set (a trace or TraceTable, NonOverlapping).
 // prev/ds may be nil (first run against a circuit version): the run is then
 // a full match that additionally captures.
 func (m *Matcher) FindIncremental(s *graph.Circuit, prev *IncrementalState, ds *DirtySet) (*Result, *IncrementalState, error) {
 	o := &m.opts
-	if o.Policy == NonOverlapping || o.Tracer != nil || o.TraceTable != nil {
+	if o.Policy == NonOverlapping || o.Observe.Detail() || o.TraceTable != nil {
 		// Capture-incompatible runs: NonOverlapping carries consumed state
-		// across runs, and tracing sinks expect the plain event stream.
+		// across runs, and a trace wants every candidate verified.
 		res, err := m.Find(s)
 		if res != nil {
 			res.Report.IncrementalMode = "legacy"

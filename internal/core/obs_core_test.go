@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"subgemini/internal/core"
+	"subgemini/internal/gen"
 	"subgemini/internal/gen/paperex"
+	"subgemini/internal/graph"
 	"subgemini/internal/obs"
+	"subgemini/internal/stdcell"
 )
 
 // TestFindEmitsObserveSpans runs the paper's worked example with a timeline
@@ -51,7 +54,7 @@ func TestFindEmitsObserveSpans(t *testing.T) {
 
 // TestFindParallelEmitsObserveSpans checks the parallel path emits the same
 // phase1/phase2 spans (it must not fall back to sequential just because a
-// timeline is attached, unlike Trace/Tracer).
+// timeline is attached, unlike under a trace).
 func TestFindParallelEmitsObserveSpans(t *testing.T) {
 	tl := obs.NewTimeline("r-par", "http", "POST", "/v1/match")
 	m, err := core.NewMatcher(paperex.PaperMain(), core.Options{Observe: tl.Scope(obs.NoSpan)})
@@ -161,5 +164,69 @@ func TestObserveDisabledNoAllocs(t *testing.T) {
 	again := testing.AllocsPerRun(100, func() { m.Find(s) })
 	if again > base {
 		t.Errorf("nil Observe path allocates %.0f/run, baseline %.0f", again, base)
+	}
+}
+
+// TestRequestTimelineStaysCoarse holds request timelines to their coarse
+// shape.  Find, FindIncremental and FindParallel under an obs.NewTimeline
+// scope must record only span kinds /metrics knows, and as many spans on a
+// 1000-gate random circuit, with hundreds of NAND2 candidates, as on the
+// paper example with two.  A pass or candidate span that reached a request
+// timeline would fail both checks.  Only traces (obs.NewTrace) carry that
+// detail.
+func TestRequestTimelineStaysCoarse(t *testing.T) {
+	known := map[string]bool{}
+	for _, k := range obs.SpanKinds {
+		known[k] = true
+	}
+	circuits := []struct {
+		name    string
+		g, s    *graph.Circuit
+		globals []string
+	}{
+		{"paper", paperex.PaperMain(), paperex.PaperPattern(), nil},
+		{"rand1000", gen.RandomLogic(1000, 32, 11).C, stdcell.NAND2.Pattern(), []string{"VDD", "GND"}},
+	}
+	runs := []struct {
+		name string
+		run  func(m *core.Matcher, s *graph.Circuit) (*core.Result, error)
+	}{
+		{"Find", func(m *core.Matcher, s *graph.Circuit) (*core.Result, error) { return m.Find(s) }},
+		{"FindIncremental", func(m *core.Matcher, s *graph.Circuit) (*core.Result, error) {
+			res, _, err := m.FindIncremental(s, nil, nil)
+			return res, err
+		}},
+		{"FindParallel", func(m *core.Matcher, s *graph.Circuit) (*core.Result, error) { return m.FindParallel(s, 2) }},
+	}
+	for _, r := range runs {
+		spans := make([]int, len(circuits))
+		for i, c := range circuits {
+			tl := obs.NewTimeline("r-coarse", "http", "POST", "/v1/match")
+			m, err := core.NewMatcher(c.g, core.Options{Globals: c.globals, Observe: tl.Scope(obs.NoSpan)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.run(m, c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.name == "rand1000" && res.Report.Candidates < 100 {
+				t.Fatalf("%s on %s examined %d candidates; the check needs hundreds", r.name, c.name, res.Report.Candidates)
+			}
+			js := tl.JSON()
+			unknown := map[string]int{}
+			for _, sp := range js.Spans {
+				if !known[sp.Kind] {
+					unknown[sp.Kind]++
+				}
+			}
+			if len(unknown) > 0 {
+				t.Errorf("%s on %s recorded spans of kinds /metrics does not know on a request timeline: %v", r.name, c.name, unknown)
+			}
+			spans[i] = len(js.Spans)
+		}
+		if spans[0] != spans[1] {
+			t.Errorf("%s recorded %d spans on the paper example and %d on rand1000, want the same", r.name, spans[0], spans[1])
+		}
 	}
 }

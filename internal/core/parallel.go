@@ -34,11 +34,11 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || m.opts.Tracer != nil || m.opts.TraceTable != nil {
-		// Algorithm observers would interleave arbitrarily across workers
-		// (and a TraceTable writer would be written concurrently); an
-		// observed run falls back to the sequential matcher, which produces
-		// the same instances with a deterministic, ordered trace.
+	if workers == 1 || m.opts.Observe.Detail() || m.opts.TraceTable != nil {
+		// Algorithm detail would interleave arbitrarily across workers (and
+		// a TraceTable writer would be written concurrently); a traced run
+		// falls back to the sequential matcher, which produces the same
+		// instances with a deterministic, ordered trace.
 		return m.Find(s)
 	}
 	pat, err := m.prepare(s)

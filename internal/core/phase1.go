@@ -3,12 +3,13 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"subgemini/internal/csr"
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
+	"subgemini/internal/obs"
 	"subgemini/internal/stats"
-	"subgemini/internal/trace"
 )
 
 // Vertex states used by Phase I.  Pattern vertices carry valid/corrupt bits
@@ -73,11 +74,11 @@ type phase1 struct {
 	// rendering (Options.TraceTable).
 	tracer *phase1Tracer
 
-	// traceLabs is reusable scratch for the Options.Tracer pass events:
-	// valid pattern labels are gathered and sorted here to count
-	// partitions without allocating on the per-pass path (the no-op
-	// tracer contract).  Allocated once, only when a Tracer is installed.
-	traceLabs []label.Value
+	// trace, when non-nil, is the scope under the run's phase1 span that
+	// receives one pass span per half-pass; set only under a trace
+	// (obs.NewTrace).  passStart is when the current half-pass began.
+	trace     *obs.Scope
+	passStart time.Time
 }
 
 func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
@@ -170,10 +171,6 @@ func (p *phase1) run() (key label.VID, cv []label.VID, err error) {
 	if p.m.opts.TraceTable != nil {
 		p.tracer = newPhase1Tracer(p)
 	}
-	etr := p.m.opts.Tracer
-	if etr != nil {
-		p.traceLabs = make([]label.Value, 0, p.sSpace.Size())
-	}
 	if err := p.m.opts.cancelled(); err != nil {
 		return 0, nil, err
 	}
@@ -189,6 +186,9 @@ func (p *phase1) run() (key label.VID, cv []label.VID, err error) {
 
 	maxRounds := p.sSpace.Size() + 8
 	prevSig := p.partitionSignature()
+	if p.trace != nil {
+		p.passStart = time.Now()
+	}
 	for round := 0; round < maxRounds; round++ {
 		if err := p.m.opts.cancelled(); err != nil {
 			return 0, nil, err
@@ -211,8 +211,8 @@ func (p *phase1) run() (key label.VID, cv []label.VID, err error) {
 		if p.tracer != nil {
 			p.tracer.snapshot(fmt.Sprintf("nets %d", round+1))
 		}
-		if etr != nil {
-			p.emitPass(etr, round+1, trace.SideNets)
+		if p.trace != nil {
+			p.emitPass(round+1, false)
 		}
 		if p.allCorrupt(false) {
 			break
@@ -232,8 +232,8 @@ func (p *phase1) run() (key label.VID, cv []label.VID, err error) {
 		if p.tracer != nil {
 			p.tracer.snapshot(fmt.Sprintf("devs %d", round+1))
 		}
-		if etr != nil {
-			p.emitPass(etr, round+1, trace.SideDevices)
+		if p.trace != nil {
+			p.emitPass(round+1, true)
 		}
 		if p.allCorrupt(true) {
 			break
@@ -253,43 +253,52 @@ func (p *phase1) run() (key label.VID, cv []label.VID, err error) {
 	return key, cv, nil
 }
 
-// emitPass publishes one Phase I pass event: the pattern's valid/corrupt
-// split and partition count for the relabeled vertex kind, and the main
-// graph's active/pruned split after the consistency check.  The partition
-// count reuses p.traceLabs, so the per-pass path performs no allocations
-// whatever the installed sink does with the event.
-func (p *phase1) emitPass(etr trace.Tracer, pass int, side trace.Side) {
-	e := trace.Event{Kind: trace.KindPhase1Pass, Pass: pass, Side: side}
-	p.traceLabs = p.traceLabs[:0]
+// emitPass records the half-pass that just ended on one vertex kind
+// (devices if devs, otherwise nets) as a pass span under the phase1 span:
+// the pattern's valid/corrupt split and partition count for that kind, and
+// the main graph's active/pruned split after the consistency check.  The
+// span runs from the end of the previous half-pass, or from the first one's
+// start.
+func (p *phase1) emitPass(pass int, devs bool) {
+	tr := p.trace
+	ref := tr.Record(obs.KindPass, "", p.passStart)
+	var sCorrupt, gActive, gPruned int
+	var valid []label.Value
 	// Device and net vertices occupy contiguous VID ranges (devices first),
 	// so one range scan per side replaces the per-vertex DevVID/NetVID
 	// translation the pointer walk needed.
-	var sLo, sHi, gLo, gHi int
-	if side == trace.SideDevices {
-		sHi, gHi = p.sSpace.NumDevices(), p.gSpace.NumDevices()
-	} else {
-		sLo, sHi = p.sSpace.NumDevices(), p.sSpace.Size()
-		gLo, gHi = p.gSpace.NumDevices(), p.gSpace.Size()
+	side := "nets"
+	sLo, sHi := p.sSpace.NumDevices(), p.sSpace.Size()
+	gLo, gHi := p.gSpace.NumDevices(), p.gSpace.Size()
+	if devs {
+		side = "devices"
+		sLo, sHi = 0, p.sSpace.NumDevices()
+		gLo, gHi = 0, p.gSpace.NumDevices()
 	}
 	for v := sLo; v < sHi; v++ {
 		switch p.sState[v] {
 		case p1Valid:
-			e.PatternValid++
-			p.traceLabs = append(p.traceLabs, p.sLab[v])
+			valid = append(valid, p.sLab[v])
 		case p1Corrupt:
-			e.PatternCorrupt++
+			sCorrupt++
 		}
 	}
 	for v := gLo; v < gHi; v++ {
 		switch p.gState[v] {
 		case g1Active:
-			e.MainActive++
+			gActive++
 		case g1Pruned:
-			e.MainPruned++
+			gPruned++
 		}
 	}
-	e.PatternPartitions = countDistinct(p.traceLabs)
-	etr.Event(e)
+	tr.AttrInt(ref, "pass", int64(pass))
+	tr.Attr(ref, "side", side)
+	tr.AttrInt(ref, "s_valid", int64(len(valid)))
+	tr.AttrInt(ref, "s_corrupt", int64(sCorrupt))
+	tr.AttrInt(ref, "s_partitions", int64(countDistinct(valid)))
+	tr.AttrInt(ref, "g_active", int64(gActive))
+	tr.AttrInt(ref, "g_pruned", int64(gPruned))
+	p.passStart = time.Now()
 }
 
 // countDistinct sorts labs in place (allocation-free; the slice is

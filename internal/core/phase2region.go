@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
-	"time"
+	"strconv"
 
 	"subgemini/internal/csr"
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
+	"subgemini/internal/obs"
 	"subgemini/internal/stats"
-	"subgemini/internal/trace"
 )
 
 // p2region is the Phase II engine (paper §IV).  Per candidate c it first
@@ -126,6 +126,11 @@ type p2region struct {
 	// table records the last seeded candidate's passes for the Table-1
 	// rendering (Options.TraceTable); nil when no table is wanted.
 	table *tableTracer
+
+	// trace, when non-nil, is the scope under the run's phase2 span that
+	// receives one candidate span per verifyCandidate; set only under a
+	// trace (obs.NewTrace).
+	trace *obs.Scope
 
 	cancelErr error
 }
@@ -543,30 +548,25 @@ func (p *p2region) match(sv label.VID, lv int32) {
 }
 
 // verifyCandidate postulates c = image(key) and runs the Phase II search.
-// It returns a verified instance, or nil when c is a false candidate.  With
-// a Tracer installed, every examined candidate emits one
-// KindPhase2Candidate event carrying its outcome, cost and ball size; the
-// untraced path pays nothing.
+// It returns a verified instance, or nil when c is a false candidate.  Under
+// a trace, every examined candidate records one obs.KindCandidate span
+// carrying its outcome, cost and ball size; the untraced path pays nothing.
 func (p *p2region) verifyCandidate(key, c label.VID) *Instance {
-	etr := p.m.opts.Tracer
-	if etr == nil {
+	tr := p.trace
+	if tr == nil {
 		return p.verify(key, c)
 	}
-	start := time.Now()
+	ref := tr.Begin(obs.KindCandidate, p.gSpace.Name(c))
 	passes0, guesses0, backtracks0 := p.rep.Phase2Passes, p.rep.Guesses, p.rep.Backtracks
 	balls0, limits0 := p.rep.RegionBallSum, p.rep.GuessLimitHits
 	inst := p.verify(key, c)
-	etr.Event(trace.Event{
-		Kind:         trace.KindPhase2Candidate,
-		Candidate:    p.gSpace.Name(c),
-		Matched:      inst != nil,
-		Passes:       p.rep.Phase2Passes - passes0,
-		Guesses:      p.rep.Guesses - guesses0,
-		Backtracks:   p.rep.Backtracks - backtracks0,
-		GuessLimited: p.rep.GuessLimitHits > limits0,
-		BallSize:     p.rep.RegionBallSum - balls0,
-		DurationNS:   time.Since(start).Nanoseconds(),
-	})
+	tr.End(ref)
+	tr.Attr(ref, "matched", strconv.FormatBool(inst != nil))
+	tr.AttrInt(ref, "passes", int64(p.rep.Phase2Passes-passes0))
+	tr.AttrInt(ref, "guesses", int64(p.rep.Guesses-guesses0))
+	tr.AttrInt(ref, "backtracks", int64(p.rep.Backtracks-backtracks0))
+	tr.Attr(ref, "guess_limited", strconv.FormatBool(p.rep.GuessLimitHits > limits0))
+	tr.AttrInt(ref, "ball", int64(p.rep.RegionBallSum-balls0))
 	return inst
 }
 

@@ -2,24 +2,56 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"subgemini/internal/graph"
-	"subgemini/internal/trace"
+	"subgemini/internal/obs"
 )
 
-// TestFindEmitsTraceEvents runs the paper's worked example with a collector
-// installed and checks the event stream end to end: run boundaries, one
-// event per Phase I relabeling pass, the candidate-vector selection, and
-// one event per Phase II candidate with the N13 decoy rejected and the
-// true image N14 matched.
-func TestFindEmitsTraceEvents(t *testing.T) {
-	g, s := paperMainGraph(), paperSubgraph()
-	col := trace.NewCollector(0)
-	res, err := Find(g, s, Options{Tracer: col})
+// traced runs one match under a fresh trace and returns the trace's spans.
+func traced(t *testing.T, run func(opts Options) (*Result, error)) (*Result, []obs.SpanJSON) {
+	t.Helper()
+	tl := obs.NewTrace("test")
+	res, err := run(Options{Observe: tl.Scope(obs.NoSpan)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res, tl.JSON().Spans
+}
+
+// childAttrs returns the names and attributes of the children of span
+// parent that have the given kind, in emission order.
+func childAttrs(spans []obs.SpanJSON, parent int, kind string) (names []string, attrs []map[string]string) {
+	for _, sp := range spans {
+		if int(sp.Parent) == parent && sp.Kind == kind {
+			names = append(names, sp.Name)
+			attrs = append(attrs, sp.Attrs)
+		}
+	}
+	return names, attrs
+}
+
+// spanIndex returns the index of the first span of the given kind, or -1.
+func spanIndex(spans []obs.SpanJSON, kind string) int {
+	for i, sp := range spans {
+		if sp.Kind == kind {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFindEmitsTraceEvents runs the paper's worked example under a trace
+// and checks its algorithm detail end to end: the run attributes, one pass
+// span per Phase I half-pass (nets, then devices, with the counts
+// ALGORITHM.md shows), the key vertex and candidate vector, and one
+// candidate span per Phase II candidate — the decoy N13 refuted after 2
+// passes, the true image N14 matched after 7.
+func TestFindEmitsTraceEvents(t *testing.T) {
+	res, spans := traced(t, func(opts Options) (*Result, error) {
+		return Find(paperMainGraph(), paperSubgraph(), opts)
+	})
 	if len(res.Instances) != 1 {
 		t.Fatalf("found %d instances, want 1", len(res.Instances))
 	}
@@ -27,125 +59,108 @@ func TestFindEmitsTraceEvents(t *testing.T) {
 		t.Errorf("Report.CandidatesMatched = %d, want 1", res.Report.CandidatesMatched)
 	}
 
-	events := col.Events()
-	if len(events) == 0 {
-		t.Fatal("no events collected")
+	p1, p2 := spanIndex(spans, obs.KindPhase1), spanIndex(spans, obs.KindPhase2)
+	if p1 < 0 || p2 < 0 {
+		t.Fatalf("trace lacks a phase span: %+v", spans)
 	}
-	first, last := events[0], events[len(events)-1]
-	if first.Kind != trace.KindRunStart || first.Circuit != "paperG" || first.Pattern != "paperS" ||
-		first.Devices != 7 || first.Nets != 9 {
-		t.Errorf("run_start = %+v, want paperS in paperG with 7 devices, 9 nets", first)
-	}
-	if last.Kind != trace.KindRunEnd || last.Instances != 1 || last.Candidates != 2 {
-		t.Errorf("run_end = %+v, want 1 instance from 2 candidates", last)
-	}
-
-	var passes, cvs int
-	candidates := map[string]bool{}
-	for _, e := range events {
-		switch e.Kind {
-		case trace.KindPhase1Pass:
-			passes++
-			if e.Side != trace.SideNets && e.Side != trace.SideDevices {
-				t.Errorf("phase1_pass with side %q", e.Side)
-			}
-			if e.PatternValid+e.PatternCorrupt == 0 {
-				t.Errorf("phase1_pass %+v counted no pattern vertices", e)
-			}
-		case trace.KindCandidateVector:
-			cvs++
-			if e.KeyVertex != "N4" || e.KeyIsDevice || e.CVSize != 2 {
-				t.Errorf("candidate_vector = %+v, want key N4 (net), |CV| = 2", e)
-			}
-		case trace.KindPhase2Candidate:
-			candidates[e.Candidate] = e.Matched
-			if e.Passes <= 0 {
-				t.Errorf("candidate %s traced %d passes, want > 0", e.Candidate, e.Passes)
-			}
-			if e.DurationNS <= 0 {
-				t.Errorf("candidate %s traced duration %d ns, want > 0", e.Candidate, e.DurationNS)
-			}
+	a := spans[p1].Attrs
+	for k, want := range map[string]string{
+		"circuit": "paperG", "devices": "7", "nets": "9",
+		"key": "N4", "key_is_device": "false", "cv_size": "2",
+	} {
+		if a[k] != want {
+			t.Errorf("phase1 %s = %q, want %q", k, a[k], want)
 		}
 	}
+	if spans[p1].Name != "paperS" {
+		t.Errorf("phase1 span names %q, want the pattern paperS", spans[p1].Name)
+	}
+	if b := spans[p2].Attrs; b["candidates"] != "2" || b["instances"] != "1" {
+		t.Errorf("phase2 attrs = %v, want 2 candidates, 1 instance", b)
+	}
+
 	// Paper Fig. 2: nets pass 1 leaves only N4 valid, devices pass 1
 	// corrupts everything, so relabeling stops after exactly two passes.
-	if passes != 2 {
-		t.Errorf("traced %d phase1_pass events, want 2", passes)
+	_, passes := childAttrs(spans, p1, obs.KindPass)
+	wantPasses := []map[string]string{
+		{"pass": "1", "side": "nets", "s_valid": "1", "s_corrupt": "5", "s_partitions": "1", "g_active": "2", "g_pruned": "7"},
+		{"pass": "1", "side": "devices", "s_valid": "0", "s_corrupt": "4", "s_partitions": "0", "g_active": "7", "g_pruned": "0"},
 	}
-	if cvs != 1 {
-		t.Errorf("traced %d candidate_vector events, want 1", cvs)
+	if !reflect.DeepEqual(passes, wantPasses) {
+		t.Errorf("pass spans = %v\nwant %v", passes, wantPasses)
 	}
-	if len(candidates) != 2 || candidates["N13"] || !candidates["N14"] {
-		t.Errorf("candidate outcomes = %v, want N13 rejected and N14 matched", candidates)
-	}
-}
 
-// TestFindParallelEmitsTraceEvents checks that the concurrent matcher
-// produces the same run-level events and per-candidate outcomes as Find
-// (candidate events may interleave in any order).
-func TestFindParallelEmitsTraceEvents(t *testing.T) {
-	g, s := paperMainGraph(), paperSubgraph()
-	col := trace.NewCollector(0)
-	m, err := NewMatcher(g, Options{Tracer: col})
-	if err != nil {
-		t.Fatal(err)
+	names, cands := childAttrs(spans, p2, obs.KindCandidate)
+	if !reflect.DeepEqual(names, []string{"N13", "N14"}) {
+		t.Fatalf("candidate spans %v, want N13 then N14", names)
 	}
-	res, err := m.FindParallel(s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Instances) != 1 {
-		t.Fatalf("found %d instances, want 1", len(res.Instances))
-	}
-	if res.Report.CandidatesMatched != 1 {
-		t.Errorf("Report.CandidatesMatched = %d, want 1", res.Report.CandidatesMatched)
-	}
-	candidates := map[string]bool{}
-	var ends int
-	for _, e := range col.Events() {
-		switch e.Kind {
-		case trace.KindPhase2Candidate:
-			candidates[e.Candidate] = e.Matched
-		case trace.KindRunEnd:
-			ends++
-			if e.Instances != 1 || e.Candidates != 2 {
-				t.Errorf("run_end = %+v, want 1 instance from 2 candidates", e)
+	for i, want := range []map[string]string{
+		{"matched": "false", "passes": "2", "guesses": "0", "backtracks": "0", "guess_limited": "false"},
+		{"matched": "true", "passes": "7", "guesses": "0", "backtracks": "0", "guess_limited": "false"},
+	} {
+		for k, v := range want {
+			if cands[i][k] != v {
+				t.Errorf("candidate %s %s = %q, want %q", names[i], k, cands[i][k], v)
 			}
 		}
+		if cands[i]["ball"] == "" || cands[i]["ball"] == "0" {
+			t.Errorf("candidate %s has no ball size: %v", names[i], cands[i])
+		}
 	}
-	if ends != 1 {
-		t.Errorf("traced %d run_end events, want 1", ends)
-	}
-	if len(candidates) != 2 || candidates["N13"] || !candidates["N14"] {
-		t.Errorf("candidate outcomes = %v, want N13 rejected and N14 matched", candidates)
+	for _, sp := range spans {
+		if sp.Open {
+			t.Errorf("%s span %q left open", sp.Kind, sp.Name)
+		}
 	}
 }
 
-// TestNopTracerNoAllocs pins the overhead contract: with the no-op sink
-// installed, the per-pass Phase I emission path performs zero allocations
-// (the partition count reuses the scratch slice, and the flat Event struct
-// never escapes to the heap).
-func TestNopTracerNoAllocs(t *testing.T) {
-	g, s := paperMainGraph(), paperSubgraph()
-	m, err := NewMatcher(g, Options{Tracer: trace.Nop{}})
-	if err != nil {
-		t.Fatal(err)
+// stripTimes drops the timing of each span, leaving what a run decides.
+func stripTimes(spans []obs.SpanJSON) []obs.SpanJSON {
+	out := append([]obs.SpanJSON(nil), spans...)
+	for i := range out {
+		out[i].StartUS, out[i].DurUS = 0, 0
 	}
-	pat, err := m.prepare(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	p1 := newPhase1(m, pat, &res.Report)
-	if _, _, err := p1.run(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		p1.emitPass(trace.Nop{}, 1, trace.SideNets)
-		p1.emitPass(trace.Nop{}, 1, trace.SideDevices)
+	return out
+}
+
+// TestFindParallelEmitsTraceEvents checks that FindParallel and
+// FindIncremental under a trace fall back to Find and record exactly its
+// spans, so the candidate spans keep Find's order.
+func TestFindParallelEmitsTraceEvents(t *testing.T) {
+	_, want := traced(t, func(opts Options) (*Result, error) {
+		return Find(paperMainGraph(), paperSubgraph(), opts)
 	})
-	if allocs != 0 {
-		t.Errorf("emitPass with the no-op tracer allocates %.1f times per pass, want 0", allocs)
+	par, got := traced(t, func(opts Options) (*Result, error) {
+		m, err := NewMatcher(paperMainGraph(), opts)
+		if err != nil {
+			return nil, err
+		}
+		return m.FindParallel(paperSubgraph(), 2)
+	})
+	if len(par.Instances) != 1 || par.Report.CandidatesMatched != 1 {
+		t.Errorf("FindParallel found %d instances from %d matched candidates, want 1 and 1",
+			len(par.Instances), par.Report.CandidatesMatched)
+	}
+	if !reflect.DeepEqual(stripTimes(got), stripTimes(want)) {
+		t.Errorf("FindParallel trace\n%+v\nwant Find's\n%+v", got, want)
+	}
+
+	var st *IncrementalState
+	inc, got := traced(t, func(opts Options) (*Result, error) {
+		m, err := NewMatcher(paperMainGraph(), opts)
+		if err != nil {
+			return nil, err
+		}
+		res, s, err := m.FindIncremental(paperSubgraph(), nil, nil)
+		st = s
+		return res, err
+	})
+	if inc.Report.IncrementalMode != "legacy" || st != nil {
+		t.Errorf("traced FindIncremental ran mode %q with capture %v, want the legacy fallback without one",
+			inc.Report.IncrementalMode, st != nil)
+	}
+	if !reflect.DeepEqual(stripTimes(got), stripTimes(want)) {
+		t.Errorf("FindIncremental trace\n%+v\nwant Find's\n%+v", got, want)
 	}
 }
 
@@ -183,14 +198,14 @@ func TestFindCancelEmptyCV(t *testing.T) {
 }
 
 // TestFindCancelDuringPhase1 cancels on the second poll — the first
-// relabeling round — and checks via the tracer that the run aborted before
+// relabeling round — and checks via the trace that the run aborted before
 // any Phase II candidate was examined.
 func TestFindCancelDuringPhase1(t *testing.T) {
 	errStop := errors.New("stop")
-	col := trace.NewCollector(0)
+	tl := obs.NewTrace("cancel")
 	polls := 0
 	_, err := Find(paperMainGraph(), paperSubgraph(), Options{
-		Tracer: col,
+		Observe: tl.Scope(obs.NoSpan),
 		Cancel: func() error {
 			polls++
 			if polls >= 2 {
@@ -202,9 +217,9 @@ func TestFindCancelDuringPhase1(t *testing.T) {
 	if !errors.Is(err, errStop) {
 		t.Fatalf("Find returned %v, want %v", err, errStop)
 	}
-	for _, e := range col.Events() {
-		if e.Kind == trace.KindPhase2Candidate {
-			t.Fatalf("candidate %s examined after a Phase I cancellation", e.Candidate)
+	for _, sp := range tl.JSON().Spans {
+		if sp.Kind == obs.KindCandidate {
+			t.Fatalf("candidate %s examined after a Phase I cancellation", sp.Name)
 		}
 	}
 }

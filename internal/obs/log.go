@@ -36,15 +36,6 @@ func NewLogger(w io.Writer, format, level string) *slog.Logger {
 	return slog.New(ContextHandler(h))
 }
 
-// ParseLevelOK reports whether level is a recognized -log-level value.
-func ParseLevelOK(level string) bool {
-	switch strings.ToLower(level) {
-	case "", "debug", "info", "warn", "warning", "error":
-		return true
-	}
-	return false
-}
-
 // ContextHandler wraps h so records logged with a context carrying a
 // Timeline gain a request_id attribute.  Handlers built by NewLogger
 // already have it; use this directly when supplying a custom handler.

@@ -1,8 +1,15 @@
-// Package obs is the daemon's request-scoped telemetry layer: structured
+// Package obs is the repository's one observation model: structured
 // logging on log/slog, request IDs minted in HTTP middleware and threaded
 // through jobs and the matcher core, span timelines (typed begin/end events
 // accumulated into a per-request tree), and a tail-sampling flight recorder
 // holding the last N interesting timelines for /debug/requests.
+//
+// A trace (NewTrace) is a timeline whose creator asks for algorithm
+// detail: under one, the matcher also records each Phase I half-pass and
+// each Phase II candidate as a span, and RenderTrace prints them as the
+// paper's per-pass and per-candidate tables.  The CLI, docgen and tests
+// create traces; the daemon's request timelines never are, so they stay
+// coarse whatever the circuit.
 //
 // The package is a stdlib-only leaf so that core, store, jobs, and sweep can
 // all import it.  Every entry point is nil-safe: a nil *Timeline or nil
@@ -42,6 +49,26 @@ var SpanKinds = []string{
 	KindPhase1, KindPhase2, KindCacheLookup, KindParse, KindFlatten,
 	KindPersist,
 }
+
+// Detail span kinds.  The matcher records them only under a trace, so they
+// are not in SpanKinds and never reach /metrics.
+const (
+	// KindPass is one Phase I half-pass, a child of the phase1 span.
+	// Attrs: pass, side (nets or devices), s_valid, s_corrupt and
+	// s_partitions (the pattern's label state for that side), g_active and
+	// g_pruned (the main graph's vertices of that side after the
+	// consistency check).
+	KindPass = "pass"
+	// KindCandidate is one examined Phase II candidate, a child of the
+	// phase2 span and named by the candidate.  Attrs: matched, passes,
+	// guesses, backtracks, guess_limited (the search refused a guess at the
+	// depth bound, so a refuted candidate may hide an instance) and ball
+	// (extracted ball vertices).
+	KindCandidate = "candidate"
+)
+
+// ScopeTrace is the scope of a trace (see NewTrace).
+const ScopeTrace = "trace"
 
 // SpanRef identifies a span inside one Timeline.  NoSpan is the nil value:
 // Begin on a nil timeline returns it, and End/Attr on it are no-ops, so
@@ -97,6 +124,13 @@ func NewTimeline(id, scope, method, path string) *Timeline {
 	now := time.Now()
 	return &Timeline{id: id, scope: scope, method: method, path: path, start: now, startWall: now}
 }
+
+// NewTrace starts a trace: a timeline whose creator asks the matcher for
+// algorithm detail.  Besides its phase1 and phase2 spans, a run under a
+// trace records circuit, devices, nets, key and key_is_device on its
+// phase1 span, a KindPass span per Phase I half-pass and a KindCandidate
+// span per examined Phase II candidate.  RenderTrace prints the result.
+func NewTrace(id string) *Timeline { return NewTimeline(id, ScopeTrace, "", "") }
 
 // ID returns the request ID the timeline was minted with ("" on nil).
 func (t *Timeline) ID() string {
@@ -227,6 +261,25 @@ func (s *Scope) AttrInt(ref SpanRef, key string, value int64) {
 	}
 	s.tl.AttrInt(ref, key, value)
 }
+
+// Record adds a closed child span that ran from start until now, for work
+// that earns its span only once it has finished.
+func (s *Scope) Record(kind, name string, start time.Time) SpanRef {
+	if s == nil {
+		return NoSpan
+	}
+	t := s.tl
+	t.mu.Lock()
+	ref := SpanRef(len(t.spans))
+	t.spans = append(t.spans, Span{Kind: kind, Name: name, Parent: s.parent,
+		StartNS: int64(start.Sub(t.start)), EndNS: int64(time.Since(t.start))})
+	t.mu.Unlock()
+	return ref
+}
+
+// Detail reports whether the scope belongs to a trace, whose creator asked
+// for per-pass and per-candidate spans.  False on a nil scope.
+func (s *Scope) Detail() bool { return s != nil && s.tl.scope == ScopeTrace }
 
 // Timeline returns the underlying timeline (nil on a nil scope).
 func (s *Scope) Timeline() *Timeline {

@@ -339,3 +339,113 @@ func TestFmtUS(t *testing.T) {
 		}
 	}
 }
+
+// paperTrace is the trace of the paper's worked example as core records it,
+// with a third candidate that hit the guess bound.
+func paperTrace() TimelineJSON {
+	return TimelineJSON{RequestID: "paper", Scope: ScopeTrace, Spans: []SpanJSON{
+		{Kind: KindCSRBuild, Name: "paperG", Parent: -1},
+		{Kind: KindPhase1, Name: "paperS", Parent: -1, Attrs: map[string]string{
+			"circuit": "paperG", "devices": "7", "nets": "9", "passes": "1",
+			"cv_size": "3", "key": "N4", "key_is_device": "false"}},
+		{Kind: KindPass, Parent: 1, Attrs: map[string]string{"pass": "1", "side": "nets",
+			"s_valid": "1", "s_corrupt": "5", "s_partitions": "1", "g_active": "2", "g_pruned": "7"}},
+		{Kind: KindPass, Parent: 1, Attrs: map[string]string{"pass": "1", "side": "devices",
+			"s_valid": "0", "s_corrupt": "4", "s_partitions": "0", "g_active": "7", "g_pruned": "0"}},
+		{Kind: KindPhase2, Name: "paperS", Parent: -1, Attrs: map[string]string{
+			"candidates": "3", "filtered": "0", "instances": "1"}},
+		{Kind: KindCandidate, Name: "N13", Parent: 4, Attrs: map[string]string{"matched": "false",
+			"passes": "4", "guesses": "0", "backtracks": "0", "guess_limited": "false", "ball": "16"}},
+		{Kind: KindCandidate, Name: "N14", Parent: 4, DurUS: 3, Attrs: map[string]string{"matched": "true",
+			"passes": "7", "guesses": "1", "backtracks": "0", "guess_limited": "false", "ball": "16"}},
+		{Kind: KindCandidate, Name: "N15", Parent: 4, Attrs: map[string]string{"matched": "false",
+			"passes": "9", "guesses": "3", "backtracks": "0", "guess_limited": "true", "ball": "16"}},
+	}}
+}
+
+func TestRenderTraceTables(t *testing.T) {
+	var buf bytes.Buffer
+	RenderTrace(&buf, paperTrace())
+	want := `run: pattern paperS in circuit paperG (7 devices, 9 nets)
+Phase I relabeling:
+pass  side     S valid  S corrupt  S partitions  G active  G pruned
+1     nets     1        5          1             2         7
+1     devices  0        4          0             7         0
+phase1: key vertex N4 (net), |CV| = 3
+`
+	out := buf.String()
+	if !strings.HasPrefix(out, want) {
+		t.Errorf("Phase I rendering:\n%s\nwant prefix:\n%s", out, want)
+	}
+	for _, line := range []string{
+		"Phase II candidates:",
+		"candidate  outcome      passes  guesses  backtracks  time",
+		"N13        no match     4       0        0           -",
+		"N14        MATCH        7       1        0           3µs",
+		"N15        guess limit  9       3        0           -",
+		"run end: 1 instance(s) from 3 candidate(s)",
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("rendering missing line %q:\n%s", line, out)
+		}
+	}
+
+	// A run cut inside Phase II (candidates but no instances) ends without
+	// totals; one cut inside Phase I (no key) also without the CV line.
+	cut := paperTrace()
+	delete(cut.Spans[4].Attrs, "instances")
+	buf.Reset()
+	RenderTrace(&buf, cut)
+	if out := buf.String(); strings.Contains(out, "run end") || !strings.Contains(out, "N15") {
+		t.Errorf("cut Phase II rendering:\n%s", out)
+	}
+	delete(cut.Spans[1].Attrs, "key")
+	cut.Spans = cut.Spans[:4]
+	buf.Reset()
+	RenderTrace(&buf, cut)
+	if out := buf.String(); strings.Contains(out, "phase1:") || !strings.Contains(out, "G pruned") {
+		t.Errorf("cut Phase I rendering:\n%s", out)
+	}
+}
+
+func TestRenderTraceEmptyCV(t *testing.T) {
+	var buf bytes.Buffer
+	RenderTrace(&buf, TimelineJSON{Scope: ScopeTrace, Spans: []SpanJSON{
+		{Kind: KindPhase1, Name: "absent", Parent: -1, Attrs: map[string]string{
+			"circuit": "paperG", "devices": "7", "nets": "9", "cv_size": "0", "key": "", "key_is_device": "false"}},
+	}})
+	out := buf.String()
+	for _, want := range []string{"empty candidate vector", "run end: 0 instance(s) from 0 candidate(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("empty-CV rendering missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTraceDetail: only a trace asks for algorithm detail, and Record adds
+// a closed span that starts when it is told.
+func TestTraceDetail(t *testing.T) {
+	var nilScope *Scope
+	if nilScope.Detail() || NewTimeline("r", "http", "GET", "/").Scope(NoSpan).Detail() {
+		t.Error("a nil scope or a request timeline asks for detail")
+	}
+	tr := NewTrace("t")
+	sc := tr.Scope(NoSpan)
+	if !sc.Detail() {
+		t.Error("a trace does not ask for detail")
+	}
+	start := time.Now()
+	time.Sleep(2 * time.Millisecond)
+	if ref := nilScope.Record(KindPass, "", start); ref != NoSpan {
+		t.Errorf("nil scope Record = %d, want NoSpan", ref)
+	}
+	sc.AttrInt(sc.Record(KindPass, "p", start), "pass", 1)
+	js := tr.JSON()
+	if js.Scope != ScopeTrace || len(js.Spans) != 1 {
+		t.Fatalf("trace JSON = %+v", js)
+	}
+	sp := js.Spans[0]
+	if sp.Open || sp.DurUS < 2000 || sp.Attrs["pass"] != "1" {
+		t.Errorf("recorded span = %+v, want closed, at least 2ms long, pass=1", sp)
+	}
+}

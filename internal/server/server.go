@@ -122,7 +122,7 @@ type Config struct {
 	MaxStoreBytes int64
 
 	// MaxPatterns caps the compiled-pattern cache entries; the
-	// least-recently-used pattern is evicted past it.  0 = unlimited.
+	// least-recently-used pattern is evicted past it.  0 selects 256.
 	MaxPatterns int
 
 	// JobWorkers sizes the async job worker pool (0 = 2).

@@ -7,8 +7,8 @@
 //
 // A Report summarizes one run; an Aggregate folds many Reports together
 // for long-lived consumers (the subgeminid /metrics endpoint, the benchtab
-// tables).  For per-event rather than per-run visibility, see the
-// internal/trace package.
+// tables).  For per-pass and per-candidate rather than per-run
+// visibility, run the match under a trace (obs.NewTrace).
 package stats
 
 import (

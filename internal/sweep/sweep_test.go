@@ -11,7 +11,9 @@ import (
 	"subgemini/internal/core"
 	"subgemini/internal/delta"
 	"subgemini/internal/gen"
+	"subgemini/internal/gen/paperex"
 	"subgemini/internal/graph"
+	"subgemini/internal/obs"
 	"subgemini/internal/stdcell"
 	"subgemini/internal/sweep"
 )
@@ -277,6 +279,54 @@ func TestSweepIncremental(t *testing.T) {
 			t.Errorf("%s: incremental sweep diverges from full sweep\nincremental:\n%s\nfull:\n%s",
 				lib[i].Name, got, want)
 		}
+	}
+}
+
+// TestRequestTimelineStaysCoarse: a sweep under a request timeline records
+// only span kinds /metrics knows, and as many spans on a 1000-gate random
+// circuit, with hundreds of NAND2 candidates, as on the paper example with
+// two.  A pass or candidate span that reached a request timeline would
+// fail both checks; only traces carry that detail.
+func TestRequestTimelineStaysCoarse(t *testing.T) {
+	known := map[string]bool{}
+	for _, k := range obs.SpanKinds {
+		known[k] = true
+	}
+	circuits := []struct {
+		name    string
+		g       *graph.Circuit
+		pat     sweep.Pattern
+		globals []string
+	}{
+		{"paper", paperex.PaperMain(), sweep.Pattern{Name: "paperS", Template: paperex.PaperPattern()}, nil},
+		{"rand1000", gen.RandomLogic(1000, 32, 11).C, sweep.Pattern{Name: "NAND2", Template: stdcell.NAND2.Pattern()}, rails},
+	}
+	spans := make([]int, len(circuits))
+	for i, c := range circuits {
+		tl := obs.NewTimeline("r-coarse", "http", "POST", "/v1/sweep")
+		rep, err := sweep.Run(c.g, []sweep.Pattern{c.pat}, sweep.Options{
+			Globals: c.globals, Workers: 2, Observe: tl.Scope(obs.NoSpan),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "rand1000" && rep.Results[0].Report.Candidates < 100 {
+			t.Fatalf("sweep on %s examined %d candidates; the check needs hundreds", c.name, rep.Results[0].Report.Candidates)
+		}
+		js := tl.JSON()
+		unknown := map[string]int{}
+		for _, sp := range js.Spans {
+			if !known[sp.Kind] {
+				unknown[sp.Kind]++
+			}
+		}
+		if len(unknown) > 0 {
+			t.Errorf("sweep on %s recorded spans of kinds /metrics does not know on a request timeline: %v", c.name, unknown)
+		}
+		spans[i] = len(js.Spans)
+	}
+	if spans[0] != spans[1] {
+		t.Errorf("sweep recorded %d spans on the paper example and %d on rand1000, want the same", spans[0], spans[1])
 	}
 }
 

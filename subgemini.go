@@ -17,8 +17,8 @@
 //   - matching: Find, NewMatcher, Options, Instance
 //   - library sweeps: Sweep, SweepPattern, SweepOptions (one circuit,
 //     many patterns, shared Phase I groundwork)
-//   - algorithm tracing: Tracer, NewTraceCollector, NewJSONLTracer
-//     (see ALGORITHM.md for the phase-by-phase walkthrough)
+//   - algorithm tracing: NewTrace, RenderTrace (see ALGORITHM.md for the
+//     phase-by-phase walkthrough)
 //   - graph isomorphism (Gemini): Compare
 //   - extraction and rule checking: ExtractCells, CheckRules
 //   - the CMOS standard-cell library: Cell, Cells
@@ -44,11 +44,11 @@ import (
 	"subgemini/internal/graph"
 	"subgemini/internal/jobs"
 	"subgemini/internal/netlist"
+	"subgemini/internal/obs"
 	"subgemini/internal/server"
 	"subgemini/internal/sprecog"
 	"subgemini/internal/stdcell"
 	"subgemini/internal/sweep"
-	"subgemini/internal/trace"
 	"subgemini/internal/verilog"
 )
 
@@ -118,10 +118,10 @@ func NewMatcher(g *Circuit, opts Options) (*Matcher, error) { return core.NewMat
 
 // FindParallel is Find with candidate verification fanned out over the
 // given number of workers (0 = GOMAXPROCS).  MatchAll policy only; results
-// equal Find's up to a canonicalized instance order.  When Options.Tracer
-// or Options.TraceTable is set it falls back to the sequential Find, so
-// the event stream and the tables keep their deterministic candidate
-// order and no writer is shared between workers.
+// equal Find's up to a canonicalized instance order.  Under a trace
+// (NewTrace) or with Options.TraceTable set it falls back to the
+// sequential Find, so the trace and the tables keep their deterministic
+// candidate order and no writer is shared between workers.
 func FindParallel(g, s *Circuit, opts Options, workers int) (*Result, error) {
 	m, err := core.NewMatcher(g, opts)
 	if err != nil {
@@ -164,38 +164,18 @@ func FindNaive(g, s *Circuit, globals []string, maxInstances int) ([]*Instance, 
 	return res.Instances, nil
 }
 
-// Tracing (algorithm observability).  Install a sink via Options.Tracer to
-// receive one structured event per Phase I relabeling pass, one for the
-// candidate-vector selection, and one per Phase II candidate examined; see
-// ALGORITHM.md for a worked example of the stream.
-type (
-	// Tracer is the event sink interface; implementations must be cheap
-	// (events fire on the matching hot path) and, when used with
-	// FindParallel, safe for concurrent use.
-	Tracer = trace.Tracer
-	// TraceEvent is one trace record: a run boundary, a Phase I pass, the
-	// candidate-vector selection, or a Phase II candidate outcome.
-	TraceEvent = trace.Event
-	// TraceCollector is a bounded in-memory ring of the most recent events.
-	TraceCollector = trace.Collector
-	// JSONLTracer streams events as subgemini-trace/v1 JSON Lines.
-	JSONLTracer = trace.JSONLWriter
-)
+// NewTrace starts a trace, a span timeline that asks the matcher for
+// algorithm detail, and returns its root scope for Options.Observe (or
+// SweepOptions.Observe).  Besides its phase spans, every run under it
+// records one span per Phase I half-pass and one per Phase II candidate
+// examined.  After the run, scope.Timeline().JSON() is the trace:
+// RenderTrace prints it, and its JSON encoding is what `subgemini -trace`
+// writes and `tracefmt` reads.  See ALGORITHM.md for a worked example.
+func NewTrace(name string) *obs.Scope { return obs.NewTrace(name).Scope(obs.NoSpan) }
 
-// NewTraceCollector returns an in-memory event sink retaining the most
-// recent capacity events (capacity <= 0 selects a default of 4096).
-func NewTraceCollector(capacity int) *TraceCollector { return trace.NewCollector(capacity) }
-
-// NewJSONLTracer returns an event sink streaming subgemini-trace/v1 JSON
-// Lines to w.  Call Flush after the run and check its error.
-func NewJSONLTracer(w io.Writer) *JSONLTracer { return trace.NewJSONLWriter(w) }
-
-// ReadTraceJSONL parses a subgemini-trace/v1 stream back into events.
-func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return trace.ReadJSONL(r) }
-
-// RenderTrace formats events as the human-readable per-run tables that
-// cmd/tracefmt (and ALGORITHM.md) show.
-func RenderTrace(w io.Writer, events []TraceEvent) error { return trace.Render(w, events) }
+// RenderTrace writes a trace as the per-run Phase I pass and Phase II
+// candidate tables that `subgemini -v` and `tracefmt` print.
+func RenderTrace(w io.Writer, t obs.TimelineJSON) { obs.RenderTrace(w, t) }
 
 // Serving (the subgeminid daemon logic).
 type (

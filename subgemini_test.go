@@ -50,6 +50,35 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestFacadeTrace traces one run with the facade's NewTrace and renders it
+// with RenderTrace: the tables name the run, its passes and candidates.
+func TestFacadeTrace(t *testing.T) {
+	tr := subgemini.NewTrace("facade")
+	res, err := subgemini.Find(parseMain(t), subgemini.Cell("NAND2").Pattern(),
+		subgemini.Options{Globals: []string{"VDD", "GND"}, Observe: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	subgemini.RenderTrace(&b, tr.Timeline().JSON())
+	out := b.String()
+	for _, want := range []string{
+		"run: pattern NAND2 in circuit facade (6 devices, 7 nets)",
+		"Phase I relabeling:",
+		"phase1: key vertex",
+		"Phase II candidates:",
+		"MATCH",
+		"run end: 1 instance(s)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace rendering missing %q:\n%s", want, out)
+		}
+	}
+	if len(res.Instances) != 1 {
+		t.Errorf("traced run found %d NAND2s, want 1", len(res.Instances))
+	}
+}
+
 func TestFacadeCellLibrary(t *testing.T) {
 	if subgemini.Cell("NAND2") == nil || subgemini.Cell("DFF") == nil {
 		t.Fatal("library cells missing")
