@@ -23,13 +23,22 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # a filter-off run (no rejected candidate verifies; same instances in the
 # same order), and the incremental replay engine vs Find on a fresh
 # matcher, on fixed and random circuits, twice (scratch-pool reuse across
-# runs is part of the contract), under the race detector.  The server's
+# runs is part of the contract), under the race detector.  A CSR view's
+# shared state is invisible to results: runs over one view (its scratch
+# pool, its cached initial labeling) equal runs over a fresh view, across
+# patterns, after edit batches that change a degree or rename the rails,
+# and from concurrent matchers alternating two global sets
+# (TestScratchPoolReuse, TestViewLabelingAfterEdits,
+# TestSharedViewGlobalSets).  The server's
 # instance renderer runs against the map-building reference it replaced,
 # byte for byte, and the netlist reader and flattener against theirs
 # (parseref_test.go) over ten seconds of fuzzing.  Ten more seconds fuzz
 # edit batches (internal/delta FuzzApply): a failed or undone batch restores
 # the circuit exactly, and Touched names every net name a batch adds or
-# drops.  Answers depend only on the circuit and the request: a run's
+# drops.  Ten more fuzz graph JSON, the store's snapshot format
+# (internal/graph FuzzDecodeJSON): decoding never panics, what decodes
+# validates, and re-encoding is stable; each new input is minimized for at
+# most a second, so the ten seconds go to exploring.  Answers depend only on the circuit and the request: a run's
 # globals leave both circuits' marks as they were, in the library
 # (TestRunGlobalsLeaveCircuitsUnmarked) and in the daemon, before and after
 # a restart (TestRequestGlobalsLeaveStoredCircuit); extraction output stays
@@ -44,12 +53,13 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # circuit with hundreds of candidates as on one with two
 # (TestRequestTimelineStaysCoarse in core and sweep).
 diff: diff-incremental
-	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse|TestRunGlobalsLeaveCircuitsUnmarked|TestRequestTimelineStaysCoarse' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse|TestViewLabelingAfterEdits|TestSharedViewGlobalSets|TestRunGlobalsLeaveCircuitsUnmarked|TestRequestTimelineStaysCoarse' ./internal/core/
 	$(GO) test -race -count=2 -run 'TestRequestTimelineStaysCoarse' ./internal/sweep/
 	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference|TestRequestGlobalsLeaveStoredCircuit|TestExtractJobNetlistMatchesLibrary|TestDaemonHistory' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestExtractedNetlistGolden' ./internal/extract/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime 10s ./internal/delta/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph/
 
 # Incremental differential only: FindIncremental replay after random edit
 # batches against the full-matcher oracle, bit-identical instances.  The
@@ -174,11 +184,12 @@ docs-check:
 
 # The progress numbers ROADMAP.md tracks: non-test Go lines (the benchmark
 # module and its build directory excluded), the internal/core share,
-# core.Options fields, and subgeminid flags.
+# core.Options and sweep.Options fields, and subgeminid flags.
 size:
 	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "  internal/core:   $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "core.Options fields: $$(awk '/^type Options struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n}' internal/core/core.go)"
+	@echo "sweep.Options fields: $$(awk '/^type Options struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n}' internal/sweep/sweep.go)"
 	@echo "subgeminid flags: $$(grep -c 'flags\.\(String\|Int\|Int64\|Bool\|Duration\|Float64\|Uint\|Var\|Func\)(' cmd/subgeminid/main.go)"
 
 clean:

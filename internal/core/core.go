@@ -81,25 +81,13 @@ type Options struct {
 	// CSR, when non-nil, supplies a prebuilt flat view of the main circuit
 	// (see NewCSR), letting long-lived callers like subgeminid build it
 	// once per resident circuit and share it across matchers; the view is
-	// immutable and safe for concurrent use.  It must describe the same
-	// circuit passed to NewMatcher (vertex counts are checked; a mismatch
-	// falls back to building a fresh view).  Nil means the Matcher builds
-	// and caches its own on first use.
+	// safe for concurrent use.  Matchers sharing a view also share its
+	// Phase II scratch pool and its cached initial labeling of the last
+	// global set a run asked for.  It must describe the same circuit passed
+	// to NewMatcher (vertex counts are checked; a mismatch falls back to
+	// building a fresh view).  Nil means the Matcher builds and caches its
+	// own on first use.
 	CSR *CSR
-
-	// Scratch, when non-nil, recycles the O(|G|) per-run Phase II state
-	// across Find calls (see ScratchPool).  Sharing one pool across the
-	// matchers of one resident circuit removes the dominant steady-state
-	// allocation of a match request.
-	Scratch *ScratchPool
-
-	// InitLabels, when non-nil, supplies a precomputed initial Phase I
-	// labeling of the main circuit (see NewInitLabels), letting a library
-	// sweep label the main graph once and share the result read-only
-	// across its per-pattern matchers.  It must describe the same circuit
-	// under the run's global set (both are checked; a mismatch falls back
-	// to computing the labeling as usual).
-	InitLabels *InitLabels
 
 	// Cancel, when non-nil, is polled at bounded intervals throughout the
 	// run: between and *inside* Phase I relabeling passes (every few
@@ -281,20 +269,20 @@ type Matcher struct {
 
 	// gCSR caches the flat CSR view of the main graph, the representation
 	// both phases read: adjacency, terminal-class multipliers, and per-device
-	// type labels.  It captures structure only, so it serves every run's
-	// global set.
+	// type labels, plus the Phase II scratch pool and the initial-labeling
+	// cache (keyed by global set) that every run over the view shares.
 	gCSR *csr.Graph
 }
 
 // CSR is a flat compressed-sparse-row view of a circuit, the representation
-// the Phase I engine relabels over.  Build one with NewCSR to share across
-// matchers of the same circuit via Options.CSR.
+// both phases read.  Build one with NewCSR to share across matchers of the
+// same circuit via Options.CSR.
 type CSR = csr.Graph
 
-// NewCSR builds the flat view of a circuit.  The view captures structure
-// only (connectivity, terminal classes and device type labels), is
-// immutable, and is safe to share between any number of concurrent
-// matchers.
+// NewCSR builds the flat view of a circuit.  Its structure (connectivity,
+// terminal classes and device type labels) is immutable, and the Phase II
+// scratch pool and labeling cache it carries are safe for concurrent use,
+// so the view may be shared between any number of concurrent matchers.
 func NewCSR(g *graph.Circuit) *CSR { return csr.New(g) }
 
 // csrView returns the cached CSR view of the main graph, adopting a

@@ -135,8 +135,9 @@ func RunPhase1RefForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, 
 }
 
 // InitialMainLabelsForTest returns the main-graph labels and global flags
-// a run of m against s starts Phase I from (newPhase1's flat pass over the
-// CSR view), under Find's global set.
+// a run of m against s starts Phase I from (newPhase1's, computed by the
+// flat pass over the CSR view or copied from the view's cache), under
+// Find's global set.
 func InitialMainLabelsForTest(m *Matcher, s *graph.Circuit) ([]label.Value, []bool, error) {
 	pat, err := m.prepare(s)
 	if err != nil {
@@ -149,6 +150,3 @@ func InitialMainLabelsForTest(m *Matcher, s *graph.Circuit) ([]label.Value, []bo
 	}
 	return p.gLab, global, nil
 }
-
-// LabelsForTest exposes a shared initial labeling's values.
-func (il *InitLabels) LabelsForTest() []label.Value { return il.lab }

@@ -8,31 +8,14 @@ import (
 	"subgemini/internal/label"
 )
 
-// InitLabels is the initial Phase I labeling of a main circuit, computed
-// once and shared read-only by any number of matchers over that circuit.
-// Every label constructor is a pure hash of its inputs (type name, degree,
-// global-net name), so the labeling is identical no matter which matcher
-// computes it — precomputing it is safe as long as the circuit's structure
-// does not change afterwards and the runs that adopt it use the same global
-// set.
-//
-// This is what lets a library sweep pay the O(devices+nets) initial
-// labeling cost once instead of once per pattern: each per-pattern matcher
-// adopts the shared slice through Options.InitLabels and copies from it
-// instead of rebuilding it.
-type InitLabels struct {
-	g       *graph.Circuit
-	globals []int32 // the global nets labeled, ascending
-	lab     []label.Value
-}
-
 // NewInitLabels computes the initial labeling of g with the special signals
-// globals plus the nets marked global on g: devices get their type label
-// folded with the fixed labels of global nets on their terminals, global
-// nets get name-keyed labels, and every other net is labeled by its degree.
-// This is exactly what a Matcher computes at the start of a run with that
-// global set (initMainLabels).  g is only read.
-func NewInitLabels(g *graph.Circuit, globals ...string) *InitLabels {
+// globals plus the nets marked global on g, one label per VID: devices get
+// their type label folded with the fixed labels of global nets on their
+// terminals, global nets get name-keyed labels, and every other net is
+// labeled by its degree.  It walks the circuit's pointers, and is the
+// reference the flat pass a run makes over its CSR view (initMainLabels) is
+// held to.  g is only read.
+func NewInitLabels(g *graph.Circuit, globals ...string) []label.Value {
 	sp := label.NewSpace(g)
 	lab := make([]label.Value, sp.Size())
 	types := make(map[string]label.Value, 4)
@@ -60,14 +43,49 @@ func NewInitLabels(g *graph.Circuit, globals ...string) *InitLabels {
 			lab[v] = label.DegreeLabel(n.Degree())
 		}
 	}
-	return &InitLabels{g: g, globals: gGlobals, lab: lab}
+	return lab
 }
 
-// Fits reports whether the precomputed labeling applies to a run over g
-// whose global nets are gGlobals (ascending): the circuit must be the same
-// object and the global set the same.
-func (il *InitLabels) Fits(g *graph.Circuit, gGlobals []int32) bool {
-	return il != nil && il.g == g && slices.Equal(il.globals, gGlobals)
+// initialLabels writes the initial Phase I labeling of the main circuit c
+// into lab and marks the run's global nets (gGlobals, ascending) g1Global
+// in state.  The view caches the labeling of the last global set a run
+// asked for: a run whose global nets are the cached ones, at the same
+// indices under the same names, copies it, and any other run computes its
+// own with initMainLabels and caches a copy.  Concurrent misses may each
+// compute and cache equal labelings.  Runs with the global fold ablated
+// bypass the cache.
+func initialLabels(g *csr.Graph, c *graph.Circuit, lab []label.Value, state []g1State, gGlobals []int32) {
+	if ablateGlobalFold {
+		initMainLabels(g, c, lab, state, false, gGlobals)
+		return
+	}
+	if l := g.Labeling(); l != nil && labelingFits(l, c, gGlobals) {
+		copy(lab, l.Labels)
+		for _, i := range gGlobals {
+			state[g.NumDevs+int(i)] = g1Global
+		}
+		return
+	}
+	initMainLabels(g, c, lab, state, true, gGlobals)
+	names := make([]string, len(gGlobals))
+	for k, i := range gGlobals {
+		names[k] = c.Nets[i].Name
+	}
+	g.CacheLabeling(&csr.Labeling{Globals: gGlobals, Names: names, Labels: slices.Clone(lab)})
+}
+
+// labelingFits reports whether l was computed under the global nets
+// gGlobals of c: the same net indices, named as c names them.
+func labelingFits(l *csr.Labeling, c *graph.Circuit, gGlobals []int32) bool {
+	if !slices.Equal(l.Globals, gGlobals) {
+		return false
+	}
+	for k, i := range gGlobals {
+		if l.Names[k] != c.Nets[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // initMainLabels writes the initial Phase I labeling of the main circuit c

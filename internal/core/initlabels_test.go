@@ -45,7 +45,7 @@ func TestInitMainLabelsMatchesNewInitLabels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := core.NewInitLabels(g, tc.globals...).LabelsForTest()
+			want := core.NewInitLabels(g, tc.globals...)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d %s: %d labels, want %d", seed, tc.name, len(got), len(want))
 			}

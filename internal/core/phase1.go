@@ -124,16 +124,7 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 		}
 	}
 	p.gCSR = m.csrView()
-	if il := m.opts.InitLabels; !ablateGlobalFold && il.Fits(m.g, pat.gGlobals) {
-		// A precomputed labeling was supplied (library sweep): copy the
-		// shared slice instead of recomputing it.
-		copy(p.gLab, il.lab)
-		for _, i := range pat.gGlobals {
-			p.gState[p.gCSR.NumDevs+int(i)] = g1Global
-		}
-	} else {
-		initMainLabels(p.gCSR, m.g, p.gLab, p.gState, !ablateGlobalFold, pat.gGlobals)
-	}
+	initialLabels(p.gCSR, m.g, p.gLab, p.gState, pat.gGlobals)
 	// Bind targets get the same fixed labels as their pattern ports,
 	// overriding the initial label for this run only.
 	for _, target := range pat.bind {

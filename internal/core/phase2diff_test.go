@@ -122,16 +122,16 @@ func TestPhase2Differential(t *testing.T) {
 }
 
 // TestPhase2DifferentialParallel asserts agreement with the reference under
-// FindParallel for several worker counts: per-worker region scratch, the
-// shared type-label cache, and the canonical instance order must all hold
-// up (exercised under -race in tier1).
+// FindParallel for several worker counts: per-worker region scratch from
+// one shared view's pool, the shared type-label cache, and the canonical
+// instance order must all hold up (exercised under -race in tier1).
 func TestPhase2DifferentialParallel(t *testing.T) {
 	g := gen.RandomLogic(600, 8, 23).C
-	var pool core.ScratchPool
+	view := core.NewCSR(g)
 	for _, cell := range []*stdcell.CellDef{stdcell.NAND2, stdcell.FA} {
 		want := findWholeGraph(t, g, cell.Pattern(), core.Options{Globals: rails})
 		for _, workers := range []int{1, 2, 4} {
-			m, err := core.NewMatcher(g, core.Options{Globals: rails, Scratch: &pool})
+			m, err := core.NewMatcher(g, core.Options{Globals: rails, CSR: view})
 			if err != nil {
 				t.Fatalf("NewMatcher: %v", err)
 			}

@@ -15,7 +15,8 @@ import (
 // and no ball extraction.  It is the reference the region engine is held
 // to: TestPhase2Differential compares instances and their order, and
 // TestTraceTableMatchesReference compares the per-pass Table-1 state.  It
-// never polls Options.Cancel and never uses Options.Scratch.
+// never polls Options.Cancel and allocates its own arrays instead of taking
+// scratch from the view's pool.
 //
 // The pattern-side arrays are dense and reset wholesale between
 // candidates; the main-graph arrays are dense but sparsely populated, with

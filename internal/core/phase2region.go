@@ -78,50 +78,22 @@ type p2region struct {
 	aEdges       []admitEdge
 	aPoll        int
 
-	// Pooled O(|G|) translation state; local is -1 outside the current ball.
-	local  []int32
-	mark   []uint32
-	markID uint32
+	// The region-side state (see rscratch): the O(|G|) translation
+	// arrays, the current candidate's ball and its region-local arrays,
+	// and the recycled guess state.  It is a copy of *scr, which came from
+	// the view's pool; close copies it back and returns scr to the pool.
+	rscratch
+	scr *rscratch
 
-	// The current candidate's ball (local id -> gvid) and its device count.
-	ball     []int32
-	ballDevs int
+	ballDevs  int // devices in the current ball
+	matched   int
+	snapDepth int
 
-	// Region-local per-candidate state, all len(ball)-sized.
-	lLab      []label.Value
-	lSafe     []bool
-	lFixed    []bool
-	lMatch    []label.VID
-	lSafeList []int32
-
-	// lTouched lists the local ids whose labels were ever written this
-	// candidate: collectPairs scans it instead of the full ball, so a
-	// candidate refuted after labeling a ring pays for the ring, not the
-	// ball.  It is never truncated by restore — stale entries are filtered
-	// by the exactly restored lLab/lMatch state.
-	lTouched []int32
-	lInT     []bool
-
-	matched int
-
-	// Scratch for simultaneous relabeling and partitioning.
+	// Pattern-side scratch for simultaneous relabeling and partitioning.
 	sPendV  []label.VID
 	sPendL  []label.Value
-	lPendV  []int32
-	lPendL  []label.Value
 	sPairs  []labVID
-	gPairs  []labLocal
 	sLabSet []label.Value
-
-	pool *ScratchPool
-	scr  *rscratch
-
-	// snapPool / candsPool recycle backtracking snapshots and guess
-	// candidate lists by recursion depth (guesses save and restore strictly
-	// LIFO).
-	snapPool  []*rsnapshot
-	candsPool [][]labLocal
-	snapDepth int
 
 	// table records the last seeded candidate's passes for the Table-1
 	// rendering (Options.TraceTable); nil when no table is wanted.
@@ -233,32 +205,8 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 			p.sPort[v] = n.Port
 		}
 	}
-	if sp := m.opts.Scratch; sp != nil {
-		p.pool = sp
-		p.scr = sp.getRegion(p.gSpace.Size())
-		p.local = p.scr.local
-		p.mark = p.scr.mark
-		p.markID = p.scr.markID
-		p.ball = p.scr.ball[:0]
-		p.lLab = p.scr.lLab
-		p.lSafe = p.scr.lSafe
-		p.lFixed = p.scr.lFixed
-		p.lMatch = p.scr.lMatch
-		p.lSafeList = p.scr.lSafeList[:0]
-		p.lTouched = p.scr.lTouched[:0]
-		p.lInT = p.scr.lInT
-		p.lPendV = p.scr.lPendV[:0]
-		p.lPendL = p.scr.lPendL[:0]
-		p.gPairs = p.scr.gPairs[:0]
-		p.snapPool = p.scr.snaps
-		p.candsPool = p.scr.cands
-	} else {
-		p.local = make([]int32, p.gSpace.Size())
-		for i := range p.local {
-			p.local[i] = -1
-		}
-		p.mark = make([]uint32, p.gSpace.Size())
-	}
+	p.scr = getRegion(p.g.Scratch, p.gSpace.Size())
+	p.rscratch = *p.scr
 	if err := p.initPrematch(); err != nil {
 		p.close()
 		return nil, err
@@ -370,32 +318,17 @@ func (p *p2region) initPrematch() error {
 	return nil
 }
 
-// close releases the pooled scratch, restoring the clean-state invariant:
-// local entries back to -1 (O(|last ball|)), markID carried forward, grown
-// capacities kept.
+// close returns the scratch to the view's pool, restoring the clean-state
+// invariant: local entries back to -1 (O(|last ball|)), markID carried
+// forward, grown capacities kept.
 func (p *p2region) close() {
-	if p.pool == nil {
-		return
-	}
 	for _, gv := range p.ball {
 		p.local[gv] = -1
 	}
-	p.scr.markID = p.markID
-	p.scr.ball = p.ball[:0]
-	p.scr.lLab = p.lLab
-	p.scr.lSafe = p.lSafe
-	p.scr.lFixed = p.lFixed
-	p.scr.lMatch = p.lMatch
-	p.scr.lSafeList = p.lSafeList[:0]
-	p.scr.lTouched = p.lTouched[:0]
-	p.scr.lInT = p.lInT
-	p.scr.lPendV = p.lPendV[:0]
-	p.scr.lPendL = p.lPendL[:0]
-	p.scr.gPairs = p.gPairs[:0]
-	p.scr.snaps = p.snapPool
-	p.scr.cands = p.candsPool
-	p.pool.putRegion(p.scr)
-	p.pool, p.scr = nil, nil
+	p.ball, p.lSafeList, p.lTouched = p.ball[:0], p.lSafeList[:0], p.lTouched[:0]
+	p.lPendV, p.lPendL, p.gPairs = p.lPendV[:0], p.lPendL[:0], p.gPairs[:0]
+	*p.scr = p.rscratch
+	p.g.Scratch.Put(p.scr)
 }
 
 // cancelled reports the Options.Cancel error latched inside the solve

@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"subgemini/internal/core"
+	"subgemini/internal/csr"
+	"subgemini/internal/delta"
 	"subgemini/internal/gen"
 	"subgemini/internal/stdcell"
 )
 
 // TestRegionGuessAllocsFlat pins the allocation behavior of the region
 // engine's guess path: snapshots and guess candidate lists are recycled by
-// depth through the ScratchPool, so once the pools are warm a
+// depth through the view's scratch pool, so once the pools are warm a
 // backtrack-heavy run performs no per-guess allocations.  The baseline is
 // the same warmed run with guessing disabled (guess depth bound 0), which
 // finds the same instance and shares the per-run overhead (pattern
@@ -23,8 +25,7 @@ func TestRegionGuessAllocsFlat(t *testing.T) {
 		t.Skip("AllocsPerRun counts race-detector instrumentation allocations; the gap assertion only holds without -race")
 	}
 	g, s := gen.SwitchGrid(32, 40).C, gen.PassChainPattern(40)
-	var pool core.ScratchPool
-	m, err := core.NewMatcher(g, core.Options{Scratch: &pool})
+	m, err := core.NewMatcher(g, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,33 +90,42 @@ func TestRegionReportMetrics(t *testing.T) {
 	}
 }
 
-// TestRegionScratchReuse runs many matches through one pool, interleaving
-// circuits of different sizes so the pool's size check discards stale
-// scratch, and confirms results stay correct throughout — the clean-state
-// invariant (local all -1, mark <= markID) held after every close.
+// TestRegionScratchReuse runs many matches through one scratch pool,
+// interleaving views of different sizes so the pool's size check discards
+// stale scratch, and confirms results stay correct throughout — the
+// clean-state invariant (local all -1, mark <= markID) held after every
+// close.  A view patched from another shares its pool, so the two views
+// here are an adder and the same adder with one more device and two more
+// nets, patched from the first.
 func TestRegionScratchReuse(t *testing.T) {
-	var pool core.ScratchPool
-	big, small := gen.RippleAdder(16).C, gen.RippleAdder(4).C
-	wantBig, wantSmall := -1, -1
+	small := gen.RippleAdder(16).C
+	smallView := core.NewCSR(small)
+	big := small.Clone()
+	step, err := delta.Apply(big, 2, []delta.Op{{Op: delta.OpAddDevice, Name: "xtra", Type: "res",
+		Classes: []int{0, 0}, Nets: []string{"e1", "e2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigView, _ := csr.Patch(smallView, big, csr.Remap{Dev: step.DevOld2New, Net: step.NetOld2New}, step.DirtyDevs, step.DirtyNets)
+	if bigView.Scratch != smallView.Scratch {
+		t.Fatal("the patched view does not share its parent's scratch pool")
+	}
+	want := len(findOrdered(t, small, stdcell.FA.Pattern(), core.Options{Globals: rails}))
+	if want == 0 {
+		t.Fatal("no FA instances in the adder")
+	}
 	for i := 0; i < 6; i++ {
-		g := big
-		want := &wantBig
+		g, view := small, smallView
 		if i%2 == 1 {
-			g = small
-			want = &wantSmall
+			g, view = big, bigView
 		}
-		res, err := core.Find(g, stdcell.FA.Pattern(), core.Options{Globals: rails, Scratch: &pool})
+		res, err := core.Find(g, stdcell.FA.Pattern(), core.Options{Globals: rails, CSR: view})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *want < 0 {
-			*want = len(res.Instances)
-			if *want == 0 {
-				t.Fatalf("iteration %d found no instances", i)
-			}
-		} else if len(res.Instances) != *want {
+		if len(res.Instances) != want {
 			t.Fatalf("iteration %d found %d instances, want %d (stale pooled scratch?)",
-				i, len(res.Instances), *want)
+				i, len(res.Instances), want)
 		}
 	}
 }

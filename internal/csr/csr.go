@@ -7,15 +7,22 @@
 // Vertices use the same dense VID space as label.Space: devices occupy
 // [0, NumDevs) and nets occupy [NumDevs, NumDevs+NumNets), each in circuit
 // index order, so a label slice indexed by VID works unchanged against both
-// representations.  The view is structure-only — it captures connectivity,
-// terminal classes and each device's type label, not global marks or any
-// other mutable state — and is immutable once built, so one view may be
-// shared by any number of concurrent readers.  A device's type never
-// changes in place (edits replace devices), so the type labels stay valid
-// for the life of the view, and csr.Patch carries them across edits.
+// representations.  The view's structure — connectivity, terminal classes
+// and each device's type label, not global marks or any other mutable
+// state — is immutable once built, so one view may be shared by any number
+// of concurrent readers.  A device's type never changes in place (edits
+// replace devices), so the type labels stay valid for the life of the
+// view, and csr.Patch carries them across edits.
+//
+// A view is also the handle that matchers over one circuit share: it
+// carries a scratch pool for the matcher's per-run state and caches one
+// initial labeling (see Labeling), both safe for concurrent use.
 package csr
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
 )
@@ -39,7 +46,36 @@ type Graph struct {
 	// Pin counts and net degrees need no array of their own: they are the
 	// row lengths Start[v+1]-Start[v].
 	DevType []label.Value
+
+	// Scratch recycles per-run matching state across the matchers of the
+	// view (internal/core keeps its Phase II scratch there, and checks that
+	// a recycled value fits the view).  It is allocated apart from the
+	// view, and nothing it holds points back at the view: the runtime keeps
+	// a used sync.Pool reachable until the second GC after its last use,
+	// and a pool embedded in the view would keep the view alive with it.
+	Scratch *sync.Pool
+
+	labeling atomic.Pointer[Labeling]
 }
+
+// Labeling is an initial Phase I labeling of a view's circuit under one
+// set of special signals: Labels holds one label per vertex, computed with
+// the nets at the ascending indices Globals, named Names, as the global
+// nets.  The view stores it as plain data; internal/core computes it and
+// decides when it applies.  A cached Labeling is never changed.
+type Labeling struct {
+	Globals []int32
+	Names   []string
+	Labels  []label.Value
+}
+
+// Labeling returns the labeling the view caches, nil when no run has
+// cached one.
+func (g *Graph) Labeling() *Labeling { return g.labeling.Load() }
+
+// CacheLabeling makes l the view's cached labeling in place of the
+// previous one.  The caller must not change l afterwards.
+func (g *Graph) CacheLabeling(l *Labeling) { g.labeling.Store(l) }
 
 // New builds the CSR view of c.  Devices and nets must have their Index
 // fields dense and in slice order (graph.Circuit.Validate checks this), as
@@ -47,7 +83,7 @@ type Graph struct {
 func New(c *graph.Circuit) *Graph {
 	nd, nn := c.NumDevices(), c.NumNets()
 	size := nd + nn
-	g := &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd)}
+	g := &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd), Scratch: new(sync.Pool)}
 	var types typeMemo
 	for _, d := range c.Devices {
 		g.Start[d.Index+1] = int32(len(d.Pins))

@@ -45,6 +45,10 @@ func at(m []int32, i int) int32 {
 // degradation threshold forced a full New build instead (the caller feeds
 // it into the csr-rebuild metric).
 //
+// The new view starts with no cached labeling, because an edit can change
+// net degrees and names, and shares the old view's scratch pool, whose
+// users re-check what they recycle.
+//
 // Cost: the circuit is read only for dirty and added vertices.  Clean rows
 // take their lengths from the old view and are copied in maximal runs of
 // consecutive vertices, one copy per run; their neighbor ids are
@@ -56,7 +60,9 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 		return New(c), true
 	}
 	if float64(len(dirtyDevs)+len(dirtyNets)) > RebuildFraction*float64(nd+nn) {
-		return New(c), true
+		g = New(c)
+		g.Scratch = old.Scratch
+		return g, true
 	}
 
 	// newVID maps an old vertex id to its new one, -1 when removed.
@@ -72,7 +78,7 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 	}
 	moved := nd != odn
 	size := nd + nn
-	g = &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd)}
+	g = &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd), Scratch: old.Scratch}
 	// clean[v]: new vertex v survived the edit and is not dirty, so its
 	// row, and its length in Start, is the old one.
 	clean := make([]bool, size)

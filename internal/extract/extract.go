@@ -135,10 +135,9 @@ func Cells(c *graph.Circuit, cells []*stdcell.CellDef, opts Options) ([]Extracti
 // net blocks a match until the loading device is itself extracted), so no
 // cell's result — not even a zero count — can be precomputed on the
 // unmutated circuit.  What can be amortized safely is amortized: one
-// Phase II scratch pool serves every round (it re-checks sizes, so the
-// shrinking circuit is fine), and one matcher — with its cached CSR view
-// and initial labeling — is reused across consecutive rounds that extract
-// nothing and therefore leave the circuit untouched.
+// matcher — with its CSR view, which carries the Phase II scratch pool and
+// caches the initial labeling — is reused across consecutive rounds that
+// extract nothing and therefore leave the circuit untouched.
 func Specs(c *graph.Circuit, specs []Spec, opts Options) ([]Extraction, error) {
 	ordered := append([]Spec(nil), specs...)
 	sort.Slice(ordered, func(i, j int) bool {
@@ -150,12 +149,11 @@ func Specs(c *graph.Circuit, specs []Spec, opts Options) ([]Extraction, error) {
 	markGlobals(c, &opts)
 	var result []Extraction
 	serial := 0
-	scratch := &core.ScratchPool{}
 	var m *core.Matcher
 	for _, spec := range ordered {
 		if m == nil {
 			var err error
-			if m, err = extractMatcher(c, &opts, scratch); err != nil {
+			if m, err = extractMatcher(c, &opts); err != nil {
 				return result, fmt.Errorf("extract: %s: %w", spec.Name, err)
 			}
 		}
@@ -183,13 +181,12 @@ func markGlobals(c *graph.Circuit, opts *Options) {
 }
 
 // extractMatcher builds the NonOverlapping matcher one() drives.
-func extractMatcher(c *graph.Circuit, opts *Options, scratch *core.ScratchPool) (*core.Matcher, error) {
+func extractMatcher(c *graph.Circuit, opts *Options) (*core.Matcher, error) {
 	return core.NewMatcher(c, core.Options{
 		Globals: opts.Globals,
 		Policy:  core.NonOverlapping,
 		Seed:    opts.Seed,
 		Cancel:  opts.Cancel,
-		Scratch: scratch,
 	})
 }
 
@@ -199,7 +196,7 @@ func extractMatcher(c *graph.Circuit, opts *Options, scratch *core.ScratchPool) 
 func One(c *graph.Circuit, cell *stdcell.CellDef, opts Options) (int, error) {
 	markGlobals(c, &opts)
 	serial := 0
-	m, err := extractMatcher(c, &opts, nil)
+	m, err := extractMatcher(c, &opts)
 	if err != nil {
 		return 0, err
 	}

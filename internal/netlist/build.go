@@ -88,6 +88,14 @@ func (f *File) MainCircuit(name string) (*graph.Circuit, error) {
 	return ckt, nil
 }
 
+// MaxDevices bounds the devices one flatten may produce.  A few hundred
+// bytes of nested .SUBCKTs, each instantiating the one before twice,
+// declare 2^40 devices; a flat netlist within the daemon's 16 MiB body
+// limit declares fewer than 2.4 million (a device card takes at least 7
+// bytes, "R1 a b\n").  The bound is fixed, not a setting: it refuses only
+// hierarchies that expand far past any flat upload.
+const MaxDevices = 1 << 22
+
 // flatten builds root, with the named nets created first, in two steps.
 // One walk of the hierarchy resolves every pin's net to an index, numbering
 // nets by first appearance, and records each device; graph.Build then
@@ -95,13 +103,19 @@ func (f *File) MainCircuit(name string) (*graph.Circuit, error) {
 // taken from root's own cards (nets: about one per two devices, as in
 // transistor netlists) and grow by append: nothing is sized from the
 // expanded hierarchy, which a few hundred bytes of nested .SUBCKTs can make
-// astronomically large.  With copyNames set, the circuit's net and device
-// names are copies rather than substrings of the source.
+// astronomically large.  Before the walk, flatten counts the devices the
+// hierarchy expands to and refuses more than MaxDevices, so such a netlist
+// fails before it allocates.  With copyNames set, the circuit's net and
+// device names are copies rather than substrings of the source.
 //
 // Errors come in card order, as if devices were added one by one: the walk
 // stops at the first instance error, and a duplicate device name (which
-// Build finds) recorded before that point wins over it.
+// Build finds) recorded before that point wins over it.  Only the device
+// bound comes first.
 func (f *File) flatten(name string, root *Subckt, first []string, copyNames bool) (*graph.Circuit, error) {
+	if f.devices(root, map[string]int{}) > MaxDevices {
+		return nil, fmt.Errorf("netlist: %s expands to more than %d devices", name, MaxDevices)
+	}
 	pins := 0
 	for i := range root.Cards {
 		pins += len(root.Cards[i].Nets)
@@ -233,6 +247,30 @@ func (w *walker) expand(sub *Subckt, prefix string, bound map[string]int32) erro
 	}
 	w.stack = w.stack[:len(w.stack)-1]
 	return nil
+}
+
+// devices counts the devices flattening sub produces, capped at
+// MaxDevices+1 so that a doubling hierarchy cannot overflow the count.
+// memo holds each .SUBCKT counted so far.  An instance of an unknown
+// subcircuit, or of one still being counted (recursion), counts nothing:
+// the walk rejects both.
+func (f *File) devices(sub *Subckt, memo map[string]int) int {
+	n := 0
+	for i := range sub.Cards {
+		if card := &sub.Cards[i]; card.Kind != 'X' {
+			n++
+		} else if inner, ok := f.Subckts[card.Ref]; ok {
+			if _, done := memo[card.Ref]; !done {
+				memo[card.Ref] = 0
+				memo[card.Ref] = f.devices(inner, memo)
+			}
+			n += memo[card.Ref]
+		}
+		if n > MaxDevices {
+			return MaxDevices + 1
+		}
+	}
+	return n
 }
 
 func isGlobal(globals []string, name string) bool {

@@ -269,3 +269,51 @@ func TestFourTerminalMOSAndPassives(t *testing.T) {
 		}
 	}
 }
+
+// doublingChain returns a netlist of levels nested .SUBCKTs L1..Llevels,
+// each instantiating the one before twice, and a top-level instance of the
+// last: 2^levels resistors in about 44 bytes a level.
+func doublingChain(levels int) string {
+	var b strings.Builder
+	b.WriteString(".SUBCKT L0 a b\nR1 a b\n.ENDS\n")
+	for i := 1; i <= levels; i++ {
+		fmt.Fprintf(&b, ".SUBCKT L%d a b\nX1 a b L%d\nX2 a b L%d\n.ENDS\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&b, "X0 a b L%d\n.END\n", levels)
+	return b.String()
+}
+
+// TestFlattenBounded: a hierarchy that expands past MaxDevices is refused
+// before the walk allocates for it, by MainCircuit and by Pattern alike,
+// with an error that names the bound; one within it still flattens.
+func TestFlattenBounded(t *testing.T) {
+	limit := fmt.Sprint(MaxDevices)
+	for _, levels := range []int{23, 40, 200} {
+		f, err := ParseString(doublingChain(levels), "chain.sp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = f.MainCircuit("chain")
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), limit) {
+			t.Fatalf("%d levels: MainCircuit error %v, want one naming the limit %s", levels, err, limit)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%d levels: refusing the flatten allocated %d bytes", levels, grew)
+		}
+		top := fmt.Sprintf("L%d", levels)
+		if _, err := f.Pattern(top); err == nil || !strings.Contains(err.Error(), limit) {
+			t.Fatalf("%d levels: Pattern(%s) error %v, want one naming the limit %s", levels, top, err, limit)
+		}
+	}
+	f, err := ParseString(doublingChain(10), "chain.sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := f.MainCircuit("chain")
+	if err != nil || c.NumDevices() != 1<<10 {
+		t.Fatalf("10 levels: MainCircuit = %v, %v; want %d devices", c, err, 1<<10)
+	}
+}

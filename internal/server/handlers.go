@@ -434,7 +434,7 @@ func (s *Server) matchError(ctx context.Context, err error, timeout time.Duratio
 }
 
 // executeMatch runs the match itself against an acquired circuit handle:
-// matcher construction sharing the entry's CSR view and scratch pool, and
+// matcher construction sharing the entry's CSR view (see Handle.CSR), and
 // result conversion.  Both the synchronous path and job runners land here.
 // The request's globals apply to this run only; the matcher reads the
 // shared circuit and the cached pattern and writes neither.
@@ -444,7 +444,6 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 		Bind:         req.Bind,
 		MaxInstances: req.Max,
 		Cancel:       s.cancelHook(ctx),
-		Scratch:      h.Scratch(),
 		CSR:          h.CSR(),
 		Observe:      obs.ScopeFromContext(ctx),
 	}

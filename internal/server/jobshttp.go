@@ -156,8 +156,12 @@ func (s *Server) jobRunner(req *JobRequest) (jobs.Runner, *httpError) {
 			return nil, errf(http.StatusBadRequest, "invalid store_as name %q", req.Extract.StoreAs)
 		}
 		er := req.Extract
+		specs, err := s.extractSpecs(er)
+		if err != nil {
+			return nil, errf(http.StatusBadRequest, "%v", err)
+		}
 		return func(ctx context.Context) (any, error) {
-			return s.runExtractJob(ctx, er)
+			return s.runExtractJob(ctx, er, specs)
 		}, nil
 	case jobKindSweep, jobKindIncSweep:
 		if req.Sweep == nil {
@@ -235,14 +239,11 @@ func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) batchResult
 	return batchResult{Results: results}
 }
 
-// runExtractJob clones the selected circuit and extracts the requested
-// cells from the clone, largest first.  The stored original is untouched;
-// store_as saves the gate-level result as a new circuit.
-func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest) (*ExtractResponse, error) {
-	specs, err := s.extractSpecs(req)
-	if err != nil {
-		return nil, err
-	}
+// runExtractJob clones the selected circuit and extracts specs, the
+// request's cells resolved at submit time, from the clone, largest first.
+// The stored original is untouched; store_as saves the gate-level result
+// as a new circuit.
+func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest, specs []extract.Spec) (*ExtractResponse, error) {
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)

@@ -309,7 +309,6 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 		MaxInstances: req.Max,
 		Cancel:       s.cancelHook(ctx),
 		CSR:          h.CSR(),
-		Scratch:      h.Scratch(),
 		Observe:      obs.ScopeFromContext(ctx),
 	}
 	if incremental {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"subgemini/internal/graph"
+	"subgemini/internal/netlist"
 )
 
 // hierNetlist is a hierarchical upload: two inverters instantiated from
@@ -166,5 +167,42 @@ func TestFailedUploadWritesNoSnapshot(t *testing.T) {
 	}
 	if got := storedDump(t, s, "chip"); got != before {
 		t.Errorf("failed replacements changed the stored circuit:\n%s\nwant:\n%s", got, before)
+	}
+}
+
+// TestHierarchyPastDeviceBoundRejected sends a netlist of 40 nested
+// .SUBCKTs, each instantiating the one before twice (2^40 devices in
+// under 2 KB), to every path that flattens request text: a circuit upload,
+// the legacy upload, an inline match pattern, a sweep library and an
+// extract job's patterns.  Each answers 400 with the flatten's error,
+// which names netlist.MaxDevices, instead of running out of memory.  The
+// subcircuits are named so that the deepest sorts first, as a library
+// upload flattens them in name order.
+func TestHierarchyPastDeviceBoundRejected(t *testing.T) {
+	var b strings.Builder
+	name := func(level int) string { return fmt.Sprintf("D%03d", 999-level) }
+	fmt.Fprintf(&b, ".SUBCKT %s a b\nR1 a b\n.ENDS\n", name(0))
+	for i := 1; i <= 40; i++ {
+		fmt.Fprintf(&b, ".SUBCKT %s a b\nX1 a b %s\nX2 a b %s\n.ENDS\n", name(i), name(i-1), name(i-1))
+	}
+	fmt.Fprintf(&b, "X0 a b %s\n.END\n", name(40))
+	chain := b.String()
+
+	s, _ := newAdderServer(t, nil)
+	limit := fmt.Sprint(netlist.MaxDevices)
+	for _, tc := range []struct {
+		what, method, path string
+		body               any
+	}{
+		{"upload", "PUT", "/v1/circuits/chain", chain},
+		{"legacy upload", "POST", "/v1/circuit?name=chain", chain},
+		{"inline pattern", "POST", "/v1/match", map[string]any{"netlist": chain, "subckt": name(40)}},
+		{"library", "PUT", "/v1/libraries/chain", map[string]any{"netlist": chain}},
+		{"extract job", "POST", "/v1/jobs", map[string]any{"kind": "extract", "extract": map[string]any{"netlist": chain}}},
+	} {
+		rec := do(t, s, tc.method, tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), limit) {
+			t.Errorf("%s: status %d, body %s; want 400 naming the limit %s", tc.what, rec.Code, rec.Body.String(), limit)
+		}
 	}
 }

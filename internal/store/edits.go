@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"subgemini/internal/core"
 	"subgemini/internal/csr"
 	"subgemini/internal/delta"
 	"subgemini/internal/faults"
@@ -116,7 +115,6 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 		saved:       old.saved,
 		ckt:         ckt,
 		view:        view,
-		scratch:     new(core.ScratchPool),
 		bytes:       estimateBytes(ckt),
 		resident:    true,
 		devices:     ckt.NumDevices(),

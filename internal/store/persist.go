@@ -199,7 +199,6 @@ func (st *Store) loadCircuitRec(rec circuitRec) (*Entry, error) {
 		log:         rec.Log,
 		ckt:         ckt,
 		view:        core.NewCSR(ckt),
-		scratch:     new(core.ScratchPool),
 		bytes:       estimateBytes(ckt),
 		resident:    true,
 		devices:     ckt.NumDevices(),
@@ -471,7 +470,6 @@ func (st *Store) reloadLocked(e *Entry) error {
 func (st *Store) adoptReloaded(e *Entry, ckt *graph.Circuit) {
 	e.ckt = ckt
 	e.view = core.NewCSR(ckt)
-	e.scratch = new(core.ScratchPool)
 	e.bytes = estimateBytes(ckt)
 	e.resident = true
 	st.residentBytes += e.bytes

@@ -173,13 +173,11 @@ type Entry struct {
 	// in place; Acquire waits for the edit rather than hand out the entry.
 	editing bool
 
-	ckt  *graph.Circuit
-	view *core.CSR
-	// scratch is allocated apart from the entry: the runtime keeps a used
-	// sync.Pool reachable until the second GC after its last use, and an
-	// embedded pool would keep the entry, its circuit and its view alive
-	// with it after a replacement or edit.
-	scratch  *core.ScratchPool
+	ckt *graph.Circuit
+	// view is the circuit's CSR view, which every matcher over the entry
+	// shares, and with it the view's Phase II scratch pool and cached
+	// initial labeling.
+	view     *core.CSR
 	bytes    int64
 	resident bool
 
@@ -310,7 +308,6 @@ func (st *Store) put(name string, ckt *graph.Circuit, src *string) (Info, error)
 		display:     ckt.Name,
 		ckt:         ckt,
 		view:        core.NewCSR(ckt),
-		scratch:     new(core.ScratchPool),
 		bytes:       estimateBytes(ckt),
 		resident:    true,
 		devices:     ckt.NumDevices(),
@@ -520,7 +517,6 @@ func (st *Store) evictLocked() {
 		}
 		e.ckt = nil
 		e.view = nil
-		e.scratch = nil
 		e.resident = false
 		st.residentBytes -= e.bytes
 		st.evictions++
@@ -577,11 +573,10 @@ func (h *Handle) Name() string { return h.e.name }
 // concurrently.
 func (h *Handle) Circuit() *graph.Circuit { return h.e.ckt }
 
-// CSR returns the entry's prebuilt flat view, shareable across matchers.
+// CSR returns the entry's prebuilt flat view, shareable across matchers:
+// it carries the Phase II scratch pool and the cached initial labeling
+// they share.
 func (h *Handle) CSR() *core.CSR { return h.e.view }
-
-// Scratch returns the entry's Phase II scratch pool.
-func (h *Handle) Scratch() *core.ScratchPool { return h.e.scratch }
 
 // Version returns the edit version of the entry this handle leases.  It is
 // fixed for the handle's lifetime: edits install fresh entries and rewrite

@@ -51,7 +51,7 @@ func match(t *testing.T, h *Handle, cell string) int {
 	for _, g := range rails {
 		pat.MarkGlobal(g)
 	}
-	m, err := core.NewMatcher(h.Circuit(), core.Options{CSR: h.CSR(), Scratch: h.Scratch()})
+	m, err := core.NewMatcher(h.Circuit(), core.Options{CSR: h.CSR()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,11 @@
 // naive loop pays three per-pattern costs that do not depend on the
 // pattern at all: building the main graph's CSR view, computing its
 // initial Phase I labeling, and allocating Phase II scratch state.  Run
-// pays each exactly once — the CSR view and initial labeling are computed
-// up front and shared read-only (core.Options.CSR / core.Options.InitLabels),
-// and one core.ScratchPool recycles Phase II state across all per-pattern
-// matchers — then schedules the per-pattern Phase I refinement + Phase II
-// over a bounded worker pool.
+// shares one view (core.Options.CSR) across all per-pattern matchers, and
+// the view carries the other two: it caches the initial labeling of the
+// sweep's global set, which every per-pattern run shares, and its scratch
+// pool recycles Phase II state.  Run then schedules the per-pattern Phase I
+// refinement + Phase II over a bounded worker pool.
 //
 // Patterns that are structurally identical (same devices, terminal
 // classes, connectivity, port and global marks — only names differing) are
@@ -87,12 +87,9 @@ type Options struct {
 
 	// CSR, when non-nil, supplies a prebuilt flat view of the main
 	// circuit (see core.NewCSR); nil means Run builds one for the sweep.
+	// The view's scratch pool and cached initial labeling then serve this
+	// sweep and every other matcher sharing the view.
 	CSR *core.CSR
-
-	// Scratch, when non-nil, recycles Phase II state across the sweep's
-	// matchers and across sweeps (see core.ScratchPool); nil means Run
-	// uses a pool private to the sweep.
-	Scratch *core.ScratchPool
 
 	// Incremental, when non-nil, lets per-pattern runs reuse match state
 	// captured against an earlier version of the main circuit (see
@@ -243,11 +240,6 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	if view == nil {
 		view = core.NewCSR(g)
 	}
-	scratch := opts.Scratch
-	if scratch == nil {
-		scratch = &core.ScratchPool{}
-	}
-	init := core.NewInitLabels(g, globals...)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -265,7 +257,7 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i], errs[i] = runOne(g, patterns[i].Template, view, scratch, init, globals, &opts)
+				results[i], errs[i] = runOne(g, patterns[i].Template, view, globals, &opts)
 			}
 		}()
 	}
@@ -307,8 +299,8 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	return out, nil
 }
 
-// runOne matches a single pattern using the sweep's shared state.
-func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, init *core.InitLabels, globals []string, opts *Options) (*core.Result, error) {
+// runOne matches a single pattern over the sweep's shared view.
+func runOne(g, pat *graph.Circuit, view *core.CSR, globals []string, opts *Options) (*core.Result, error) {
 	if err := faults.Fire("sweep.worker"); err != nil {
 		return nil, err
 	}
@@ -319,8 +311,6 @@ func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, in
 		Seed:         opts.Seed,
 		Cancel:       opts.Cancel,
 		CSR:          view,
-		Scratch:      scratch,
-		InitLabels:   init,
 		Observe:      opts.Observe,
 	}
 	m, err := core.NewMatcher(g, copts)

@@ -91,17 +91,15 @@ type (
 	OverlapPolicy = core.OverlapPolicy
 	// CircuitCSR is a flat adjacency view of a circuit; build one with
 	// NewCircuitCSR and install it via Options.CSR so several matchers over
-	// the same circuit share one flattening.
+	// the same circuit share one flattening, one Phase II scratch pool and
+	// the cached initial labeling of the last global set a run asked for.
 	CircuitCSR = core.CSR
-	// ScratchPool recycles Phase II per-candidate main-graph scratch across
-	// matching runs over same-sized circuits; the zero value is ready to
-	// use via Options.Scratch, and is safe for concurrent matchers.
-	ScratchPool = core.ScratchPool
 )
 
-// NewCircuitCSR flattens a circuit into the CSR view the Phase I engine
-// runs on.  Matchers build (and cache) one on demand, so this is only
-// needed to share the view across matchers via Options.CSR.
+// NewCircuitCSR flattens a circuit into the CSR view both phases run on.
+// Matchers build (and cache) one on demand, so this is only needed to
+// share the view, and the scratch and labeling it carries, across matchers
+// via Options.CSR.  The view is safe for concurrent matchers.
 func NewCircuitCSR(g *Circuit) *CircuitCSR { return core.NewCSR(g) }
 
 // Overlap policies.
