@@ -37,8 +37,8 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # the circuit exactly, and Touched names every net name a batch adds or
 # drops.  Ten more fuzz graph JSON, the store's snapshot format
 # (internal/graph FuzzDecodeJSON): decoding never panics, what decodes
-# validates, and re-encoding is stable; each new input is minimized for at
-# most a second, so the ten seconds go to exploring.  Answers depend only on the circuit and the request: a run's
+# validates, and re-encoding is stable.  Each fuzzer minimizes a new input
+# for at most a second, so its ten seconds go to exploring.  Answers depend only on the circuit and the request: a run's
 # globals leave both circuits' marks as they were, in the library
 # (TestRunGlobalsLeaveCircuitsUnmarked) and in the daemon, before and after
 # a restart (TestRequestGlobalsLeaveStoredCircuit); extraction output stays
@@ -51,14 +51,24 @@ tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness sm
 # Find, FindIncremental, FindParallel and a sweep under a request timeline
 # (not a trace) record only the span kinds /metrics knows, as many on a
 # circuit with hundreds of candidates as on one with two
-# (TestRequestTimelineStaysCoarse in core and sweep).
+# (TestRequestTimelineStaysCoarse in core and sweep).  Each request kind
+# has one path: a match, batch or sweep sent as a job answers what the
+# synchronous endpoint answers, counts, instances and per-item statuses
+# alike (TestJobsAnswerAsSyncRequests), and TestDaemonHistory sends a share
+# of its matches and sweeps as jobs.  A capture never outlives its
+# circuit: no match or sweep replays the capture of a circuit that was
+# replaced, whether by an extract job's store_as
+# (TestStoreAsDropsStaleCaptures) or by a PUT, or a DELETE and a PUT, that
+# lands while a match or a sweep on the old circuit still runs
+# (TestPutDuringMatchDropsItsCapture,
+# TestReplaceDuringSweepDropsItsCapture).
 diff: diff-incremental
 	$(GO) test -race -count=2 -run 'TestPhase1Differential|TestInitMainLabelsMatchesNewInitLabels|TestPhase2Differential|TestTraceTableMatchesReference|TestAdmitSound|TestScratchPoolReuse|TestViewLabelingAfterEdits|TestSharedViewGlobalSets|TestRunGlobalsLeaveCircuitsUnmarked|TestRequestTimelineStaysCoarse' ./internal/core/
 	$(GO) test -race -count=2 -run 'TestRequestTimelineStaysCoarse' ./internal/sweep/
-	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference|TestRequestGlobalsLeaveStoredCircuit|TestExtractJobNetlistMatchesLibrary|TestDaemonHistory' ./internal/server/
+	$(GO) test -race -count=2 -run 'TestWriteMatch|TestResponseMirrorsMatchPublicTypes|TestBulkResponsesDecodeToReference|TestRequestGlobalsLeaveStoredCircuit|TestExtractJobNetlistMatchesLibrary|TestDaemonHistory|TestJobsAnswerAsSyncRequests|TestStoreAsDropsStaleCaptures|TestPutDuringMatchDropsItsCapture|TestReplaceDuringSweepDropsItsCapture' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestExtractedNetlistGolden' ./internal/extract/
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
-	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime 10s ./internal/delta/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/delta/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph/
 
 # Incremental differential only: FindIncremental replay after random edit
@@ -184,12 +194,14 @@ docs-check:
 
 # The progress numbers ROADMAP.md tracks: non-test Go lines (the benchmark
 # module and its build directory excluded), the internal/core share,
-# core.Options and sweep.Options fields, and subgeminid flags.
+# core.Options, sweep.Options and server.Config fields, and subgeminid
+# flags.
 size:
 	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "  internal/core:   $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "core.Options fields: $$(awk '/^type Options struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n}' internal/core/core.go)"
 	@echo "sweep.Options fields: $$(awk '/^type Options struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n}' internal/sweep/sweep.go)"
+	@echo "server.Config fields: $$(awk '/^type Config struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n}' internal/server/server.go)"
 	@echo "subgeminid flags: $$(grep -c 'flags\.\(String\|Int\|Int64\|Bool\|Duration\|Float64\|Uint\|Var\|Func\)(' cmd/subgeminid/main.go)"
 
 clean:

@@ -22,7 +22,7 @@
 //	GET  /v1/circuits            list stored circuits
 //	POST /v1/circuit             legacy: replace the "default" circuit
 //	GET  /v1/circuit             legacy: describe the "default" circuit
-//	POST /v1/jobs                submit an async match/batch/extract job
+//	POST /v1/jobs                submit an async match/batch/sweep/extract job
 //	GET  /v1/jobs                list jobs
 //	GET  /v1/jobs/{id}           poll a job (state, result when done)
 //	DEL  /v1/jobs/{id}           cancel a queued or running job
@@ -66,12 +66,10 @@
 //	-flight-recorder N   flight-recorder ring capacity in timelines (0 = 256)
 //	-flight-sample N     tail-sampling rate for unremarkable requests:
 //	                     keep 1 in N (0 = 16; 1 keeps everything)
-//	-noincremental       disable the incremental matcher and its versioned
-//	                     result cache; every match and sweep runs the full
-//	                     algorithm (results are bit-identical either way,
-//	                     so this is purely a differential/debug switch)
 //	-result-cache N      versioned result-cache capacity in (circuit,
-//	                     pattern) entries (0 = 256)
+//	                     pattern) entries (0 = 256); every match and sweep
+//	                     consults the cache, and a replay answers what a
+//	                     full run answers (since_version forces one)
 //	-drain D             graceful-shutdown drain period
 //
 // The limits without a flag keep their server defaults: client deadlines
@@ -130,7 +128,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		globalsCSV  = flags.String("globals", "", "comma-separated special-signal nets applied to every match")
 		timeout     = flags.Duration("timeout", 30*time.Second, "default per-request match deadline")
 		maxConc     = flags.Int("max-concurrent", 0, "concurrent match slots (0 = GOMAXPROCS)")
-		noInc       = flags.Bool("noincremental", false, "disable incremental matching and the versioned result cache (differential/debug switch; results are identical)")
 		resultCache = flags.Int("result-cache", 0, "versioned result-cache capacity in (circuit, pattern) entries (0 = 256)")
 		drain       = flags.Duration("drain", 10*time.Second, "graceful-shutdown drain period")
 		dataDir     = flags.String("data-dir", "", "directory for durable state: circuit snapshots, uploaded patterns, job records (empty = memory only)")
@@ -171,7 +168,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ShedMemoryBytes:    *shedMem,
 		RetryAfter:         *retryAfter,
 		PreloadBuiltins:    true,
-		DisableIncremental: *noInc,
 		ResultCacheSize:    *resultCache,
 		DataDir:            *dataDir,
 		MaxStoreBytes:      *maxCktBytes,

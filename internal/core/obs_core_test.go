@@ -153,7 +153,7 @@ func TestObserveDisabledNoAllocs(t *testing.T) {
 	// build, Phase I's per-run arrays and maps, the Phase II engine's
 	// pattern-sized state, and the result.  Lower it when a change saves
 	// allocations; a rise means the match path allocates more.
-	const findAllocs = 89
+	const findAllocs = 88
 	g, s := paperex.PaperMain(), paperex.PaperPattern()
 	m, err := core.NewMatcher(g, core.Options{CSR: core.NewCSR(g)})
 	if err != nil {

@@ -28,9 +28,10 @@ var p1CancelBlock = 4096
 // initCSR builds the pattern's flat view and the initial worklists.  The
 // main-graph view (p.gCSR) is the Matcher's cached one, adopted before the
 // initial labels are computed over it; the pattern view is rebuilt per run
-// but is pattern-sized.
+// but is pattern-sized, and has no scratch pool, since no run keeps state
+// in it.
 func (p *phase1) initCSR() {
-	p.sCSR = csr.New(p.pat.s)
+	p.sCSR = csr.Build(p.pat.s)
 	snd, sn := p.sSpace.NumDevices(), p.sSpace.Size()
 	gnd, gn := p.gSpace.NumDevices(), p.gSpace.Size()
 	// Each worklist pair shares one backing block, split at the device/net

@@ -14,9 +14,10 @@
 // replace devices), so the type labels stay valid for the life of the
 // view, and csr.Patch carries them across edits.
 //
-// A view is also the handle that matchers over one circuit share: it
-// carries a scratch pool for the matcher's per-run state and caches one
-// initial labeling (see Labeling), both safe for concurrent use.
+// A main circuit's view is also the handle that matchers over the circuit
+// share: it carries a scratch pool for the matcher's per-run state and
+// caches one initial labeling (see Labeling), both safe for concurrent
+// use.  A pattern's view (Build) carries no pool.
 package csr
 
 import (
@@ -49,10 +50,11 @@ type Graph struct {
 
 	// Scratch recycles per-run matching state across the matchers of the
 	// view (internal/core keeps its Phase II scratch there, and checks that
-	// a recycled value fits the view).  It is allocated apart from the
-	// view, and nothing it holds points back at the view: the runtime keeps
-	// a used sync.Pool reachable until the second GC after its last use,
-	// and a pool embedded in the view would keep the view alive with it.
+	// a recycled value fits the view); it is nil on a view from Build.  It
+	// is allocated apart from the view, and nothing it holds points back at
+	// the view: the runtime keeps a used sync.Pool reachable until the
+	// second GC after its last use, and a pool embedded in the view would
+	// keep the view alive with it.
 	Scratch *sync.Pool
 
 	labeling atomic.Pointer[Labeling]
@@ -77,13 +79,22 @@ func (g *Graph) Labeling() *Labeling { return g.labeling.Load() }
 // previous one.  The caller must not change l afterwards.
 func (g *Graph) CacheLabeling(l *Labeling) { g.labeling.Store(l) }
 
-// New builds the CSR view of c.  Devices and nets must have their Index
-// fields dense and in slice order (graph.Circuit.Validate checks this), as
-// label.Space assumes the same.
+// New builds the CSR view of c, with a scratch pool for the matchers that
+// share it.  Devices and nets must have their Index fields dense and in
+// slice order (graph.Circuit.Validate checks this), as label.Space assumes
+// the same.
 func New(c *graph.Circuit) *Graph {
+	g := Build(c)
+	g.Scratch = new(sync.Pool)
+	return g
+}
+
+// Build is New without the scratch pool, for a view no matcher keeps
+// per-run state in: a pattern's.
+func Build(c *graph.Circuit) *Graph {
 	nd, nn := c.NumDevices(), c.NumNets()
 	size := nd + nn
-	g := &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd), Scratch: new(sync.Pool)}
+	g := &Graph{NumDevs: nd, NumNets: nn, Start: make([]int32, size+1), DevType: make([]label.Value, nd)}
 	var types typeMemo
 	for _, d := range c.Devices {
 		g.Start[d.Index+1] = int32(len(d.Pins))

@@ -60,7 +60,7 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 		return New(c), true
 	}
 	if float64(len(dirtyDevs)+len(dirtyNets)) > RebuildFraction*float64(nd+nn) {
-		g = New(c)
+		g = Build(c)
 		g.Scratch = old.Scratch
 		return g, true
 	}

@@ -7,16 +7,21 @@ import (
 )
 
 // ResultCache maps (circuit name, pattern key) to the incremental state
-// captured by the last complete run and the circuit version it describes.
-// The daemon keeps one cache across requests: a match or sweep against an
-// edited circuit looks up the prior state, asks the store for the steps
-// between the cached and current versions, and hands both to
+// captured by the last complete run and the circuit it describes: the
+// install stamp of the stored circuit (store.Handle.Stamp) and its edit
+// version.  The daemon keeps one cache across requests: a match or sweep
+// against an edited circuit looks up the prior state, asks its store handle
+// for the steps between the cached and current versions, and hands both to
 // core.FindIncremental; on success the refreshed state is stored back.
 //
-// Entries are invalidated when a circuit is replaced or deleted outright
-// (PUT/DELETE) — edits (PATCH) intentionally do NOT invalidate, since the
-// versioned steps are exactly what lets a stale entry be carried forward.
-// The cache is bounded; when full, the oldest entry is evicted (FIFO).
+// A capture describes one circuit only through its stamp: a replacement
+// under the same name restarts the version at 1, and a run that acquired
+// the old circuit may store its capture after the replacement, so Lookup
+// treats a capture of another stamp as a miss.  Edits (PATCH) keep the
+// stamp, since the versioned steps are exactly what lets a stale entry be
+// carried forward.  Invalidate drops a replaced or deleted circuit's
+// entries only to free their memory.  The cache is bounded; when full, the
+// oldest entry is evicted (FIFO).
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -34,6 +39,7 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
+	stamp   uint64
 	version uint64
 	state   *core.IncrementalState
 }
@@ -47,13 +53,14 @@ func NewResultCache(max int) *ResultCache {
 	return &ResultCache{max: max, entries: make(map[cacheKey]*cacheEntry)}
 }
 
-// Lookup returns the cached state and the circuit version it was captured
-// at, or ok=false on a miss.
-func (rc *ResultCache) Lookup(circuit, patternKey string) (version uint64, state *core.IncrementalState, ok bool) {
+// Lookup returns the state cached for the install stamp of the named
+// circuit and the circuit version it was captured at, or ok=false on a
+// miss.
+func (rc *ResultCache) Lookup(circuit, patternKey string, stamp uint64) (version uint64, state *core.IncrementalState, ok bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	e := rc.entries[cacheKey{circuit, patternKey}]
-	if e == nil {
+	if e == nil || e.stamp != stamp {
 		rc.misses++
 		return 0, nil, false
 	}
@@ -61,9 +68,10 @@ func (rc *ResultCache) Lookup(circuit, patternKey string) (version uint64, state
 	return e.version, e.state, true
 }
 
-// Store records the state captured by a complete run at the given circuit
-// version.  Nil states (legacy or cancelled runs) are ignored.
-func (rc *ResultCache) Store(circuit, patternKey string, version uint64, state *core.IncrementalState) {
+// Store records the state captured by a complete run on the circuit of the
+// given install stamp and version.  Nil states (legacy or cancelled runs)
+// are ignored.
+func (rc *ResultCache) Store(circuit, patternKey string, stamp, version uint64, state *core.IncrementalState) {
 	if state == nil {
 		return
 	}
@@ -71,7 +79,7 @@ func (rc *ResultCache) Store(circuit, patternKey string, version uint64, state *
 	defer rc.mu.Unlock()
 	k := cacheKey{circuit, patternKey}
 	if e := rc.entries[k]; e != nil {
-		e.version, e.state = version, state
+		e.stamp, e.version, e.state = stamp, version, state
 		return
 	}
 	for len(rc.entries) >= rc.max && len(rc.order) > 0 {
@@ -81,12 +89,13 @@ func (rc *ResultCache) Store(circuit, patternKey string, version uint64, state *
 			delete(rc.entries, victim)
 		}
 	}
-	rc.entries[k] = &cacheEntry{version: version, state: state}
+	rc.entries[k] = &cacheEntry{stamp: stamp, version: version, state: state}
 	rc.order = append(rc.order, k)
 }
 
 // Invalidate drops every entry for the named circuit and returns how many
-// were dropped.
+// were dropped.  Lookup needs none of it to stay correct (see ResultCache);
+// it frees the memory of captures no run can use.
 func (rc *ResultCache) Invalidate(circuit string) int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

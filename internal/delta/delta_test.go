@@ -230,25 +230,29 @@ func TestPatternKey(t *testing.T) {
 
 func TestResultCache(t *testing.T) {
 	rc := NewResultCache(2)
-	if _, _, ok := rc.Lookup("c", "k1"); ok {
+	if _, _, ok := rc.Lookup("c", "k1", 7); ok {
 		t.Error("hit on empty cache")
 	}
 	st := &core.IncrementalState{}
-	rc.Store("c", "k1", 3, st)
-	rc.Store("c", "k1", 4, st) // update in place
-	if v, got, ok := rc.Lookup("c", "k1"); !ok || v != 4 || got != st {
+	rc.Store("c", "k1", 7, 3, st)
+	rc.Store("c", "k1", 7, 4, st) // update in place
+	if v, got, ok := rc.Lookup("c", "k1", 7); !ok || v != 4 || got != st {
 		t.Errorf("lookup: v=%d ok=%v", v, ok)
 	}
-	rc.Store("c", "k2", 1, st)
-	rc.Store("c2", "k1", 1, st) // evicts the oldest ("c","k1")
+	// A capture of another install under the same name is a miss.
+	if _, _, ok := rc.Lookup("c", "k1", 8); ok {
+		t.Error("hit on another install's capture")
+	}
+	rc.Store("c", "k2", 7, 1, st)
+	rc.Store("c2", "k1", 9, 1, st) // evicts the oldest ("c","k1")
 	if rc.Len() != 2 {
 		t.Errorf("len = %d, want 2", rc.Len())
 	}
-	if _, _, ok := rc.Lookup("c", "k1"); ok {
+	if _, _, ok := rc.Lookup("c", "k1", 7); ok {
 		t.Error("evicted entry still present")
 	}
-	rc.Store("c", "nil", 1, nil)
-	if _, _, ok := rc.Lookup("c", "nil"); ok {
+	rc.Store("c", "nil", 7, 1, nil)
+	if _, _, ok := rc.Lookup("c", "nil", 7); ok {
 		t.Error("nil state cached")
 	}
 	if n := rc.Invalidate("c"); n != 1 {

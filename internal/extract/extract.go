@@ -91,22 +91,18 @@ func SpecFromCell(cell *stdcell.CellDef) Spec {
 }
 
 // SpecsFromNetlist turns every .SUBCKT of a parsed netlist into an
-// extraction spec, so users extend the extraction library by writing
+// extraction spec, in name order and under one device budget (see
+// netlist.File.Patterns), so users extend the extraction library by writing
 // subcircuits — "circuits in a library which can be easily extended as
 // necessary" (paper §I).
 func SpecsFromNetlist(f *netlist.File) ([]Spec, error) {
-	names := make([]string, 0, len(f.Subckts))
-	for name := range f.Subckts {
-		names = append(names, name)
+	pats, err := f.Patterns()
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
-	specs := make([]Spec, 0, len(names))
-	for _, name := range names {
-		pat, err := f.Pattern(name)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, Spec{Name: name, Ports: f.Subckts[name].Ports, Pattern: pat})
+	specs := make([]Spec, len(pats))
+	for i, pat := range pats {
+		specs[i] = Spec{Name: pat.Name, Ports: f.Subckts[pat.Name].Ports, Pattern: pat}
 	}
 	return specs, nil
 }

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"subgemini/internal/graph"
@@ -70,6 +71,39 @@ func (f *File) Pattern(name string) (*graph.Circuit, error) {
 		ckt.MarkGlobal(g)
 	}
 	return ckt, nil
+}
+
+// Patterns builds every .SUBCKT as a pattern (see Pattern), in name order,
+// under one device budget: together the patterns may hold at most
+// MaxDevices devices.  It counts them all before it builds any, so a file
+// whose subcircuits each pass the bound alone but not together, such as a
+// chain of doublings, is refused before it allocates, with an error that
+// names the bound.
+func (f *File) Patterns() ([]*graph.Circuit, error) {
+	names := make([]string, 0, len(f.Subckts))
+	for name := range f.Subckts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	memo, total := map[string]int{}, 0
+	for _, name := range names {
+		if _, done := memo[name]; !done {
+			memo[name] = 0
+			memo[name] = f.devices(f.Subckts[name], memo)
+		}
+		if total += memo[name]; total > MaxDevices {
+			return nil, fmt.Errorf("netlist: its .SUBCKTs expand to more than %d devices together", MaxDevices)
+		}
+	}
+	pats := make([]*graph.Circuit, len(names))
+	for i, name := range names {
+		pat, err := f.Pattern(name)
+		if err != nil {
+			return nil, fmt.Errorf("pattern %s: %w", name, err)
+		}
+		pats[i] = pat
+	}
+	return pats, nil
 }
 
 // MainCircuit builds the flat main circuit from the file's top-level cards,

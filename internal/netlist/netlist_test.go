@@ -283,6 +283,46 @@ func doublingChain(levels int) string {
 	return b.String()
 }
 
+// TestPatternsShareOneBudget: Patterns flattens every .SUBCKT under one
+// device budget.  Each level of a 22-level doubling chain passes the bound
+// alone (the deepest holds exactly MaxDevices), but together they hold
+// about twice it, so Patterns refuses the file before it builds any level,
+// with an error that names the bound.  A chain within the budget builds
+// every level, in name order.
+func TestPatternsShareOneBudget(t *testing.T) {
+	f, err := ParseString(doublingChain(22), "chain.sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := f.devices(f.Subckts["L22"], map[string]int{}); n != MaxDevices {
+		t.Fatalf("L22 expands to %d devices, want exactly the bound %d", n, MaxDevices)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = f.Patterns()
+	runtime.ReadMemStats(&after)
+	if limit := fmt.Sprint(MaxDevices); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("Patterns error %v, want one naming the limit %s", err, limit)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing the library allocated %d bytes", grew)
+	}
+
+	f, err = ParseString(doublingChain(4), "chain.sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats, err := f.Patterns()
+	if err != nil || len(pats) != 5 {
+		t.Fatalf("Patterns = %d patterns, %v; want 5", len(pats), err)
+	}
+	for i, p := range pats {
+		if want := fmt.Sprintf("L%d", i); p.Name != want || p.NumDevices() != 1<<i {
+			t.Errorf("pattern %d is %s with %d devices, want %s with %d", i, p.Name, p.NumDevices(), want, 1<<i)
+		}
+	}
+}
+
 // TestFlattenBounded: a hierarchy that expands past MaxDevices is refused
 // before the walk allocates for it, by MainCircuit and by Pattern alike,
 // with an error that names the bound; one within it still flattens.

@@ -4,16 +4,21 @@ package server
 // applies a batch of edit ops through store.ApplyEdits (snapshot isolation:
 // in-flight matches keep the pre-edit circuit through their handles; with
 // none in flight the edit rewrites the circuit in place), GET
-// /v1/circuits/{name}/versions exposes the edit history, and the match and
-// sweep paths consult a shared delta.ResultCache so a query against a
-// slowly-changing circuit replays candidate outcomes from the last complete
-// run instead of re-verifying the whole graph (core.FindIncremental).
+// /v1/circuits/{name}/versions exposes the edit history, and every match
+// (but a "workers" > 1 one) and every sweep consult a shared
+// delta.ResultCache, so a query against a slowly-changing circuit replays
+// candidate outcomes from the last complete run instead of re-verifying
+// the whole graph (core.FindIncremental).  A replay answers what a full run
+// answers (ALGORITHM.md, "Dirty regions"); since_version forces a full,
+// re-capturing run for one request.
 //
 // Cache policy: entries are keyed by (circuit name, pattern structure) and
-// record the circuit version they describe.  A PATCH never invalidates —
-// the retained delta.Steps are exactly what lets a stale entry be carried
-// forward — while PUT and DELETE drop every entry of the circuit, since a
-// replacement starts a new version lineage the steps cannot bridge.
+// record the install stamp and version of the circuit they describe.  A
+// PATCH never invalidates: it keeps the stamp, and the retained
+// delta.Steps are exactly what lets a stale entry be carried forward.  A
+// replacement takes a new stamp, so a replaced circuit's captures never
+// replay, including one a run on the old circuit stores after the
+// replacement; PUT and DELETE drop the circuit's entries to free them.
 
 import (
 	"errors"
@@ -98,21 +103,19 @@ func sinceVersion(r *http.Request) uint64 {
 	return v
 }
 
-// incEnabled reports whether the incremental path is on for this daemon.
-func (s *Server) incEnabled() bool { return s.rcache != nil }
-
 // incLookup resolves a cache entry into (previous state, dirty set) for a
-// run against the circuit version the handle leases.  minBase, when > 0,
-// refuses captures older than that version (the request's since_version
-// floor).  Any gap — cold cache, steps aged out, a concurrent PATCH racing
-// the handle — degrades to (nil, nil): a full run that re-captures.
+// run against the circuit the handle leases.  minBase, when > 0, refuses
+// captures older than that version (the request's since_version floor).
+// Any gap — cold cache, another install's capture, a capture newer than
+// the handle, steps aged out — degrades to (nil, nil): a full run that
+// re-captures.
 func (s *Server) incLookup(h *store.Handle, key string, minBase uint64) (*core.IncrementalState, *core.DirtySet, uint64) {
-	ver, prev, ok := s.rcache.Lookup(h.Name(), key)
+	ver, prev, ok := s.rcache.Lookup(h.Name(), key, h.Stamp())
 	if !ok || (minBase > 0 && ver < minBase) {
 		return nil, nil, 0
 	}
-	steps, cur, ok := s.store.StepsSince(h.Name(), ver)
-	if !ok || cur != h.Version() {
+	steps, ok := h.StepsSince(ver)
+	if !ok {
 		return nil, nil, 0
 	}
 	if len(steps) == 0 {
@@ -124,6 +127,12 @@ func (s *Server) incLookup(h *store.Handle, key string, minBase uint64) (*core.I
 		return nil, nil, 0
 	}
 	return prev, ds, ver
+}
+
+// incStore records the state a complete run on the handle's circuit
+// captured.
+func (s *Server) incStore(h *store.Handle, key string, st *core.IncrementalState) {
+	s.rcache.Store(h.Name(), key, h.Stamp(), h.Version(), st)
 }
 
 // identityDirtySet is the dirty set of "no edits at all": identity remaps,
@@ -141,9 +150,9 @@ func identityDirtySet(view *core.CSR) *core.DirtySet {
 }
 
 // sweepIncHook adapts the daemon's result cache to sweep.Incremental for
-// one sweep invocation: the circuit name and version are pinned to the
-// acquired handle, so every per-pattern lookup and store is consistent
-// even while PATCHes land concurrently.
+// one sweep invocation: the circuit is pinned to the acquired handle, so
+// every per-pattern lookup and store is consistent even while PATCHes and
+// replacements land concurrently.
 type sweepIncHook struct {
 	s       *Server
 	h       *store.Handle
@@ -156,5 +165,5 @@ func (hk *sweepIncHook) Lookup(pat *graph.Circuit, opts core.Options) (*core.Inc
 }
 
 func (hk *sweepIncHook) Store(pat *graph.Circuit, opts core.Options, st *core.IncrementalState) {
-	hk.s.rcache.Store(hk.h.Name(), delta.PatternKey(pat, opts), hk.h.Version(), st)
+	hk.s.incStore(hk.h, delta.PatternKey(pat, opts), st)
 }

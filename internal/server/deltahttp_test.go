@@ -144,30 +144,10 @@ func TestMatchIncrementalReplay(t *testing.T) {
 	}
 }
 
-// TestMatchIncrementalDisabled pins the -noincremental escape hatch: no
-// incremental section in responses and the incremental-sweep job kind is
-// refused at submit time.
-func TestMatchIncrementalDisabled(t *testing.T) {
-	s, want := newAdderServer(t, func(c *Config) { c.DisableIncremental = true })
-	resp := decodeMatch(t, do(t, s, "POST", "/v1/match", MatchRequest{Pattern: "FA"}))
-	if resp.Incremental != nil {
-		t.Errorf("disabled daemon reported incremental: %+v", resp.Incremental)
-	}
-	if resp.Count != want {
-		t.Errorf("count = %d, want %d", resp.Count, want)
-	}
-	rec := do(t, s, "POST", "/v1/jobs", JobRequest{
-		Kind:  "incremental-sweep",
-		Sweep: &SweepRequest{Patterns: []string{"FA"}},
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("incremental-sweep on disabled daemon: status %d, want 400", rec.Code)
-	}
-}
-
 // TestSweepIncrementalHTTP exercises the sweep-side cache: a warm sweep
-// replays, a PATCH narrows it, and the incremental-sweep job kind replays
-// while the plain sweep job kind never consults the cache.
+// replays, a PATCH narrows it, and both sweep job kinds ("incremental-sweep"
+// is a synonym of "sweep") replay too, with the counts of a full sweep of
+// the same version.
 func TestSweepIncrementalHTTP(t *testing.T) {
 	d := gen.RippleAdder(6)
 	s := mustNew(t, Config{Circuit: d.C.Clone(), Globals: rails})
@@ -215,29 +195,26 @@ func TestSweepIncrementalHTTP(t *testing.T) {
 		}
 	}
 
-	// Job kinds: "incremental-sweep" replays from the now-warm cache, plain
-	// "sweep" never consults it.
-	view := waitJob(t, s, submitJob(t, s, JobRequest{Kind: "incremental-sweep", Sweep: &sweepReq}).ID)
-	if view.State != "done" {
-		t.Fatalf("incremental-sweep job: %s (%s)", view.State, view.Error)
-	}
-	var jobResp SweepResponse
-	if err := json.Unmarshal(view.Result, &jobResp); err != nil {
-		t.Fatal(err)
-	}
-	if jobResp.Replayed == 0 {
-		t.Error("incremental-sweep job replayed nothing")
-	}
-	view = waitJob(t, s, submitJob(t, s, JobRequest{Kind: "sweep", Sweep: &sweepReq}).ID)
-	if view.State != "done" {
-		t.Fatalf("sweep job: %s (%s)", view.State, view.Error)
-	}
-	var plainResp SweepResponse
-	if err := json.Unmarshal(view.Result, &plainResp); err != nil {
-		t.Fatal(err)
-	}
-	if plainResp.Replayed != 0 {
-		t.Errorf("plain sweep job replayed %d candidates; must not consult the cache", plainResp.Replayed)
+	// Both job kinds replay from the now-warm cache: a sweep job after a
+	// PATCH answers what the full sweep of that version answers.
+	for _, kind := range []string{"sweep", "incremental-sweep"} {
+		view := waitJob(t, s, submitJob(t, s, JobRequest{Kind: kind, Sweep: &sweepReq}).ID)
+		if view.State != "done" {
+			t.Fatalf("%s job: %s (%s)", kind, view.State, view.Error)
+		}
+		var jobResp SweepResponse
+		if err := json.Unmarshal(view.Result, &jobResp); err != nil {
+			t.Fatal(err)
+		}
+		if jobResp.Replayed == 0 || jobResp.Version != 2 {
+			t.Errorf("%s job: replayed %d at version %d, want a replay at version 2", kind, jobResp.Replayed, jobResp.Version)
+		}
+		for i := range jobResp.Results {
+			if jobResp.Results[i].Count != full.Results[i].Count {
+				t.Errorf("%s job: %s count %d != full count %d",
+					kind, jobResp.Results[i].Pattern, jobResp.Results[i].Count, full.Results[i].Count)
+			}
+		}
 	}
 }
 

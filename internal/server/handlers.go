@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -168,15 +169,21 @@ func infoJSON(i store.Info) CircuitInfo {
 	}
 }
 
-// httpError pairs a client-visible message with a status code.
+// httpError pairs a client-visible message with a status code.  A job
+// fails with it as its error, which unwraps to the matcher's error (the
+// job engine tells a cancelled run by context.Canceled).
 type httpError struct {
 	status int
 	msg    string
+	err    error
 }
 
 func errf(status int, format string, args ...any) *httpError {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
 }
+
+func (e *httpError) Error() string { return e.msg }
+func (e *httpError) Unwrap() error { return e.err }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -215,7 +222,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if req.SinceVersion == 0 {
 		req.SinceVersion = sinceVersion(r)
 	}
-	resp, release, e := s.runMatch(r.Context(), &req)
+	resp, release, e := s.runMatch(r.Context(), &req, false)
 	if e != nil {
 		writeError(w, e)
 		return
@@ -245,19 +252,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		req.Circuit = r.URL.Query().Get("circuit")
 	}
 	req.fillCircuits()
-	writeJSON(w, http.StatusOK, s.runBatch(r.Context(), &req, true))
+	writeJSON(w, http.StatusOK, s.runBatch(r.Context(), &req, false))
 }
 
-// runBatch fans the items of a batch across a bounded pool (parallel=true,
-// the synchronous handler: each item still passes admission control
-// individually, so a wide batch cannot starve single-match requests) or
-// runs them sequentially (parallel=false, the job path: the job worker is
-// the concurrency unit there).
-func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool) batchResult {
+// runBatch runs the items of a batch, synchronous or a job's, as that lane's
+// matches (see runMatch), fanned across a pool of MaxConcurrent
+// goroutines.  A synchronous item still passes admission control on its
+// own, so a wide batch cannot starve single-match requests.  Per-item
+// failures are recorded in-band, with the status the item would get alone.
+func (s *Server) runBatch(ctx context.Context, req *BatchRequest, job bool) batchResult {
 	results := make([]batchItem, len(req.Requests))
 	runOne := func(i int) {
 		item := batchItem{Index: i, Pattern: req.Requests[i].Pattern}
-		resp, release, e := s.runMatch(ctx, &req.Requests[i])
+		resp, release, e := s.runMatch(ctx, &req.Requests[i], job)
 		if e != nil {
 			item.Status, item.Error = e.status, e.msg
 		} else {
@@ -265,12 +272,6 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool)
 			item.Status, item.Match, item.Pattern = http.StatusOK, renderCompact(resp), resp.Pattern
 		}
 		results[i] = item
-	}
-	if !parallel {
-		for i := range req.Requests {
-			runOne(i)
-		}
-		return batchResult{Results: results}
 	}
 	pool := s.cfg.MaxConcurrent
 	if pool > len(req.Requests) {
@@ -295,15 +296,20 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, parallel bool)
 	return batchResult{Results: results}
 }
 
-// acquireCircuit resolves a request's circuit selection to a store handle.
-// An empty name means the default circuit, whose absence keeps the legacy
-// 409 ("upload one") contract; a named circuit that does not exist is 404.
-func (s *Server) acquireCircuit(name string) (*store.Handle, *httpError) {
+// acquireCircuit resolves a request's circuit selection to a store handle,
+// under a store-get span.  An empty name means the default circuit, whose
+// absence keeps the legacy 409 ("upload one") contract; a named circuit
+// that does not exist is 404.
+func (s *Server) acquireCircuit(ctx context.Context, name string) (*store.Handle, *httpError) {
+	sc := obs.ScopeFromContext(ctx)
+	ref := sc.Begin(obs.KindStoreGet, name)
 	if name == "" {
 		name = DefaultCircuit
 	}
 	h, err := s.store.Acquire(name)
+	sc.End(ref)
 	if err == nil {
+		sc.Attr(ref, "circuit", h.Name())
 		return h, nil
 	}
 	if errors.Is(err, store.ErrNotFound) {
@@ -342,13 +348,60 @@ func (s *Server) resolvePattern(req *MatchRequest) (*graph.Circuit, bool, *httpE
 	}
 }
 
-// runMatch executes one synchronous match request end to end: validation,
-// pattern resolution, admission, circuit acquisition, and the matching run
-// under the entry read lock.  A result's instances point into the circuit,
-// which a PATCH may edit in place once no handle holds it, so runMatch
-// returns the result with its handle still held: the caller renders the
-// result and then calls release.
-func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (resp *matchResult, release func(), e *httpError) {
+// maxTimeout caps a synchronous request's timeout_ms, so that a client
+// cannot pin a match slot arbitrarily long.
+const maxTimeout = 5 * time.Minute
+
+// envelope opens the deadline and admission envelope of a run, the one
+// thing the synchronous lane and the job lane do differently.  A
+// synchronous request (job false) always runs under a deadline, the
+// default or its timeout_ms capped at maxTimeout, and waits for a match
+// slot under a match-slot queue-wait span, but not past the deadline: then
+// it is turned away with 503.  A job takes no slot, since the job worker
+// pool bounds jobs, and runs under a deadline only when its timeout_ms asks
+// for one, uncapped: escaping the request deadline is what a job is for.
+// timeout is the deadline's length (0 for none); done releases what the
+// envelope holds.
+func (s *Server) envelope(ctx context.Context, timeoutMS int, job bool) (_ context.Context, timeout time.Duration, done func(), e *httpError) {
+	timeout = time.Duration(timeoutMS) * time.Millisecond
+	if job {
+		if timeout <= 0 {
+			return ctx, 0, func() {}, nil
+		}
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		return ctx, timeout, cancel, nil
+	}
+	switch {
+	case timeout <= 0:
+		timeout = s.cfg.DefaultTimeout
+	case timeout > maxTimeout:
+		timeout = maxTimeout
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	sc := obs.ScopeFromContext(ctx)
+	ref := sc.Begin(obs.KindQueueWait, "match-slot")
+	select {
+	case s.sem <- struct{}{}:
+		sc.End(ref)
+		return ctx, timeout, func() { <-s.sem; cancel() }, nil
+	case <-ctx.Done():
+		sc.End(ref)
+		cancel()
+		obs.FromContext(ctx).SetCancelled()
+		s.met.rejected.Add(1)
+		return nil, 0, nil, errf(http.StatusServiceUnavailable,
+			"server saturated: no match slot within %v (%d concurrent)", timeout, s.cfg.MaxConcurrent)
+	}
+}
+
+// runMatch executes one match request end to end, for the synchronous
+// endpoint (job false) and for match and batch jobs alike: validation,
+// pattern resolution under a cache-lookup span, the lane's envelope,
+// circuit acquisition, and the run.  A result's instances point into the
+// circuit, which a PATCH may edit in place once no handle holds it, so
+// runMatch returns the result with its handle still held: the caller
+// renders the result and then calls release.
+func (s *Server) runMatch(ctx context.Context, req *MatchRequest, job bool) (resp *matchResult, release func(), e *httpError) {
 	if e := validateMatch(req); e != nil {
 		return nil, nil, e
 	}
@@ -364,39 +417,15 @@ func (s *Server) runMatch(ctx context.Context, req *MatchRequest) (resp *matchRe
 		sc.Attr(ref, "hit", "true")
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	// Admission control: wait for a match slot, but not past the deadline.
-	qRef := sc.Begin(obs.KindQueueWait, "match-slot")
-	select {
-	case s.sem <- struct{}{}:
-		sc.End(qRef)
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		sc.End(qRef)
-		obs.FromContext(ctx).SetCancelled()
-		s.met.rejected.Add(1)
-		return nil, nil, errf(http.StatusServiceUnavailable,
-			"server saturated: no match slot within %v (%d concurrent)", timeout, s.cfg.MaxConcurrent)
-	}
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-
-	gRef := sc.Begin(obs.KindStoreGet, req.Circuit)
-	h, e := s.acquireCircuit(req.Circuit)
-	sc.End(gRef)
+	ctx, timeout, done, e := s.envelope(ctx, req.TimeoutMS, job)
 	if e != nil {
 		return nil, nil, e
 	}
-	sc.Attr(gRef, "circuit", h.Name())
+	defer done()
+	h, e := s.acquireCircuit(ctx, req.Circuit)
+	if e != nil {
+		return nil, nil, e
+	}
 	resp, err := s.executeMatch(ctx, req, pat, h)
 	if err != nil {
 		h.Release()
@@ -420,25 +449,32 @@ func validateMatch(req *MatchRequest) *httpError {
 // timeline cancelled on the two context-driven outcomes so the flight
 // recorder always keeps those requests.
 func (s *Server) matchError(ctx context.Context, err error, timeout time.Duration) *httpError {
+	var e *httpError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		obs.FromContext(ctx).SetCancelled()
 		s.met.timeouts.Add(1)
-		return errf(http.StatusGatewayTimeout, "match exceeded its %v deadline", timeout)
+		e = errf(http.StatusGatewayTimeout, "match exceeded its %v deadline", timeout)
 	case errors.Is(err, context.Canceled):
 		obs.FromContext(ctx).SetCancelled()
-		return errf(http.StatusServiceUnavailable, "request cancelled")
+		e = errf(http.StatusServiceUnavailable, "request cancelled")
 	default:
-		return errf(http.StatusBadRequest, "match: %v", err)
+		e = errf(http.StatusBadRequest, "match: %v", err)
 	}
+	e.err = err
+	return e
 }
 
 // executeMatch runs the match itself against an acquired circuit handle:
-// matcher construction sharing the entry's CSR view (see Handle.CSR), and
-// result conversion.  Both the synchronous path and job runners land here.
-// The request's globals apply to this run only; the matcher reads the
-// shared circuit and the cached pattern and writes neither.
+// matcher construction sharing the entry's CSR view (see Handle.CSR), the
+// run, and result conversion.  A run with "workers" > 1 takes the
+// candidate-parallel engine, which neither captures nor replays; every
+// other run goes through core.FindIncremental and the result cache.  The
+// request's globals apply to this run only; the matcher reads the shared
+// circuit and the cached pattern and writes neither.
 func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph.Circuit, h *store.Handle) (*matchResult, error) {
+	s.met.inflight.Add(1)
+	defer s.met.inflight.Add(-1)
 	opts := core.Options{
 		Globals:      req.Globals,
 		Bind:         req.Bind,
@@ -450,44 +486,35 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 	if req.NonOverlap {
 		opts.Policy = core.NonOverlapping
 	}
-	workers := req.Workers
-	if workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-
 	m, err := core.NewMatcher(h.Circuit(), opts)
+	if err != nil {
+		return nil, err
+	}
 	var res *core.Result
 	var inc *IncrementalJSON
-	if err == nil {
-		switch {
-		case workers > 1:
-			// The candidate-parallel engine manages its own worklists; it
-			// neither captures nor replays.
-			res, err = m.FindParallel(pat, workers)
-		case s.incEnabled():
-			key := delta.PatternKey(pat, opts)
-			lRef := opts.Observe.Begin(obs.KindCacheLookup, "result-cache")
-			prev, ds, base := s.incLookup(h, key, req.SinceVersion)
-			if prev != nil {
-				opts.Observe.Attr(lRef, "hit", "true")
-				opts.Observe.AttrInt(lRef, "base_version", int64(base))
+	if workers := min(req.Workers, runtime.GOMAXPROCS(0)); workers > 1 {
+		res, err = m.FindParallel(pat, workers)
+	} else {
+		key := delta.PatternKey(pat, opts)
+		lRef := opts.Observe.Begin(obs.KindCacheLookup, "result-cache")
+		prev, ds, base := s.incLookup(h, key, req.SinceVersion)
+		if prev != nil {
+			opts.Observe.Attr(lRef, "hit", "true")
+			opts.Observe.AttrInt(lRef, "base_version", int64(base))
+		}
+		opts.Observe.End(lRef)
+		var next *core.IncrementalState
+		res, next, err = m.FindIncremental(pat, prev, ds)
+		if err == nil {
+			s.incStore(h, key, next)
+			inc = &IncrementalJSON{
+				Mode:       res.Report.IncrementalMode,
+				Replayed:   res.Report.Replayed,
+				Recomputed: res.Report.Recomputed,
 			}
-			opts.Observe.End(lRef)
-			var next *core.IncrementalState
-			res, next, err = m.FindIncremental(pat, prev, ds)
-			if err == nil {
-				s.rcache.Store(h.Name(), key, h.Version(), next)
-				inc = &IncrementalJSON{
-					Mode:       res.Report.IncrementalMode,
-					Replayed:   res.Report.Replayed,
-					Recomputed: res.Report.Recomputed,
-				}
-				if inc.Mode == "replay" {
-					inc.BaseVersion = base
-				}
+			if inc.Mode == "replay" {
+				inc.BaseVersion = base
 			}
-		default:
-			res, err = m.Find(pat)
 		}
 	}
 	if err != nil {
@@ -553,13 +580,24 @@ func (s *Server) parseCircuitBody(r *http.Request, name string) (*graph.Circuit,
 	return ckt, src, nil
 }
 
-// putCircuit stores an uploaded circuit under key, with the source text
-// it was parsed from as its snapshot when a data directory is configured.
+// putCircuit installs a circuit under key, under a persist span: every
+// install after boot goes through it (PUT, the legacy POST and an extract
+// job's store_as).  src is the netlist text an upload was parsed from,
+// which becomes the snapshot when a data directory is configured; ""
+// (an extraction) lets the store serialize the circuit.  The replaced
+// circuit's result-cache entries go with it: no run can use them, since a
+// replacement takes a new install stamp (see delta.ResultCache).
 func (s *Server) putCircuit(ctx context.Context, key string, ckt *graph.Circuit, src string) (store.Info, *httpError) {
 	sc := obs.ScopeFromContext(ctx)
 	ref := sc.Begin(obs.KindPersist, key)
-	info, err := s.store.PutSource(key, ckt, src)
 	sc.AttrInt(ref, "devices", int64(ckt.NumDevices()))
+	var info store.Info
+	var err error
+	if src == "" {
+		info, err = s.store.Put(key, ckt)
+	} else {
+		info, err = s.store.PutSource(key, ckt, src)
+	}
 	sc.End(ref)
 	if err != nil {
 		if store.ValidName(key) {
@@ -567,12 +605,7 @@ func (s *Server) putCircuit(ctx context.Context, key string, ckt *graph.Circuit,
 		}
 		return store.Info{}, errf(http.StatusBadRequest, "%v", err)
 	}
-	// A replacement starts a fresh version lineage, so cached incremental
-	// states cannot be carried forward (edits, by contrast, can — PATCH
-	// never invalidates).
-	if s.rcache != nil {
-		s.rcache.Invalidate(key)
-	}
+	s.rcache.Invalidate(key)
 	return info, nil
 }
 
@@ -619,9 +652,7 @@ func (s *Server) handleCircuitDelete(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if s.rcache != nil {
-		s.rcache.Invalidate(name)
-	}
+	s.rcache.Invalidate(name)
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
@@ -690,8 +721,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		faultsFired:    faults.FiredTotal(),
 		obsCounters:    s.rec.CountersSnapshot(),
 	}
-	if s.rcache != nil {
-		ext.resultHits, ext.resultMisses, ext.resultInvalidations = s.rcache.Counters()
-	}
+	ext.resultHits, ext.resultMisses, ext.resultInvalidations = s.rcache.Counters()
 	s.met.write(w, ext)
 }

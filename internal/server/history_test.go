@@ -35,8 +35,9 @@ const historySteps = 400
 // history and checks every answer against an oracle that shares only the
 // netlist reader and delta.Apply with it.  A history mixes flat and
 // hierarchical uploads, PATCH batches (some invalid), matches with random
-// globals, bind, nonoverlap, max and workers, sweeps, extract jobs with
-// store_as, and graceful restarts on the same data directory, under a store
+// globals, bind, nonoverlap, max and workers, sweeps (a quarter of the
+// matches and sweeps as jobs), extract jobs with store_as, and graceful
+// restarts on the same data directory, under a store
 // budget small enough to demote and reload circuits.
 //
 // The oracle keeps a recipe per stored circuit (see mirror) and rebuilds
@@ -450,8 +451,27 @@ func (h *history) randomGlobals(c *graph.Circuit) []string {
 	}
 }
 
-// match runs one /v1/match and checks it against core.Find on the rebuilt
-// circuit.
+// send posts a match or sweep request to its endpoint or, one time in
+// four, submits it as the equivalent job, whose lane must answer the same.
+// It returns the response status and body; a job that ends done reads as
+// 200 with its result, and a failed one as 400 with its error (the only
+// failure the history provokes is a refused match).
+func (h *history) send(path string, job JobRequest, req any) (int, []byte) {
+	h.t.Helper()
+	if h.rng.Intn(4) > 0 {
+		rec := do(h.t, h.s, "POST", path, req)
+		return rec.Code, rec.Body.Bytes()
+	}
+	h.ran[job.Kind+"-job"]++
+	view := waitJob(h.t, h.s, submitJob(h.t, h.s, job).ID)
+	if view.State != jobs.Done {
+		return http.StatusBadRequest, []byte(view.Error)
+	}
+	return http.StatusOK, view.Result
+}
+
+// match runs one /v1/match, or a match job, and checks it against
+// core.Find on the rebuilt circuit.
 func (h *history) match() {
 	name, mr := h.pick()
 	c := mr.build(h.t)
@@ -479,18 +499,22 @@ func (h *history) match() {
 		opts.Policy = core.NonOverlapping
 	}
 	res, err := core.Find(c, pat, opts)
-	rec := do(h.t, h.s, "POST", "/v1/match", req)
+	code, body := h.send("/v1/match", JobRequest{Kind: jobKindMatch, Match: &req}, req)
 	if err != nil {
-		if rec.Code != http.StatusBadRequest {
-			h.errorf("match %+v: status %d (%s); core.Find says %v", req, rec.Code, rec.Body.String(), err)
+		if code != http.StatusBadRequest {
+			h.errorf("match %+v: status %d (%s); core.Find says %v", req, code, body, err)
 		}
 		h.ran["match-refused"]++
 		return
 	}
-	if rec.Code != http.StatusOK {
-		h.fatalf("match %+v: status %d: %s", req, rec.Code, rec.Body.String())
+	if code != http.StatusOK {
+		h.fatalf("match %+v: status %d: %s", req, code, body)
 	}
-	got, want := canonJSON(decodeMatch(h.t, rec).Instances), canonInstances(res.Instances)
+	var resp MatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		h.fatalf("match: %v", err)
+	}
+	got, want := canonJSON(resp.Instances), canonInstances(res.Instances)
 	if req.Workers > 1 {
 		// The parallel engine reports the same instances in canonical
 		// order.
@@ -504,8 +528,8 @@ func (h *history) match() {
 	h.ran["match-instances"] += len(want)
 }
 
-// sweep runs one /v1/sweep and checks each pattern against core.Find with
-// the sweep's global union.
+// sweep runs one /v1/sweep, or a sweep job, and checks each pattern
+// against core.Find with the sweep's global union.
 func (h *history) sweep() {
 	name, mr := h.pick()
 	c := mr.build(h.t)
@@ -519,12 +543,12 @@ func (h *history) sweep() {
 			union = append(union, n.Name)
 		}
 	}
-	rec := do(h.t, h.s, "POST", "/v1/sweep", req)
-	if rec.Code != http.StatusOK {
-		h.fatalf("sweep %+v: status %d: %s", req, rec.Code, rec.Body.String())
+	code, body := h.send("/v1/sweep", JobRequest{Kind: jobKindSweep, Sweep: &req}, req)
+	if code != http.StatusOK {
+		h.fatalf("sweep %+v: status %d: %s", req, code, body)
 	}
 	var resp SweepResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+	if err := json.Unmarshal(body, &resp); err != nil {
 		h.fatalf("sweep: %v", err)
 	}
 	if len(resp.Results) != len(req.Patterns) {

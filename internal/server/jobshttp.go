@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"subgemini/internal/extract"
 	"subgemini/internal/jobs"
@@ -23,16 +22,14 @@ const (
 	jobKindBatch   = "batch"
 	jobKindExtract = "extract"
 	jobKindSweep   = "sweep"
-	// jobKindIncSweep runs the same payload as "sweep" but lets each
-	// per-pattern run replay from the versioned result cache; instances are
-	// bit-identical to a full sweep, only the work differs.
-	jobKindIncSweep = "incremental-sweep"
 )
 
 // JobRequest is the body of POST /v1/jobs: a kind plus exactly the payload
-// for that kind.  Jobs run on the engine's worker pool, outside the HTTP
-// request's deadline envelope — that is their purpose — so a match job has
-// no default timeout; set "timeout_ms" explicitly to bound one.
+// for that kind.  A match, batch or sweep job runs what the synchronous
+// endpoint runs, with the same answers and per-item statuses, but on the
+// engine's worker pool and outside the HTTP request's deadline envelope —
+// that is its purpose (see Server.envelope) — so a job has no default
+// timeout; set "timeout_ms" explicitly to bound one.
 type JobRequest struct {
 	Kind    string          `json:"kind"`
 	Match   *MatchRequest   `json:"match,omitempty"`
@@ -127,9 +124,9 @@ func (s *Server) jobRunner(req *JobRequest) (jobs.Runner, *httpError) {
 		}
 		mr := req.Match
 		return func(ctx context.Context) (any, error) {
-			resp, release, err := s.runMatchJob(ctx, mr)
-			if err != nil {
-				return nil, err
+			resp, release, e := s.runMatch(ctx, mr, true)
+			if e != nil {
+				return nil, e
 			}
 			defer release()
 			return renderCompact(resp), nil
@@ -146,7 +143,7 @@ func (s *Server) jobRunner(req *JobRequest) (jobs.Runner, *httpError) {
 		br := req.Batch
 		br.fillCircuits()
 		return func(ctx context.Context) (any, error) {
-			return s.runBatchJob(ctx, br), nil
+			return s.runBatch(ctx, br, true), nil
 		}, nil
 	case jobKindExtract:
 		if req.Extract == nil {
@@ -163,95 +160,37 @@ func (s *Server) jobRunner(req *JobRequest) (jobs.Runner, *httpError) {
 		return func(ctx context.Context) (any, error) {
 			return s.runExtractJob(ctx, er, specs)
 		}, nil
-	case jobKindSweep, jobKindIncSweep:
+	case jobKindSweep, "incremental-sweep": // the second, a synonym kept for existing clients
 		if req.Sweep == nil {
 			return nil, errf(http.StatusBadRequest, `job kind %q needs a "sweep" payload`, req.Kind)
 		}
 		if e := validateSweep(req.Sweep); e != nil {
 			return nil, e
 		}
-		incremental := req.Kind == jobKindIncSweep
-		if incremental && !s.incEnabled() {
-			return nil, errf(http.StatusBadRequest,
-				`job kind "incremental-sweep" is unavailable: the daemon runs with incremental matching disabled (-noincremental)`)
-		}
 		sr := req.Sweep
 		return func(ctx context.Context) (any, error) {
-			return s.runSweepJob(ctx, sr, incremental)
+			resp, e := s.runSweep(ctx, sr, true)
+			if e != nil {
+				return nil, e
+			}
+			return resp, nil
 		}, nil
 	default:
 		return nil, errf(http.StatusBadRequest,
-			`unknown job kind %q (want "match", "batch", "extract", "sweep", or "incremental-sweep")`, req.Kind)
+			`unknown job kind %q (want "match", "batch", "extract" or "sweep")`, req.Kind)
 	}
-}
-
-// runMatchJob is the asynchronous twin of runMatch: no admission
-// semaphore (the worker pool is the concurrency bound) and no default
-// deadline (escaping the request timeout envelope is the point of a job);
-// an explicit timeout_ms is honored uncapped.  Like runMatch, it returns
-// the result with its handle still held, for the caller to render before
-// it calls release: the job record outlives the handle.
-func (s *Server) runMatchJob(ctx context.Context, req *MatchRequest) (resp *matchResult, release func(), err error) {
-	pat, cacheHit, e := s.resolvePattern(req)
-	if e != nil {
-		return nil, nil, errors.New(e.msg)
-	}
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	h, e := s.acquireCircuit(req.Circuit)
-	if e != nil {
-		return nil, nil, errors.New(e.msg)
-	}
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-	resp, err = s.executeMatch(ctx, req, pat, h)
-	if err != nil {
-		h.Release()
-		return nil, nil, err
-	}
-	resp.CacheHit = cacheHit
-	return resp, h.Release, nil
-}
-
-// runBatchJob runs a batch sequentially on the job worker; per-item
-// failures are recorded in-band, so the job itself only fails on
-// cancellation.
-func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) batchResult {
-	results := make([]batchItem, len(req.Requests))
-	for i := range req.Requests {
-		item := batchItem{Index: i, Pattern: req.Requests[i].Pattern}
-		resp, release, err := s.runMatchJob(ctx, &req.Requests[i])
-		if err != nil {
-			item.Status = http.StatusBadRequest
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				item.Status = http.StatusServiceUnavailable
-			}
-			item.Error = err.Error()
-		} else {
-			item.Status, item.Match, item.Pattern = http.StatusOK, renderCompact(resp), resp.Pattern
-			release()
-		}
-		results[i] = item
-	}
-	return batchResult{Results: results}
 }
 
 // runExtractJob clones the selected circuit and extracts specs, the
-// request's cells resolved at submit time, from the clone, largest first.
-// The stored original is untouched; store_as saves the gate-level result
-// as a new circuit.
+// request's cells resolved at submit time, from the clone, largest first,
+// in the job lane's envelope.  The stored original is untouched; store_as
+// installs the gate-level result through putCircuit, as an upload would.
 func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest, specs []extract.Spec) (*ExtractResponse, error) {
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	h, e := s.acquireCircuit(req.Circuit)
+	ctx, _, done, _ := s.envelope(ctx, req.TimeoutMS, true)
+	defer done()
+	h, e := s.acquireCircuit(ctx, req.Circuit)
 	if e != nil {
-		return nil, errors.New(e.msg)
+		return nil, e
 	}
 
 	// Extraction mutates its circuit in place, so it must run on a private
@@ -278,8 +217,8 @@ func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest, specs [
 	for _, x := range exts {
 		resp.Extractions = append(resp.Extractions, ExtractionJSON{Cell: x.Cell, Count: x.Count})
 	}
-	// The netlist renders before Put: the store owns ckt from then on, and
-	// a PATCH on store_as may edit it in place.
+	// The netlist renders before the install: the store owns ckt from then
+	// on, and a PATCH on store_as may edit it in place.
 	if req.IncludeNetlist {
 		var buf strings.Builder
 		if err := netlist.WriteCircuit(&buf, ckt); err != nil {
@@ -288,8 +227,8 @@ func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest, specs [
 		resp.Netlist = buf.String()
 	}
 	if req.StoreAs != "" {
-		if _, err := s.store.Put(req.StoreAs, ckt); err != nil {
-			return nil, fmt.Errorf("storing extracted circuit as %q: %w", req.StoreAs, err)
+		if _, e := s.putCircuit(ctx, req.StoreAs, ckt, ""); e != nil {
+			return nil, e
 		}
 		resp.StoredAs = req.StoreAs
 	}

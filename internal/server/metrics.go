@@ -194,8 +194,7 @@ type externalMetrics struct {
 	faultsArmed    int  // armed fault-injection points
 	faultsFired    int64
 
-	// Versioned result cache counters (delta.ResultCache; all zero when
-	// the daemon runs with -noincremental).
+	// Versioned result cache counters (delta.ResultCache).
 	resultHits          uint64
 	resultMisses        uint64
 	resultInvalidations uint64

@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -127,7 +128,8 @@ func (s *Server) handleDebugRequestByID(w http.ResponseWriter, r *http.Request) 
 // submit-to-start, the runner's context carries the timeline (so
 // executeMatch and the sweep engine hang their spans off it), and the
 // finished timeline lands in the same flight recorder keyed by the same
-// request ID the submit response returned.
+// request ID the submit response returned.  A job that fails as the
+// synchronous request would records that request's status.
 func (s *Server) observeJobRunner(kind, requestID string, fn jobs.Runner) jobs.Runner {
 	tl := obs.NewTimeline(requestID, "job:"+kind, "JOB", "/v1/jobs")
 	qRef := tl.Begin(obs.NoSpan, obs.KindQueueWait, kind)
@@ -135,11 +137,14 @@ func (s *Server) observeJobRunner(kind, requestID string, fn jobs.Runner) jobs.R
 		tl.End(qRef)
 		res, err := fn(obs.NewContext(ctx, tl))
 		status := http.StatusOK
+		var he *httpError
 		switch {
 		case err == nil:
 		case ctx.Err() != nil:
 			tl.SetCancelled()
 			status = http.StatusServiceUnavailable
+		case errors.As(err, &he):
+			status = he.status
 		default:
 			status = http.StatusInternalServerError
 		}

@@ -5,10 +5,18 @@
 // parse/compile cost the one-shot CLIs pay on every invocation (patterns
 // are compiled once into a bounded LRU cache) and the per-circuit
 // flattening cost (each stored circuit keeps its CSR view and Phase II
-// scratch pool), and adds the robustness a daemon needs: a semaphore
-// capping concurrent synchronous match work, per-request timeouts enforced
-// through the matcher's cancellation hook, request-body size limits, and
-// panic isolation.
+// scratch pool), replays unchanged Phase II outcomes from a versioned
+// result cache after edits, and adds the robustness a daemon needs: a
+// semaphore capping concurrent synchronous match work, per-request
+// timeouts enforced through the matcher's cancellation hook, request-body
+// size limits, and panic isolation.
+//
+// Each request kind has one path.  A match, batch or sweep runs through
+// one runner (runMatch, runBatch, runSweep), called by the synchronous
+// endpoint and by the job of the same kind; the two lanes differ only in
+// their envelope (see Server.envelope).  Every circuit install after boot
+// (PUT, the legacy POST and an extract job's store_as) goes through
+// putCircuit.
 //
 // Endpoints:
 //
@@ -22,7 +30,7 @@
 //	GET    /v1/circuits             list stored circuits
 //	POST   /v1/circuit              legacy alias: store the default circuit
 //	GET    /v1/circuit              legacy alias: describe the default circuit
-//	POST   /v1/jobs                 submit an async job (match, batch, extract)
+//	POST   /v1/jobs                 submit an async job (match, batch, sweep, extract)
 //	GET    /v1/jobs                 list retained jobs
 //	GET    /v1/jobs/{id}            poll one job's state and result
 //	DELETE /v1/jobs/{id}            cancel a queued or running job
@@ -137,27 +145,20 @@ type Config struct {
 
 	// MaxConcurrent caps simultaneously executing synchronous match runs
 	// (admission control); further requests queue until a slot frees or
-	// their deadline expires.  0 selects GOMAXPROCS.  Async jobs are
-	// bounded by JobWorkers instead.
+	// their deadline expires.  0 selects GOMAXPROCS.  Async jobs take no
+	// slot: JobWorkers bounds them, and a batch job, like a synchronous
+	// batch, runs at most MaxConcurrent of its items at once.
 	MaxConcurrent int
 
 	// DefaultTimeout bounds each synchronous match request that does not
-	// set its own timeout_ms.  0 selects 30s.  Jobs have no default
-	// deadline — escaping the request-timeout envelope is their purpose —
-	// but honor a per-request timeout_ms when set.
+	// set its own timeout_ms; a timeout_ms is capped at 5m.  0 selects 30s.
+	// Jobs have no default deadline — escaping the request-timeout envelope
+	// is their purpose — but honor a per-request timeout_ms when set.
 	DefaultTimeout time.Duration
-
-	// MaxTimeout caps the per-request timeout_ms so a client cannot pin a
-	// worker slot arbitrarily long.  0 selects 5m.
-	MaxTimeout time.Duration
 
 	// MaxBodyBytes limits request body sizes (netlist uploads included).
 	// 0 selects 16 MiB.
 	MaxBodyBytes int64
-
-	// MaxWorkers caps the per-request "workers" fan-out.  0 selects
-	// GOMAXPROCS.
-	MaxWorkers int
 
 	// ShedInflight, when > 0, turns on priority load shedding: while at
 	// least this many synchronous match runs are in flight, the bulk
@@ -181,14 +182,6 @@ type Config struct {
 	// hits.  Preloading counts neither hits nor misses.
 	PreloadBuiltins bool
 
-	// DisableIncremental turns off the versioned result cache: every match
-	// and sweep runs the full engines regardless of edit history, and the
-	// "incremental-sweep" job kind is refused.  Results are bit-identical
-	// either way (the incremental engine is differentially tested against
-	// the full one); this is the operational escape hatch, mirrored by the
-	// daemon's -noincremental flag.
-	DisableIncremental bool
-
 	// ResultCacheSize bounds the versioned result cache entries (one per
 	// circuit × pattern structure pair); 0 selects the delta package
 	// default.
@@ -196,14 +189,9 @@ type Config struct {
 
 	// Log, when non-nil, is the structured logger for every server-side
 	// event (handler panics, store evictions, job recovery, slow-request
-	// lines); build one with obs.NewLogger.  Nil falls back to Logf, then
-	// to discarding.
+	// lines); build one with obs.NewLogger, or with obs.LogfLogger to
+	// receive pre-rendered printf lines.  Nil discards them.
 	Log *slog.Logger
-
-	// Logf, when non-nil and Log is nil, receives the same events as
-	// pre-rendered printf lines.  Retained for embedders and tests that
-	// capture log output as strings.
-	Logf func(format string, args ...any)
 
 	// SlowRequest is the latency at or past which a request is always kept
 	// by the flight recorder and logged with its top spans inline.
@@ -231,8 +219,8 @@ type Server struct {
 	met   metrics
 	mux   *http.ServeMux
 
-	// rcache is the versioned incremental-match result cache; nil when
-	// Config.DisableIncremental is set (the full engines always run).
+	// rcache is the versioned result cache every match and sweep consults
+	// (see deltahttp.go).
 	rcache *delta.ResultCache
 
 	// log is the resolved structured logger (never nil) and rec the
@@ -269,14 +257,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 5 * time.Minute
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 16 << 20
-	}
-	if cfg.MaxWorkers <= 0 {
-		cfg.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 2 * time.Second
@@ -286,19 +268,13 @@ func New(cfg Config) (*Server, error) {
 		cache:   newPatternCache(cfg.MaxPatterns),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		mux:     http.NewServeMux(),
+		rcache:  delta.NewResultCache(cfg.ResultCacheSize),
+		log:     cfg.Log,
 		rec:     obs.NewRecorder(cfg.FlightRecorderSize, cfg.FlightSampleN, cfg.SlowRequest),
 		ridBoot: fmt.Sprintf("r-%08x", time.Now().UnixNano()&0xffffffff),
 	}
-	switch {
-	case cfg.Log != nil:
-		s.log = cfg.Log
-	case cfg.Logf != nil:
-		s.log = obs.LogfLogger(cfg.Logf)
-	default:
+	if s.log == nil {
 		s.log = obs.Discard()
-	}
-	if !cfg.DisableIncremental {
-		s.rcache = delta.NewResultCache(cfg.ResultCacheSize)
 	}
 	st, err := store.Open(store.Config{
 		Dir:      cfg.DataDir,

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"subgemini/internal/gen"
+	"subgemini/internal/obs"
 	"subgemini/internal/stdcell"
 )
 
@@ -418,7 +419,7 @@ func TestPreloadBuiltins(t *testing.T) {
 func TestPanicRecovery(t *testing.T) {
 	var logged []string
 	s, want := newAdderServer(t, func(c *Config) {
-		c.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		c.Log = obs.LogfLogger(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
 	})
 	s.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
 	if rec := do(t, s, "GET", "/boom", nil); rec.Code != http.StatusInternalServerError {

@@ -3,14 +3,15 @@ package server
 // HTTP surface of the library-sweep engine: named pattern libraries
 // (PUT/GET/DELETE /v1/libraries/{name}, GET /v1/libraries) persisted by
 // the store alongside patterns, plus POST /v1/sweep and the "sweep" job
-// kind, both of which run internal/sweep against a stored circuit.
+// kind, both of which run internal/sweep against a stored circuit through
+// runSweep.
 
 import (
 	"context"
 	"errors"
 	"net/http"
+	"runtime"
 	"sort"
-	"time"
 
 	"subgemini/internal/netlist"
 	"subgemini/internal/obs"
@@ -105,22 +106,17 @@ func (s *Server) handleLibraryPut(w http.ResponseWriter, r *http.Request) {
 			writeError(w, errf(http.StatusBadRequest, "library netlist defines no .SUBCKT"))
 			return
 		}
-		subckts := make([]string, 0, len(f.Subckts))
-		for sub := range f.Subckts {
-			subckts = append(subckts, sub)
+		tpls, err := f.Patterns()
+		if err != nil {
+			writeError(w, errf(http.StatusBadRequest, "library netlist: %v", err))
+			return
 		}
-		sort.Strings(subckts)
-		for _, sub := range subckts {
-			tpl, err := f.Pattern(sub)
-			if err != nil {
-				writeError(w, errf(http.StatusBadRequest, "library netlist: pattern %s: %v", sub, err))
-				return
+		for _, tpl := range tpls {
+			s.cache.put(tpl.Name, tpl, false)
+			if err := s.store.SavePattern(tpl.Name, tpl); err != nil {
+				s.log.Warn("persisting pattern failed", "pattern", tpl.Name, "err", err)
 			}
-			s.cache.put(sub, tpl, false)
-			if err := s.store.SavePattern(sub, tpl); err != nil {
-				s.log.Warn("persisting pattern failed", "pattern", sub, "err", err)
-			}
-			patterns = append(patterns, sub)
+			patterns = append(patterns, tpl.Name)
 		}
 	}
 	if len(patterns) == 0 {
@@ -199,7 +195,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.SinceVersion == 0 {
 		req.SinceVersion = sinceVersion(r)
 	}
-	resp, e := s.runSweep(r.Context(), &req)
+	resp, e := s.runSweep(r.Context(), &req, false)
 	if e != nil {
 		writeError(w, e)
 		return
@@ -236,11 +232,14 @@ func (s *Server) resolveSweepLibrary(req *SweepRequest) ([]sweep.Pattern, *httpE
 	return lib, nil
 }
 
-// runSweep executes one synchronous sweep end to end, mirroring runMatch:
-// validation, library resolution, deadline, admission (a sweep takes one
-// match slot; its internal parallelism is bounded separately by "workers"),
-// circuit acquisition, and the sweep under the entry read lock.
-func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*sweepResult, *httpError) {
+// runSweep executes one sweep end to end, for POST /v1/sweep (job false)
+// and for sweep jobs alike, as runMatch does a match: validation, library
+// resolution under a cache-lookup span, the lane's envelope (a synchronous
+// sweep takes one match slot; its internal parallelism is bounded
+// separately by "workers"), circuit acquisition, and the sweep.  A job
+// resolves its library when it runs, so a job against a stored library
+// sweeps its definition as of execution.
+func (s *Server) runSweep(ctx context.Context, req *SweepRequest, job bool) (*sweepResult, *httpError) {
 	if e := validateSweep(req); e != nil {
 		return nil, e
 	}
@@ -253,39 +252,17 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*sweepResult,
 		return nil, e
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+	ctx, timeout, done, e := s.envelope(ctx, req.TimeoutMS, job)
+	if e != nil {
+		return nil, e
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	qRef := sc.Begin(obs.KindQueueWait, "match-slot")
-	select {
-	case s.sem <- struct{}{}:
-		sc.End(qRef)
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		sc.End(qRef)
-		obs.FromContext(ctx).SetCancelled()
-		s.met.rejected.Add(1)
-		return nil, errf(http.StatusServiceUnavailable,
-			"server saturated: no match slot within %v (%d concurrent)", timeout, s.cfg.MaxConcurrent)
-	}
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-
-	gRef := sc.Begin(obs.KindStoreGet, req.Circuit)
-	h, e := s.acquireCircuit(req.Circuit)
-	sc.End(gRef)
+	defer done()
+	h, e := s.acquireCircuit(ctx, req.Circuit)
 	if e != nil {
 		return nil, e
 	}
 	defer h.Release()
-	resp, err := s.executeSweep(ctx, req, lib, h, s.incEnabled())
+	resp, err := s.executeSweep(ctx, req, lib, h)
 	if err != nil {
 		return nil, s.matchError(ctx, err, timeout)
 	}
@@ -293,26 +270,20 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*sweepResult,
 }
 
 // executeSweep runs the sweep against an acquired circuit handle, sharing
-// the entry's CSR view and scratch pool.  Both the synchronous path and the
-// job runners land here; incremental selects whether per-pattern runs
-// consult the versioned result cache (results are identical either way).
-// The request's globals apply to this sweep only.
-func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []sweep.Pattern, h *store.Handle, incremental bool) (*sweepResult, error) {
-	workers := req.Workers
-	if workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-
+// the entry's CSR view and scratch pool, with every per-pattern run
+// consulting the result cache.  The request's globals apply to this sweep
+// only.
+func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []sweep.Pattern, h *store.Handle) (*sweepResult, error) {
+	s.met.inflight.Add(1)
+	defer s.met.inflight.Add(-1)
 	sopts := sweep.Options{
 		Globals:      req.Globals,
-		Workers:      workers,
+		Workers:      min(req.Workers, runtime.GOMAXPROCS(0)),
 		MaxInstances: req.Max,
 		Cancel:       s.cancelHook(ctx),
 		CSR:          h.CSR(),
 		Observe:      obs.ScopeFromContext(ctx),
-	}
-	if incremental {
-		sopts.Incremental = &sweepIncHook{s: s, h: h, minBase: req.SinceVersion}
+		Incremental:  &sweepIncHook{s: s, h: h, minBase: req.SinceVersion},
 	}
 	rep, err := sweep.Run(h.Circuit(), lib, sopts)
 	if err != nil {
@@ -372,30 +343,4 @@ func statsJSON(r *stats.Report) StatsJSON {
 		Replayed:        r.Replayed,
 		Recomputed:      r.Recomputed,
 	}
-}
-
-// runSweepJob is the asynchronous twin of runSweep: no admission semaphore
-// (the job worker pool is the concurrency bound) and no default deadline;
-// an explicit timeout_ms is honored uncapped.  The library is re-resolved
-// at run time, so a job submitted against a stored library sweeps its
-// definition as of execution.  incremental distinguishes the "sweep" job
-// kind (always full) from "incremental-sweep" (consults the result cache).
-func (s *Server) runSweepJob(ctx context.Context, req *SweepRequest, incremental bool) (*sweepResult, error) {
-	lib, e := s.resolveSweepLibrary(req)
-	if e != nil {
-		return nil, errors.New(e.msg)
-	}
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	h, e := s.acquireCircuit(req.Circuit)
-	if e != nil {
-		return nil, errors.New(e.msg)
-	}
-	defer h.Release()
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-	return s.executeSweep(ctx, req, lib, h, incremental && s.incEnabled())
 }

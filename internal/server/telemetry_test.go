@@ -316,14 +316,21 @@ func TestJobInheritsRequestID(t *testing.T) {
 	if tls[0].Scope != "http" || tls[1].Scope != "job:match" {
 		t.Errorf("scopes = %q, %q; want http then job:match", tls[0].Scope, tls[1].Scope)
 	}
+	// The job runs the synchronous runner: it resolves the pattern and
+	// acquires the circuit under the same spans, and only its match-slot
+	// wait is missing (its queue-wait span is the job queue's).
 	kinds := map[string]bool{}
 	for _, sp := range tls[1].Spans {
+		kinds[sp.Kind+"/"+sp.Name] = true
 		kinds[sp.Kind] = true
 	}
-	for _, kind := range []string{obs.KindQueueWait, obs.KindPhase1, obs.KindPhase2} {
+	for _, kind := range []string{obs.KindQueueWait, obs.KindCacheLookup + "/pattern", obs.KindStoreGet, obs.KindPhase1, obs.KindPhase2} {
 		if !kinds[kind] {
 			t.Errorf("job timeline has no %s span; spans: %+v", kind, tls[1].Spans)
 		}
+	}
+	if kinds[obs.KindQueueWait+"/match-slot"] {
+		t.Errorf("job timeline waited for a match slot; spans: %+v", tls[1].Spans)
 	}
 }
 

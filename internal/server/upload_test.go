@@ -206,3 +206,32 @@ func TestHierarchyPastDeviceBoundRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestLibraryPastDeviceBudgetRejected: a library upload and an extract
+// job flatten every .SUBCKT of their netlist under one device budget.  In
+// a 22-level doubling chain each level passes netlist.MaxDevices alone,
+// and together they would build about 8.4 million devices; both answer 400
+// naming the bound before they build any level.
+func TestLibraryPastDeviceBudgetRejected(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(".SUBCKT L0 a b\nR1 a b\n.ENDS\n")
+	for i := 1; i <= 22; i++ {
+		fmt.Fprintf(&b, ".SUBCKT L%d a b\nX1 a b L%d\nX2 a b L%d\n.ENDS\n", i, i-1, i-1)
+	}
+	chain := b.String()
+
+	s, _ := newAdderServer(t, nil)
+	limit := fmt.Sprint(netlist.MaxDevices)
+	for _, tc := range []struct {
+		what, method, path string
+		body               any
+	}{
+		{"library", "PUT", "/v1/libraries/chain", map[string]any{"netlist": chain}},
+		{"extract job", "POST", "/v1/jobs", map[string]any{"kind": "extract", "extract": map[string]any{"netlist": chain}}},
+	} {
+		rec := do(t, s, tc.method, tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), limit) {
+			t.Errorf("%s: status %d, body %s; want 400 naming the limit %s", tc.what, rec.Code, rec.Body.String(), limit)
+		}
+	}
+}

@@ -44,8 +44,8 @@ const (
 	compactEvery = 64
 
 	// stepsKeep bounds the in-memory Steps retained per entry for
-	// StepsSince; incremental match states older than this many versions
-	// behind fall back to a full run.
+	// Handle.StepsSince; incremental match states older than this many
+	// versions behind fall back to a full run.
 	stepsKeep = 64
 )
 
@@ -113,6 +113,7 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 		file:        old.file,
 		log:         old.log,
 		saved:       old.saved,
+		stamp:       old.stamp,
 		ckt:         ckt,
 		view:        view,
 		bytes:       estimateBytes(ckt),
@@ -174,32 +175,25 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 }
 
 // StepsSince returns the Steps leading from the given version to the
-// circuit's current version (empty when already current), plus the current
-// version.  ok=false when the circuit is unknown, the version is ahead of
-// the store, or the steps have aged out of the retained window — callers
-// then fall back to a full re-match.
-func (st *Store) StepsSince(name string, since uint64) (steps []*delta.Step, current uint64, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, found := st.entries[name]
-	if !found {
-		return nil, 0, false
-	}
-	if since == e.version {
-		return nil, e.version, true
-	}
+// version this handle leases (none when they are equal).  ok=false when
+// the version is ahead of it or the steps have aged out of the retained
+// window; callers then fall back to a full re-match.  The steps are the
+// leased entry's own, so they lead to this circuit even after the name has
+// been edited further or replaced.  Callers must not modify them.
+func (h *Handle) StepsSince(since uint64) (steps []*delta.Step, ok bool) {
+	e := h.e
 	if since > e.version {
-		return nil, e.version, false
+		return nil, false
 	}
 	need := e.version - since
 	if uint64(len(e.steps)) < need {
-		return nil, e.version, false
+		return nil, false
 	}
 	tail := e.steps[uint64(len(e.steps))-need:]
-	if tail[0].Version != since+1 {
-		return nil, e.version, false
+	if need > 0 && tail[0].Version != since+1 {
+		return nil, false
 	}
-	return append([]*delta.Step(nil), tail...), e.version, true
+	return tail, true
 }
 
 // VersionStep summarizes one retained edit step for the versions listing.

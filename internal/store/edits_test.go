@@ -104,25 +104,77 @@ func TestStepsSince(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	steps, cur, ok := st.StepsSince("chip", 1)
-	if !ok || cur != 4 || len(steps) != 3 {
-		t.Fatalf("StepsSince(1): ok=%v cur=%d steps=%d", ok, cur, len(steps))
+	h, err := st.Acquire("chip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	steps, ok := h.StepsSince(1)
+	if !ok || h.Version() != 4 || len(steps) != 3 {
+		t.Fatalf("StepsSince(1): ok=%v version=%d steps=%d", ok, h.Version(), len(steps))
 	}
 	if steps[0].Version != 2 || steps[2].Version != 4 {
 		t.Errorf("step versions %d..%d", steps[0].Version, steps[2].Version)
 	}
-	if _, cur, ok := st.StepsSince("chip", 4); !ok || cur != 4 {
-		t.Errorf("StepsSince(current): ok=%v cur=%d", ok, cur)
+	if steps, ok := h.StepsSince(4); !ok || len(steps) != 0 {
+		t.Errorf("StepsSince(current): ok=%v steps=%d", ok, len(steps))
 	}
-	if _, _, ok := st.StepsSince("chip", 9); ok {
+	if _, ok := h.StepsSince(9); ok {
 		t.Error("StepsSince(future) ok")
-	}
-	if _, _, ok := st.StepsSince("ghost", 1); ok {
-		t.Error("StepsSince(unknown) ok")
 	}
 	vl, err := st.Versions("chip")
 	if err != nil || vl.Version != 4 || vl.SnapVersion != 1 || len(vl.Steps) != 3 {
 		t.Errorf("Versions: %+v err=%v", vl, err)
+	}
+}
+
+// TestInstallStamps: an edit keeps the install stamp of the circuit it
+// edits, while a replacement under the same name, and a reboot, take one
+// no other install has had, although each restarts the version at 1.
+func TestInstallStamps(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Config{Dir: dir, Globals: rails})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := func(st *Store) (uint64, uint64) {
+		t.Helper()
+		h, err := st.Acquire("chip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		return h.Stamp(), h.Version()
+	}
+	c := parseMain(t, nandSrc, "chip")
+	dev := c.Devices[0].Name
+	if _, err := st.Put("chip", c); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := stamp(st)
+	if _, err := st.ApplyEdits("chip", editOps(dev, "spare")); err != nil {
+		t.Fatal(err)
+	}
+	if s, v := stamp(st); s != first || v != 2 {
+		t.Errorf("after an edit: stamp %d version %d, want %d and 2", s, v, first)
+	}
+	if _, err := st.Put("chip", parseMain(t, nandSrc, "chip")); err != nil {
+		t.Fatal(err)
+	}
+	second, v := stamp(st)
+	if second == first || v != 1 {
+		t.Errorf("after a replacement: stamp %d version %d, want a new stamp and 1", second, v)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(Config{Dir: dir, Globals: rails})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if s, _ := stamp(st2); s == first || s == second {
+		t.Errorf("after a reboot: stamp %d repeats an earlier install's", s)
 	}
 }
 
@@ -168,9 +220,14 @@ func TestEditLogRecoveryAndTornTail(t *testing.T) {
 	}
 	h.Release()
 	// Recovery also rebuilds the steps window.
-	if steps, cur, ok := st2.StepsSince("chip", 1); !ok || cur != 3 || len(steps) != 2 {
-		t.Errorf("recovered StepsSince: ok=%v cur=%d steps=%d", ok, cur, len(steps))
+	h, err = st2.Acquire("chip")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if steps, ok := h.StepsSince(1); !ok || h.Version() != 3 || len(steps) != 2 {
+		t.Errorf("recovered StepsSince: ok=%v version=%d steps=%d", ok, h.Version(), len(steps))
+	}
+	h.Release()
 	// Kill st2 too (no Close): Close would compact the log into the
 	// snapshot, and the remaining cases need the uncompacted layout.
 
@@ -466,10 +523,10 @@ func TestEditInPlaceMatchesClone(t *testing.T) {
 		}
 		sameView(t, fmt.Sprintf("in place, batch %d", i), a.CSR(), csr.New(a.Circuit()))
 		sameView(t, fmt.Sprintf("cloned, batch %d", i), b.CSR(), csr.New(b.Circuit()))
+		sa, _ := a.StepsSince(uint64(i + 1))
+		sb, _ := b.StepsSince(uint64(i + 1))
 		a.Release()
 		b.Release()
-		sa, _, _ := inPlace.StepsSince("rand", uint64(i+1))
-		sb, _, _ := cloning.StepsSince("rand", uint64(i+1))
 		if len(sa) != 1 || !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("batch %d: in-place Steps %+v, cloned %+v", i, sa, sb)
 		}

@@ -204,6 +204,7 @@ func (st *Store) loadCircuitRec(rec circuitRec) (*Entry, error) {
 		devices:     ckt.NumDevices(),
 		nets:        ckt.NumNets(),
 		saved:       time.Unix(rec.SavedUnix, 0),
+		stamp:       nextStamp(),
 		version:     version,
 		snapVersion: snapVersion,
 		steps:       steps,

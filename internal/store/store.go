@@ -181,11 +181,18 @@ type Entry struct {
 	bytes    int64
 	resident bool
 
+	// stamp names the install the entry descends from: Put and boot give
+	// each entry a number no other install in the process shares (see
+	// nextStamp), and an edit's entry keeps its predecessor's.  Versions
+	// restart at 1 when a name is replaced, so only (stamp, version)
+	// names one circuit for the life of the process.
+	stamp uint64
+
 	// version numbers the circuit's edit history (1 at Put, +1 per
 	// ApplyEdits batch); snapVersion is the version the on-disk snapshot
 	// covers (they differ while the edit log holds unfolded records, see
 	// edits.go).  steps retains the last stepsKeep edit Steps for
-	// StepsSince; logCount counts records in the on-disk edit log.
+	// Handle.StepsSince; logCount counts records in the on-disk edit log.
 	version     uint64
 	snapVersion uint64
 	steps       []*delta.Step
@@ -313,6 +320,7 @@ func (st *Store) put(name string, ckt *graph.Circuit, src *string) (Info, error)
 		devices:     ckt.NumDevices(),
 		nets:        ckt.NumNets(),
 		saved:       time.Now(),
+		stamp:       nextStamp(),
 		version:     1,
 		snapVersion: 1,
 	}
@@ -524,6 +532,14 @@ func (st *Store) evictLocked() {
 	}
 }
 
+// stamps counts the installs of the process across stores, so that no two
+// entries of any stores share a stamp and state kept by stamp cannot be
+// mistaken for another store's.
+var stamps atomic.Uint64
+
+// nextStamp returns the stamp of a new install (see Entry.stamp).
+func nextStamp() uint64 { return stamps.Add(1) }
+
 // markGlobals marks the store-level globals on ckt; names it lacks are
 // skipped.  Every stored circuit carries them: Put, each edit batch (whose
 // new nets may take such a name) and boot all mark them.
@@ -583,6 +599,14 @@ func (h *Handle) CSR() *core.CSR { return h.e.view }
 // a circuit in place only while no other handle leases it, so a concurrent
 // PATCH never changes what an acquired handle sees.
 func (h *Handle) Version() uint64 { return h.e.version }
+
+// Stamp returns the install stamp of the leased entry: the same for every
+// version one Put (or boot) and the edits after it produce, and different
+// from every other install's, a replacement under the same name included.
+// State derived from a circuit and kept past its handle (the daemon's
+// result cache) records the stamp beside the version, since a replacement
+// restarts the version at 1.
+func (h *Handle) Stamp() uint64 { return h.e.stamp }
 
 // Release returns the lease.  Releasing twice is a no-op.
 func (h *Handle) Release() {
