@@ -11,7 +11,9 @@ all: tier1
 # cmd/docgen's staleness test, so a stale ALGORITHM.md fails tier-1.
 # The differential run and the benchmark smoke keep the engines honest:
 # each must agree bit for bit with its test-only reference, and the
-# benchmarks must at least compile and complete one iteration.
+# benchmarks must at least compile and complete one iteration; the paper
+# tables' iterations go through cmd/benchtab, so benchmark output the
+# summarizer cannot read fails tier-1.
 # bench-harness builds and tests the end-to-end benchmark module, which
 # the root ./... patterns skip.
 tier1: vet fmt-check lint-logs docs-check race diff bench-smoke bench-harness smoke-daemon chaos-smoke
@@ -99,7 +101,10 @@ diff-phase2:
 # allocations, the figure their block allocation is about, as do the match
 # request path's (BenchmarkFindScratch/request, BenchmarkRenderMatch).
 # BenchmarkParseFlatten runs its reader, flatten and hierarchical cases.
+# Two one-iteration samples of the E7 and E8 paper tables go through
+# cmd/benchtab, which fails on a failed run or on output it cannot read.
 bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkE7|BenchmarkE8' -benchtime 1x -count 2 . | $(GO) run ./cmd/benchtab
 	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch' -benchmem -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderMatch' -benchmem -benchtime 1x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x ./internal/sweep/
@@ -159,13 +164,20 @@ lint-logs:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the evaluation tables (EXPERIMENTS.md records the shapes) and
-# archive them as a BENCH_<commit>.json snapshot for cross-PR comparison.
+# Regenerate the paper's evaluation tables (E4–E9, bench_test.go): ten
+# samples of every cell, summarized by cmd/benchtab as median [q1–q3] and
+# archived as BENCH_<commit>.json, whose meta block comes from the config
+# lines (the commit and go lines below, and go test's goos, goarch, pkg
+# and cpu).  About ten minutes on a 2-vCPU VM; EXPERIMENTS.md quotes the
+# archive.
 bench:
-	$(GO) run ./cmd/benchtab -table all -json BENCH_$$(git rev-parse --short HEAD).json
+	{ echo "commit: $$(git describe --always --dirty)"; echo "go: $$($(GO) env GOVERSION)"; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkE[4-9]' -benchtime 0.4s -count 10 . ; } \
+		| $(GO) run ./cmd/benchtab -json BENCH_$$(git rev-parse --short HEAD).json
 
 # Compare the Go benchmarks between two git revisions with benchstat when
-# it is installed, falling back to printing both runs side by side:
+# it is installed, falling back to cmd/benchtab's median [q1–q3] summary
+# of each revision's runs:
 #   make bench-compare OLD=main NEW=HEAD
 OLD ?= HEAD~1
 NEW ?= HEAD
@@ -179,7 +191,9 @@ bench-compare:
 		git worktree remove --force $$tmp/$$rev; \
 	done; \
 	if command -v benchstat >/dev/null; then benchstat $$tmp/$(OLD).txt $$tmp/$(NEW).txt; \
-	else echo "(benchstat not installed; raw runs above)"; fi; \
+	else for rev in $(OLD) $(NEW); do \
+		echo "== summary at $$rev (benchstat not installed)"; $(GO) run ./cmd/benchtab < $$tmp/$$rev.txt; \
+	done; fi; \
 	rm -rf $$tmp
 
 # Rebuild the generated documentation sections (cmd/docgen): the trace

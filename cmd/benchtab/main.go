@@ -1,231 +1,303 @@
-// Benchtab regenerates the paper's evaluation tables and figures
-// (DESIGN.md experiments E4–E9) as text tables.
+// Benchtab summarizes Go benchmark output.  It reads the text of
+// `go test -bench ... -count N` on stdin and prints one table per
+// top-level benchmark: a row per sub-benchmark, with its sample count, and
+// a column per unit in first-seen order.  A cell reads "median [q1–q3]";
+// a value that is the same in every sample prints once.
 //
 // Usage:
 //
-//	benchtab [-table results|scaling|baseline|ablation|coverage|all] [-quick] [-json out.json]
+//	go test -run '^$' -bench 'BenchmarkE[4-9]' -count 10 . | benchtab [-json out.json]
 //
-// Absolute times are machine-dependent; the shapes the paper claims —
-// instance counts, tight candidate vectors, flat time-per-matched-device,
-// and a large margin over the naive matcher — are what EXPERIMENTS.md
-// records.
+// `make bench` runs this over the paper's tables, which bench_test.go
+// defines (benchtab knows only the format), and archives BENCH_<rev>.json.
+// Configuration lines ("key: value": go test's goos, goarch, pkg and cpu,
+// and the commit and go lines `make bench` prints first) become the
+// summary's meta block.  GOMAXPROCS comes from the "-N" suffix the testing
+// package appends to every benchmark name, and is 1 without a common one.
 //
-// With -json, the selected tables are additionally written to a file as
-// one JSON document (schema "subgemini-benchtab/v1", documented in
-// EXPERIMENTS.md), so successive runs can be archived as BENCH_*.json and
-// compared across PRs.
+// With -json, the summary is also written to a file (schema
+// "subgemini-benchtab/v2", documented in EXPERIMENTS.md).  A failed run in
+// the input ("FAIL", "--- FAIL", "panic:"), or no benchmark line at all,
+// makes benchtab exit 1, so a pipe from a failing run fails.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"math"
 	"os"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"text/tabwriter"
-
-	"subgemini/internal/bench"
-	"subgemini/internal/stats"
+	"unicode"
 )
 
-// jsonOutput is the -json document: one optional section per table, plus
-// the summed matcher reports of the results suite.
-type jsonOutput struct {
-	Schema        string              `json:"schema"`
-	Quick         bool                `json:"quick"`
-	Results       []bench.Row         `json:"results,omitempty"`
-	ResultsTotals *stats.Snapshot     `json:"results_totals,omitempty"`
-	Scaling       []bench.ScalePoint  `json:"scaling,omitempty"`
-	Baseline      []bench.BaselineRow `json:"baseline,omitempty"`
-	Ablation      []bench.AblationRow `json:"ablation,omitempty"`
-	Coverage      []bench.CoverageRow `json:"coverage,omitempty"`
+// schema identifies the -json document's layout.
+const schema = "subgemini-benchtab/v2"
+
+// Stat summarizes one unit's samples.  The quartiles are those of
+// Python's statistics.quantiles(xs, n=4), as in the repository's
+// end-to-end benchmark.
+type Stat struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+	N      int     `json:"n"`
+
+	same bool // every sample holds the same value
+}
+
+// Row is one sub-benchmark's summary: N sample lines, and a Stat per unit.
+type Row struct {
+	Benchmark string          `json:"benchmark"`
+	Row       string          `json:"row"`
+	N         int             `json:"n"`
+	Units     map[string]Stat `json:"units"`
+}
+
+// Summary is the -json document: the run's meta block and one Row per
+// sub-benchmark, in first-seen order.
+type Summary struct {
+	Schema  string            `json:"schema"`
+	Meta    map[string]string `json:"meta"`
+	Results []Row             `json:"results"`
+
+	units map[string][]string // each benchmark's units, in first-seen order
 }
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: results, scaling, baseline, ablation, coverage, all")
-	quick := flag.Bool("quick", false, "use reduced workload sizes")
-	jsonPath := flag.String("json", "", "also write the selected tables to this file as JSON")
+	jsonPath := flag.String("json", "", "also write the summary to this file as JSON")
 	flag.Parse()
-
-	out := jsonOutput{Schema: "subgemini-benchtab/v1", Quick: *quick}
-	run := func(name string, fn func() error) {
-		switch *table {
-		case name, "all":
-			if err := fn(); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-		}
+	s, err := summarize(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		os.Exit(1)
 	}
-	run("results", func() error {
-		rows, totals, err := results(*quick)
-		out.Results, out.ResultsTotals = rows, totals
-		return err
-	})
-	run("scaling", func() error {
-		pts, err := scaling(*quick)
-		out.Scaling = pts
-		return err
-	})
-	run("baseline", func() error {
-		rows, err := baselineCmp()
-		out.Baseline = rows
-		return err
-	})
-	run("ablation", func() error {
-		rows, err := ablation()
-		out.Ablation = rows
-		return err
-	})
-	run("coverage", func() error {
-		rows, err := coverage()
-		out.Coverage = rows
-		return err
-	})
-
+	s.print(os.Stdout)
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
+		js, err := json.MarshalIndent(s, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonPath, append(js, '\n'), 0o644)
+		}
 		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, "benchtab:", err)
+			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 }
 
-func coverage() ([]bench.CoverageRow, error) {
-	rows, err := bench.ExtractionCoverage()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== E9: ad hoc series-parallel recognizer vs SubGemini library extraction ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tMOS devices\tadhoc gates (named)\tadhoc coverage\tsubgemini cells\tsubgemini coverage\tadhoc time\tsubgemini time\tworkload")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d (%d)\t%.0f%%\t%d\t%.0f%%\t%v\t%v\t%s\n",
-			r.Circuit, r.Devices, r.AdhocGates, r.AdhocNamed, r.AdhocCover*100,
-			r.SubgCells, r.SubgCover*100, round(r.AdhocTime), round(r.SubgTime), r.Description)
-	}
-	w.Flush()
-	fmt.Println("(the ad hoc method cannot name multi-stage cells and loses pass-transistor structure entirely; paper §I)")
-	fmt.Println()
-	return rows, nil
+// result is one benchmark line: its full name and (unit, value) pairs.
+type result struct {
+	name   string
+	units  []string
+	values []float64
 }
 
-func results(quick bool) ([]bench.Row, *stats.Snapshot, error) {
-	suite := bench.Suite(1)
-	if quick && len(suite) > 5 {
-		suite = suite[:5]
-	}
-	var rows []bench.Row
-	var agg stats.Aggregate
-	for _, w := range suite {
-		row, err := bench.Run(w)
-		if err != nil {
-			return nil, nil, err
+// summarize reads Go benchmark text and summarizes every row and unit.
+func summarize(r io.Reader) (*Summary, error) {
+	meta := map[string]string{}
+	var results []result
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "panic:") {
+			return nil, fmt.Errorf("the run failed: %s", line)
 		}
-		rows = append(rows, row)
-		agg.Add(&row.Report)
-	}
-	fmt.Println("== E4: results table (per circuit/pattern pair) ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tnets\tpattern\tfound\texpected\t|CV|\tmatched devs\tphase1\tphase2\ttotal\tper matched dev")
-	for _, r := range rows {
-		status := ""
-		if r.Found != r.Expected {
-			status = "  <-- MISMATCH"
+		if res, ok := parseResult(line); ok {
+			results = append(results, res)
+		} else if k, v, ok := parseConfig(line); ok {
+			meta[k] = v
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%d\t%d\t%d\t%d\t%v\t%v\t%v\t%v%s\n",
-			r.Circuit, r.Devices, r.Nets, r.Pattern, r.Found, r.Expected, r.CVSize,
-			r.Matched, round(r.P1), round(r.P2), round(r.Total), round(r.PerDevice), status)
 	}
-	w.Flush()
-	snap := agg.Snapshot()
-	fmt.Printf("totals: %d runs, %d instances, %d matched devices, %d candidates, %d guesses, %d backtracks, %s total\n",
-		snap.Runs, snap.Sum.Instances, snap.Sum.MatchedDevices, snap.Sum.Candidates,
-		snap.Sum.Guesses, snap.Sum.Backtracks, round(snap.Sum.Total()))
-	fmt.Println()
-	return rows, &snap, nil
-}
-
-func scaling(quick bool) ([]bench.ScalePoint, error) {
-	pts, err := bench.ScalingSeries(quick)
-	if err != nil {
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	fmt.Println("== E5: scaling figure (linearity in matched devices) ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "series\tparam\tdevices\tinstances\tmatched devs\ttotal\tus per matched dev")
-	last := ""
-	for _, p := range pts {
-		if p.Series != last {
-			if last != "" {
-				fmt.Fprintln(w, "\t\t\t\t\t\t")
+	if len(results) == 0 {
+		return nil, fmt.Errorf("no benchmark results in the input")
+	}
+
+	suffix := procsSuffix(results)
+	meta["GOMAXPROCS"] = "1"
+	if suffix != "" {
+		meta["GOMAXPROCS"] = suffix[1:]
+	}
+	s := &Summary{Schema: schema, Meta: meta, units: map[string][]string{}}
+	type key struct{ bench, row string }
+	index := map[key]int{}
+	var samples []map[string][]float64
+	for _, res := range results {
+		bench, row, _ := strings.Cut(strings.TrimSuffix(res.name, suffix), "/")
+		i, ok := index[key{bench, row}]
+		if !ok {
+			i = len(s.Results)
+			index[key{bench, row}] = i
+			s.Results = append(s.Results, Row{Benchmark: bench, Row: row, Units: map[string]Stat{}})
+			samples = append(samples, map[string][]float64{})
+		}
+		s.Results[i].N++
+		for j, unit := range res.units {
+			if !slices.Contains(s.units[bench], unit) {
+				s.units[bench] = append(s.units[bench], unit)
 			}
-			last = p.Series
+			samples[i][unit] = append(samples[i][unit], res.values[j])
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%v\t%.3f\n",
-			p.Series, p.Param, p.Devices, p.Instances, p.Matched, round(p.Total), p.PerDevice)
 	}
-	w.Flush()
-	fmt.Println("(linear scaling <=> the last column stays roughly flat within each series)")
-	fmt.Println()
-	return pts, nil
-}
-
-func baselineCmp() ([]bench.BaselineRow, error) {
-	rows, err := bench.BaselineComparison(1)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== E6: SubGemini vs exhaustive DFS ([6]-style) and pruned DFS ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tdevices\tpattern\tinstances\tsubgemini\tpruned DFS\tplain DFS\tplain steps\tspeedup vs plain")
-	for _, r := range rows {
-		plain := round(r.Plain)
-		steps := fmt.Sprintf("%d", r.PlainSteps)
-		if r.PlainAborted {
-			plain = ">" + plain
-			steps = ">" + steps + " (cut off)"
+	for i, row := range samples {
+		for unit, xs := range row {
+			q := quartiles(xs)
+			s.Results[i].Units[unit] = Stat{Median: q[1], Q1: q[0], Q3: q[2], N: len(xs),
+				same: slices.Min(xs) == slices.Max(xs)}
 		}
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%v\t%v\t%s\t%s\t%.1fx\n",
-			r.Circuit, r.Devices, r.Pattern, r.Instances, round(r.SubGemini), round(r.Pruned), plain, steps, r.Speedup)
 	}
-	w.Flush()
-	fmt.Println()
-	return rows, nil
+	return s, nil
 }
 
-func ablation() ([]bench.AblationRow, error) {
-	rows, err := bench.Ablation()
-	if err != nil {
-		return nil, err
+// print writes one table per benchmark.
+func (s *Summary) print(w io.Writer) {
+	keys := make([]string, 0, len(s.Meta))
+	for k := range s.Meta {
+		keys = append(keys, k)
 	}
-	fmt.Println("== E7/E8: special-signal ablation and early abort ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "case\t|CV|\tinstances\ttotal\tnote")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%v\t%s\n", r.Case, r.CVSize, r.Instances, round(r.Total), r.Note)
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "%s: %s\n", k, s.Meta[k])
 	}
-	w.Flush()
-	fmt.Println()
-	return rows, nil
+	for i := 0; i < len(s.Results); {
+		bench := s.Results[i].Benchmark
+		units := s.units[bench]
+		fmt.Fprintf(w, "\n%s\n", bench)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprintf(tw, "row\tn\t%s\n", strings.Join(units, "\t"))
+		for ; i < len(s.Results) && s.Results[i].Benchmark == bench; i++ {
+			r := &s.Results[i]
+			fmt.Fprintf(tw, "%s\t%d", r.Row, r.N)
+			for _, unit := range units {
+				st, ok := r.Units[unit]
+				cell := "-"
+				if ok {
+					cell = st.format(unit)
+				}
+				fmt.Fprintf(tw, "\t%s", cell)
+			}
+			fmt.Fprintln(tw)
+		}
+		tw.Flush()
+	}
 }
 
-func round(d interface{ Microseconds() int64 }) string {
-	us := d.Microseconds()
-	switch {
-	case us >= 1_000_000:
-		return fmt.Sprintf("%.2fs", float64(us)/1e6)
-	case us >= 1000:
-		return fmt.Sprintf("%.2fms", float64(us)/1e3)
-	default:
-		return fmt.Sprintf("%dµs", us)
+// format renders a Stat as "median [q1–q3]", or the median alone when
+// every sample agrees.  Units counted in nanoseconds ("ns/op",
+// "ns/matched-dev", "phase1-ns") print as durations, the quartiles in the
+// median's scale.
+func (st Stat) format(unit string) string {
+	scale, suffix := 1.0, ""
+	if strings.HasPrefix(unit, "ns/") || strings.HasSuffix(unit, "-ns") {
+		switch m := math.Abs(st.Median); {
+		case m >= 1e9:
+			scale, suffix = 1e9, "s"
+		case m >= 1e6:
+			scale, suffix = 1e6, "ms"
+		case m >= 1e3:
+			scale, suffix = 1e3, "µs"
+		default:
+			suffix = "ns"
+		}
 	}
+	v := num(st.Median/scale) + suffix
+	if st.same {
+		return v
+	}
+	return fmt.Sprintf("%s [%s–%s]", v, num(st.Q1/scale), num(st.Q3/scale))
+}
+
+// num prints a value with three significant digits, or whole when it is
+// an integer or at least 1000.
+func num(v float64) string {
+	a := math.Abs(v)
+	if a >= 1000 || v == math.Trunc(v) {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	digits := 2 - int(math.Floor(math.Log10(a)))
+	return strconv.FormatFloat(v, 'f', digits, 64)
+}
+
+// parseResult parses a benchmark line: a name that starts with
+// "Benchmark" and an upper-case or non-letter rune, an iteration count,
+// and (value, unit) pairs.
+func parseResult(line string) (result, bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 {
+		return result{}, false
+	}
+	name, ok := strings.CutPrefix(f[0], "Benchmark")
+	if !ok || name == "" || unicode.IsLower(rune(name[0])) {
+		return result{}, false
+	}
+	if _, err := strconv.Atoi(f[1]); err != nil {
+		return result{}, false
+	}
+	res := result{name: f[0]}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return result{}, false
+		}
+		res.values = append(res.values, v)
+		res.units = append(res.units, f[i+1])
+	}
+	return res, true
+}
+
+// parseConfig parses a configuration line, "key: value", whose key starts
+// with a lower-case letter and holds no space or upper-case rune.
+func parseConfig(line string) (key, value string, ok bool) {
+	key, value, ok = strings.Cut(line, ":")
+	if !ok || key == "" || !unicode.IsLower(rune(key[0])) || strings.IndexFunc(key, func(r rune) bool {
+		return unicode.IsSpace(r) || unicode.IsUpper(r)
+	}) >= 0 || (value != "" && value[0] != ' ' && value[0] != '\t') {
+		return "", "", false
+	}
+	return key, strings.TrimSpace(value), true
+}
+
+// procsSuffix returns the "-N" suffix every result name shares, or "" if
+// they do not all end in the same one.
+func procsSuffix(results []result) string {
+	first := results[0].name
+	i := strings.LastIndexByte(first, '-') // -1 leaves a name Atoi refuses
+	if _, err := strconv.Atoi(first[i+1:]); err != nil {
+		return ""
+	}
+	for _, res := range results {
+		if !strings.HasSuffix(res.name, first[i:]) {
+			return ""
+		}
+	}
+	return first[i:]
+}
+
+// quartiles returns the three cut points of Python's
+// statistics.quantiles(xs, n=4) (its default exclusive method, which
+// extrapolates for fewer than four samples); one sample gives three equal
+// points.
+func quartiles(xs []float64) [3]float64 {
+	n := len(xs)
+	if n == 1 {
+		return [3]float64{xs[0], xs[0], xs[0]}
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - j*4)
+		q[i-1] = (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return q
 }

@@ -142,18 +142,9 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	var sigBuf []int
 	var sig string
 	for w := range shards {
-		res.Report.Phase2Passes += shards[w].report.Phase2Passes
-		res.Report.Guesses += shards[w].report.Guesses
-		res.Report.Backtracks += shards[w].report.Backtracks
-		res.Report.GuessLimitHits += shards[w].report.GuessLimitHits
-		res.Report.VerifyCalls += shards[w].report.VerifyCalls
-		res.Report.Candidates += shards[w].report.Candidates
-		res.Report.CandidatesMatched += shards[w].report.CandidatesMatched
-		res.Report.Filtered += shards[w].report.Filtered
-		res.Report.RegionBallSum += shards[w].report.RegionBallSum
-		if shards[w].report.RegionMaxSize > res.Report.RegionMaxSize {
-			res.Report.RegionMaxSize = shards[w].report.RegionMaxSize
-		}
+		// A shard's report holds only Phase II counters; the instance
+		// totals are counted below, after deduplication.
+		res.Report.Add(&shards[w].report)
 		if shards[w].report.RegionRadius > res.Report.RegionRadius {
 			// Every shard that examined a candidate saw the same radius.
 			res.Report.RegionRadius = shards[w].report.RegionRadius

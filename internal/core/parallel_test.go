@@ -148,3 +148,38 @@ func TestFindParallelTraceTableMatchesFind(t *testing.T) {
 			got.Len(), want.Len(), got.String())
 	}
 }
+
+// TestFindParallelReportEqualsFind pins the shard merge: FindParallel's
+// report sums its shards' Phase II counters to exactly what Find counts
+// on the same circuit, with only the two durations allowed to differ.
+func TestFindParallelReportEqualsFind(t *testing.T) {
+	cases := []struct {
+		d   *gen.Design
+		pat *stdcell.CellDef
+	}{
+		{gen.RandomLogic(1000, 32, 11), stdcell.NAND2},
+		{gen.RippleAdder(64), stdcell.FA},
+		{gen.SRAMArray(16, 16), stdcell.SRAM6T},
+		{gen.ALUDatapath(16), stdcell.MUX2},
+	}
+	for _, c := range cases {
+		seq, err := core.Find(c.d.C, c.pat.Pattern(), core.Options{Globals: rails})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.NewMatcher(c.d.C, core.Options{Globals: rails})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := m.FindParallel(c.pat.Pattern(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := seq.Report, par.Report
+		want.Phase1Duration, want.Phase2Duration = 0, 0
+		got.Phase1Duration, got.Phase2Duration = 0, 0
+		if got != want {
+			t.Errorf("%s in %s: FindParallel report\n%+v\nwant Find's\n%+v", c.pat.Name, c.d.C.Name, got, want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,14 +53,36 @@ func (h *histogram) write(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
 }
 
-// patternStats accumulates per-pattern candidate outcomes, the serving-side
-// view of the algorithm's selectivity: how often Phase I's candidate vector
-// sends Phase II after vertices that verify versus ones it rejects.
-type patternStats struct {
-	runs       int64
-	candidates int64
-	matched    int64
-	instances  int64
+// maxPatternLabels caps the distinct pattern labels each pattern-labeled
+// metric family may carry; patterns beyond the cap are lumped under
+// "_other".
+const maxPatternLabels = 64
+
+// labelSet admits metric label values up to maxPatternLabels and folds the
+// rest into "_other".  Pattern names come from requests (an inline
+// netlist's .SUBCKT, a sweep library), so a family labeled by them must
+// not grow without bound.  One labelSet serves one metric family.
+type labelSet struct {
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+// admit maps a pattern name to its label, admitting new names until the
+// cap.
+func (l *labelSet) admit(name string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seen[name] {
+		return name
+	}
+	if len(l.seen) >= maxPatternLabels {
+		return "_other"
+	}
+	if l.seen == nil {
+		l.seen = make(map[string]bool)
+	}
+	l.seen[name] = true
+	return name
 }
 
 // metrics aggregates the daemon's observable state: request accounting,
@@ -71,12 +92,13 @@ type patternStats struct {
 // le/pattern-labeled series), so it is trivially scrapable without pulling
 // in a metrics dependency.
 type metrics struct {
-	requests  atomic.Int64 // HTTP requests served (any route)
-	errors    atomic.Int64 // responses with status >= 400
-	timeouts  atomic.Int64 // match requests that hit their deadline
-	rejected  atomic.Int64 // requests turned away by admission control
-	inflight  atomic.Int64 // match runs currently executing
-	matchRuns stats.Aggregate
+	requests    atomic.Int64 // HTTP requests served (any route)
+	errors      atomic.Int64 // responses with status >= 400
+	timeouts    atomic.Int64 // match requests that hit their deadline
+	rejected    atomic.Int64 // requests turned away by admission control
+	inflight    atomic.Int64 // match runs currently executing
+	matchRuns   stats.Aggregate
+	matchLabels labelSet
 
 	// Load-shedding counters, one per bulk endpoint (see shedBulk).
 	shedBatch atomic.Int64
@@ -86,20 +108,15 @@ type metrics struct {
 	phase1 histogram // Phase I wall time per run
 	phase2 histogram // Phase II wall time per run
 
-	// Library-sweep accounting.  sweepRuns keys per-pattern totals by a
-	// bounded label set (see sweepLabel): sweep libraries are user-defined,
-	// so unlike the match-side patterns map the per-pattern series here
-	// must not grow without bound.
+	// Library-sweep accounting; sweepRuns keys per-pattern totals by the
+	// sweep family's own bounded label set.
 	sweeps         atomic.Int64 // sweep invocations
 	sweepPatterns  atomic.Int64 // patterns swept, deduplicated ones included
 	sweepDeduped   atomic.Int64 // patterns answered from a structural twin's run
 	sweepInstances atomic.Int64 // instances found across all sweep patterns
 	sweepDur       histogram    // sweep wall time per invocation
 	sweepRuns      stats.Aggregate
-
-	mu          sync.Mutex
-	patterns    map[string]*patternStats
-	sweepLabels map[string]bool
+	sweepLabels    labelSet
 }
 
 // shed counts one turned-away bulk request under its endpoint label.
@@ -112,28 +129,6 @@ func (m *metrics) shed(endpoint string) {
 	case "jobs":
 		m.shedJobs.Add(1)
 	}
-}
-
-// maxSweepPatternLabels caps the distinct pattern labels the sweep series
-// may carry; patterns beyond the cap are lumped under "_other".
-const maxSweepPatternLabels = 64
-
-// sweepLabel maps a pattern name to its metric label, admitting new names
-// until the cardinality cap and folding the rest into "_other".
-func (m *metrics) sweepLabel(name string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sweepLabels[name] {
-		return name
-	}
-	if len(m.sweepLabels) >= maxSweepPatternLabels {
-		return "_other"
-	}
-	if m.sweepLabels == nil {
-		m.sweepLabels = make(map[string]bool)
-	}
-	m.sweepLabels[name] = true
-	return name
 }
 
 // observeSweep folds one finished library sweep into the sweep series.
@@ -151,31 +146,17 @@ func (m *metrics) observeSweep(rep *sweep.Report) {
 		if pr.Alias != "" {
 			continue
 		}
-		m.sweepRuns.AddPattern(m.sweepLabel(pr.Name), &pr.Report)
+		m.sweepRuns.AddPattern(m.sweepLabels.admit(pr.Name), &pr.Report)
 	}
 }
 
 // observe folds one finished match run into every per-run series: the
-// summed report aggregate, the phase-duration histograms, and the
-// pattern-labeled outcome counters.
+// summed report aggregate with its pattern-labeled totals, and the
+// phase-duration histograms.
 func (m *metrics) observe(pattern string, r *stats.Report) {
-	m.matchRuns.Add(r)
+	m.matchRuns.AddPattern(m.matchLabels.admit(pattern), r)
 	m.phase1.observe(r.Phase1Duration)
 	m.phase2.observe(r.Phase2Duration)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.patterns == nil {
-		m.patterns = make(map[string]*patternStats)
-	}
-	ps := m.patterns[pattern]
-	if ps == nil {
-		ps = &patternStats{}
-		m.patterns[pattern] = ps
-	}
-	ps.runs++
-	ps.candidates += int64(r.Candidates)
-	ps.matched += int64(r.CandidatesMatched)
-	ps.instances += int64(r.Instances)
 }
 
 // externalMetrics carries the state that lives outside the metrics struct
@@ -292,25 +273,18 @@ func (m *metrics) write(w io.Writer, ext externalMetrics) {
 	m.writeSweepPatterns(w)
 }
 
-// writePatterns renders the pattern-labeled counters in sorted order so the
-// dump is deterministic.  The failed series is derived (candidates that did
-// not verify) because that difference — how many Phase II attempts the
-// candidate vector wastes — is the number worth alerting on.
+// writePatterns renders the bounded pattern-labeled match series in
+// sorted order so the dump is deterministic.  The failed series is derived
+// (candidates that did not verify) because that difference — how many
+// Phase II attempts the candidate vector wastes — is the number worth
+// alerting on.
 func (m *metrics) writePatterns(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.patterns))
-	for name := range m.patterns {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ps := m.patterns[name]
-		fmt.Fprintf(w, "subgeminid_pattern_runs_total{pattern=%q} %d\n", name, ps.runs)
-		fmt.Fprintf(w, "subgeminid_pattern_candidates_total{pattern=%q} %d\n", name, ps.candidates)
-		fmt.Fprintf(w, "subgeminid_pattern_candidates_matched_total{pattern=%q} %d\n", name, ps.matched)
-		fmt.Fprintf(w, "subgeminid_pattern_candidates_failed_total{pattern=%q} %d\n", name, ps.candidates-ps.matched)
-		fmt.Fprintf(w, "subgeminid_pattern_instances_total{pattern=%q} %d\n", name, ps.instances)
+	for _, ps := range m.matchRuns.Patterns() {
+		fmt.Fprintf(w, "subgeminid_pattern_runs_total{pattern=%q} %d\n", ps.Pattern, ps.Runs)
+		fmt.Fprintf(w, "subgeminid_pattern_candidates_total{pattern=%q} %d\n", ps.Pattern, ps.Sum.Candidates)
+		fmt.Fprintf(w, "subgeminid_pattern_candidates_matched_total{pattern=%q} %d\n", ps.Pattern, ps.Sum.CandidatesMatched)
+		fmt.Fprintf(w, "subgeminid_pattern_candidates_failed_total{pattern=%q} %d\n", ps.Pattern, ps.Sum.Candidates-ps.Sum.CandidatesMatched)
+		fmt.Fprintf(w, "subgeminid_pattern_instances_total{pattern=%q} %d\n", ps.Pattern, ps.Sum.Instances)
 	}
 }
 

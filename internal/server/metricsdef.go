@@ -82,11 +82,11 @@ func MetricsReference() []MetricDef {
 		{"subgeminid_match_phase1_seconds", "histogram", "le", "Phase I wall time per run, decade buckets 10µs..10s"},
 		{"subgeminid_match_phase2_seconds", "histogram", "le", "Phase II wall time per run, decade buckets 10µs..10s"},
 		{"subgeminid_sweep_seconds", "histogram", "le", "sweep wall time per invocation, decade buckets 10µs..10s"},
-		{"subgeminid_pattern_runs_total", "counter", "pattern", "match runs per pattern"},
-		{"subgeminid_pattern_candidates_total", "counter", "pattern", "Phase II candidates examined per pattern"},
-		{"subgeminid_pattern_candidates_matched_total", "counter", "pattern", "candidates that verified per pattern"},
-		{"subgeminid_pattern_candidates_failed_total", "counter", "pattern", "candidates Phase II rejected per pattern (the selectivity number worth alerting on)"},
-		{"subgeminid_pattern_instances_total", "counter", "pattern", "instances found per pattern"},
+		{"subgeminid_pattern_runs_total", "counter", "pattern", "match runs per pattern label (bounded cardinality; overflow under \"_other\")"},
+		{"subgeminid_pattern_candidates_total", "counter", "pattern", "Phase II candidates examined per pattern label"},
+		{"subgeminid_pattern_candidates_matched_total", "counter", "pattern", "candidates that verified per pattern label"},
+		{"subgeminid_pattern_candidates_failed_total", "counter", "pattern", "candidates Phase II rejected per pattern label (the selectivity number worth alerting on)"},
+		{"subgeminid_pattern_instances_total", "counter", "pattern", "instances found per pattern label"},
 		{"subgeminid_sweep_pattern_runs_total", "counter", "pattern", "sweep runs per pattern label (bounded cardinality; overflow under \"_other\")"},
 		{"subgeminid_sweep_pattern_early_aborts_total", "counter", "pattern", "sweep runs Phase I refuted per pattern label"},
 		{"subgeminid_sweep_pattern_candidates_total", "counter", "pattern", "sweep Phase II candidates per pattern label"},

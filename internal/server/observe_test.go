@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -64,6 +65,39 @@ func TestMetricsHistogramsAndPatternCounters(t *testing.T) {
 	if pc("candidates_matched")+pc("candidates_failed") != pc("candidates") {
 		t.Errorf("matched %v + failed %v != candidates %v",
 			pc("candidates_matched"), pc("candidates_failed"), pc("candidates"))
+	}
+}
+
+// TestPatternLabelsBounded: an inline pattern takes its name from its
+// .SUBCKT, so requests choose the match series' pattern labels.  The
+// match families cap them as the sweep families do: 64 names, the rest
+// under "_other", and every run counted under exactly one label.
+func TestPatternLabelsBounded(t *testing.T) {
+	s, _ := newAdderServer(t, nil)
+	const patterns = 100
+	for i := 0; i < patterns; i++ {
+		src := strings.Replace(invPattern, "MYINV", fmt.Sprintf("INV%03d", i), 1)
+		if rec := do(t, s, "POST", "/v1/match", MatchRequest{Netlist: src}); rec.Code != http.StatusOK {
+			t.Fatalf("inline pattern %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	m := parseMetrics(t, do(t, s, "GET", "/metrics", nil).Body.String())
+	const prefix = `subgeminid_pattern_runs_total{pattern="`
+	labels, runs := 0, 0.0
+	for name, v := range m {
+		if strings.HasPrefix(name, prefix) {
+			labels++
+			runs += v
+		}
+	}
+	if want := maxPatternLabels + 1; labels != want {
+		t.Errorf("%d pattern labels, want %d (%d names and _other)", labels, want, maxPatternLabels)
+	}
+	if other := m[prefix+`_other"}`]; other != patterns-maxPatternLabels {
+		t.Errorf("_other runs = %v, want %d", other, patterns-maxPatternLabels)
+	}
+	if total := m["subgeminid_match_runs_total"]; runs != total || total != patterns {
+		t.Errorf("labelled runs sum to %v, subgeminid_match_runs_total %v, want both %d", runs, total, patterns)
 	}
 }
 

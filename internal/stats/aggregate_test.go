@@ -8,14 +8,14 @@ import (
 
 func TestAggregateSums(t *testing.T) {
 	var a Aggregate
-	a.Add(&Report{
+	a.AddPattern("", &Report{
 		Phase1Passes: 3, Phase1Duration: 2 * time.Millisecond, CVSize: 5,
 		Candidates: 5, Filtered: 3, Phase2Passes: 7, Guesses: 2, Backtracks: 1,
 		GuessLimitHits: 1, VerifyCalls: 4, Phase2Duration: 3 * time.Millisecond,
 		Instances: 4, MatchedDevices: 16,
 		KeyVertex: "n1", EarlyAbort: false,
 	})
-	a.Add(&Report{
+	a.AddPattern("", &Report{
 		Phase1Passes: 1, Phase1Duration: 1 * time.Millisecond, CVSize: 0,
 		EarlyAbort: true,
 	})
@@ -45,11 +45,11 @@ func TestAggregateSums(t *testing.T) {
 
 func TestAggregateNilAndReset(t *testing.T) {
 	var a Aggregate
-	a.Add(nil)
+	a.AddPattern("", nil)
 	if s := a.Snapshot(); s.Runs != 0 {
-		t.Errorf("nil Add counted as a run: %+v", s)
+		t.Errorf("nil report counted as a run: %+v", s)
 	}
-	a.Add(&Report{Instances: 1})
+	a.AddPattern("", &Report{Instances: 1})
 	a.Reset()
 	if s := a.Snapshot(); s.Runs != 0 || s.Sum.Instances != 0 {
 		t.Errorf("Reset left state behind: %+v", s)
@@ -64,7 +64,7 @@ func TestAggregatePatternDimension(t *testing.T) {
 	a.AddPattern("NAND2", &Report{Instances: 3, Candidates: 5, Filtered: 2})
 	a.AddPattern("NAND2", &Report{Instances: 1, Candidates: 2, EarlyAbort: true})
 	a.AddPattern("INV", &Report{Instances: 7, Candidates: 9})
-	a.Add(&Report{Instances: 100}) // anonymous: totals only
+	a.AddPattern("", &Report{Instances: 100}) // anonymous: totals only
 
 	s := a.Snapshot()
 	if s.Runs != 4 || s.Sum.Instances != 111 || s.Sum.Candidates != 16 {
@@ -96,7 +96,7 @@ func TestAggregateConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				a.Add(&Report{Instances: 1, MatchedDevices: 2})
+				a.AddPattern("", &Report{Instances: 1, MatchedDevices: 2})
 				_ = a.Snapshot()
 			}
 		}()

@@ -1,14 +1,16 @@
 // Package stats collects the instrumentation counters and timings that the
-// experiment harness reports: Phase I pass counts and candidate-vector
+// matcher reports for each run: Phase I pass counts and candidate-vector
 // sizes, Phase II pass counts, guesses, and backtracks, plus wall-clock
 // durations.  The counters correspond to the quantities the paper discusses
 // when arguing that SubGemini runs in time roughly linear in the total
 // number of devices inside the matched subcircuits.
 //
 // A Report summarizes one run; an Aggregate folds many Reports together
-// for long-lived consumers (the subgeminid /metrics endpoint, the benchtab
-// tables).  For per-pass and per-candidate rather than per-run
-// visibility, run the match under a trace (obs.NewTrace).
+// for a long-lived consumer, the subgeminid /metrics endpoint.  The
+// paper-table benchmarks (bench_test.go at the module root) report a
+// run's counters as benchmark metrics.  For per-pass and per-candidate
+// rather than per-run visibility, run the match under a trace
+// (obs.NewTrace).
 package stats
 
 import (
@@ -70,6 +72,32 @@ type Report struct {
 	CancelledAt string
 }
 
+// Add folds o's counters and durations into r: every count and duration
+// is summed and RegionMaxSize keeps the larger ball.  The identification
+// fields, EarlyAbort, RegionRadius, the incremental fields and CancelledAt
+// describe one run and are left as they are.
+func (r *Report) Add(o *Report) {
+	r.Phase1Passes += o.Phase1Passes
+	r.Phase1Pruned += o.Phase1Pruned
+	r.Phase1Duration += o.Phase1Duration
+	r.CVSize += o.CVSize
+	r.Candidates += o.Candidates
+	r.CandidatesMatched += o.CandidatesMatched
+	r.Filtered += o.Filtered
+	r.Phase2Passes += o.Phase2Passes
+	r.Guesses += o.Guesses
+	r.Backtracks += o.Backtracks
+	r.GuessLimitHits += o.GuessLimitHits
+	r.VerifyCalls += o.VerifyCalls
+	r.Phase2Duration += o.Phase2Duration
+	r.Instances += o.Instances
+	r.MatchedDevices += o.MatchedDevices
+	r.RegionBallSum += o.RegionBallSum
+	if o.RegionMaxSize > r.RegionMaxSize {
+		r.RegionMaxSize = o.RegionMaxSize
+	}
+}
+
 // Total returns the combined Phase I + Phase II duration.
 func (r *Report) Total() time.Duration { return r.Phase1Duration + r.Phase2Duration }
 
@@ -82,7 +110,7 @@ func (r *Report) RegionAvgSize() float64 {
 	return float64(r.RegionBallSum) / float64(r.Candidates)
 }
 
-// String formats the report for logs and the benchtab tool.
+// String formats the report for logs and the CLI's stats line.
 func (r *Report) String() string {
 	s := fmt.Sprintf(
 		"instances=%d matchedDevs=%d cv=%d key=%s p1passes=%d p2passes=%d guesses=%d backtracks=%d t1=%v t2=%v",
